@@ -39,6 +39,9 @@ class FeatureSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Tuples keep the spec hashable, so it can key the basis cache.
+        object.__setattr__(self, "periods", tuple(self.periods))
+        object.__setattr__(self, "freq_range", tuple(self.freq_range))
         if self.kind not in (HANDCRAFTED_FOURIER, RANDOM_FOURIER):
             raise ValueError(f"unknown feature kind {self.kind!r}")
         if any(p <= 0 for p in self.periods):

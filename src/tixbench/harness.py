@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -373,6 +374,74 @@ def _record_sort_key(r: ScoreRecord):
     )
 
 
+# The thread API symbols of the OpenBLAS copies that numpy and scipy wheels
+# bundle: a scipy_ prefix, and a 64_ suffix on 64-bit-integer builds.
+_OPENBLAS_THREAD_API = tuple(
+    (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
+    for prefix in ("scipy_", "")
+    for suffix in ("64_", "")
+)
+
+
+def _openblas_thread_api() -> list[tuple]:
+    """(getter, setter) of the thread count of each OpenBLAS already loaded.
+
+    Libraries are found in /proc/self/maps, so only on Linux; elsewhere, and
+    under MKL, Accelerate or a system BLAS, the list is empty.
+    """
+    # Imported here, not at module level, so that importing the harness
+    # costs nothing more.
+    import ctypes
+    import os
+
+    try:
+        with open("/proc/self/maps") as fh:
+            # The sixth field, the path, is the only one that can name a library.
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    api = []
+    for path in paths:
+        try:
+            # RTLD_NOLOAD opens only a copy that is already mapped; it never
+            # loads another one.
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_API:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                getter, setter = getattr(lib, get_name), getattr(lib, set_name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                api.append((getter, setter))
+                break
+    return api
+
+
+# Every fit is small (672 x 129 at most on the demo), so BLAS threads only
+# add synchronisation, and each OpenBLAS copy would start one per CPU.
+# Parallelism comes from --jobs alone. The count is not an option: every
+# caller wants one thread.
+@contextmanager
+def _one_blas_thread():
+    """Pin each loaded OpenBLAS copy to one thread; restore the old counts on exit."""
+    api = _openblas_thread_api()
+    before = [getter() for getter, _ in api]
+    for _, setter in api:
+        setter(1)
+    try:
+        yield
+    finally:
+        for (_, setter), count in zip(api, before):
+            setter(count)
+
+
+def _pin_worker() -> None:
+    """Pool initializer: one BLAS thread per worker process, for its life."""
+    for _, setter in _openblas_thread_api():
+        setter(1)
+
+
 def run(config: RunConfig, jobs: int = 1) -> BenchReport:
     """Execute the full dataset x scenario x imputer matrix.
 
@@ -380,6 +449,11 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
     identifiers rather than iteration order, and records are stably sorted
     before reporting, so any degree of parallelism reproduces the serial
     output byte for byte.
+
+    Each OpenBLAS copy that numpy and scipy loaded runs on one thread while
+    the tasks run, in this process and in each of the ``jobs`` pool workers;
+    the old thread counts come back when the loop ends, also on an error.
+    Parallelism comes from ``jobs`` alone.
     """
     failures: dict[str, str] = {}
     loaded: list[tuple[DatasetSpec, TimeSeries]] = []
@@ -411,11 +485,12 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
             for scenario in config.scenarios:
                 tasks.append((ds.id, segment, scenario, config.seed, config.imputers))
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_score_task, tasks))
-    else:
-        chunks = [_score_task(t) for t in tasks]
+    with _one_blas_thread():
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs, initializer=_pin_worker) as pool:
+                chunks = list(pool.map(_score_task, tasks))
+        else:
+            chunks = [_score_task(t) for t in tasks]
     records = sorted((r for chunk in chunks for r in chunk), key=_record_sort_key)
 
     by_scenario = aggregate(records, ("dataset", "imputer_id", "scenario_label"))

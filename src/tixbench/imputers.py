@@ -13,17 +13,17 @@ two ``tix_`` ids for quantile variants.
 
 from __future__ import annotations
 
-import hashlib
-import json
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import Segment, znorm_stats
+from .core import FrequencySpec, Segment, znorm_stats
 from .features import (
     HANDCRAFTED_FOURIER,
     RANDOM_FOURIER,
+    FeatureMatrix,
     FeatureSpec,
     handcrafted_features,
     random_fourier_basis,
@@ -44,8 +44,6 @@ class Imputation:
     """
 
     point: np.ndarray
-    imputer_id: str
-    config_digest: str
     quantiles: dict[float, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
@@ -63,11 +61,6 @@ class Imputation:
             for lo, hi in zip(alphas, alphas[1:]):
                 if np.any(qs[lo] > qs[hi]):
                     raise ValueError("quantile predictions cross")
-
-
-def config_digest(imputer_id: str, params: dict) -> str:
-    payload = json.dumps({"id": imputer_id, "params": params}, sort_keys=True, default=str)
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 def _eval_indices(segment: Segment) -> np.ndarray:
@@ -90,7 +83,7 @@ def impute_linear(segment: Segment) -> Imputation:
     vis = _require_context(segment)
     evals = _eval_indices(segment)
     point = np.interp(evals.astype(float), vis.astype(float), segment.values[vis])
-    return Imputation(point=point, imputer_id="linear", config_digest=config_digest("linear", {}))
+    return Imputation(point=point)
 
 
 def _locf_values(segment: Segment, positions: np.ndarray) -> np.ndarray:
@@ -106,7 +99,7 @@ def impute_locf(segment: Segment) -> Imputation:
     visible value backward once (NOCB initialization)."""
     evals = _eval_indices(segment)
     point = _locf_values(segment, evals)
-    return Imputation(point=point, imputer_id="locf", config_digest=config_digest("locf", {}))
+    return Imputation(point=point)
 
 
 def impute_seasonal_naive(segment: Segment, season: int | None = None) -> Imputation:
@@ -119,35 +112,45 @@ def impute_seasonal_naive(segment: Segment, season: int | None = None) -> Imputa
     S = segment.freq.seasonal_period if season is None else int(season)
     if S < 1:
         raise ValueError("seasonal period must be >= 1")
-    _require_context(segment)
-    obs = segment.obs_mask
+    vis = _require_context(segment)
     evals = _eval_indices(segment)
-    fallback = _locf_values(segment, evals)
-    point = np.empty(len(evals))
-    max_k = segment.length // S + 1
-    for i, t in enumerate(evals):
-        found = None
-        for k in range(1, max_k + 1):
-            for probe in (t - k * S, t + k * S):
-                if 0 <= probe < segment.length and obs[probe]:
-                    found = segment.values[probe]
-                    break
-            if found is not None:
-                break
-        point[i] = fallback[i] if found is None else found
-    return Imputation(
-        point=point,
-        imputer_id="seasonal_naive",
-        config_digest=config_digest("seasonal_naive", {"season": S}),
-    )
+    n = segment.length
+    # The probe order finds the nearest visible position of t's residue class
+    # mod S, the earlier one on a tie. Keying each position by
+    # (residue, position) puts every class in one sorted run, in which a
+    # binary search finds t's neighbours; t itself is never visible. The
+    # sentinels -1 and S * n lie outside every class.
+    vis_keys = np.concatenate(([-1], np.sort(vis % S * n + vis), [S * n]))
+    class_start = evals % S * n
+    keys = class_start + evals
+    idx = np.searchsorted(vis_keys, keys)
+    before, after = vis_keys[idx - 1], vis_keys[idx]
+    has_before = before >= class_start
+    has_after = after < class_start + n
+    use_before = has_before & (~has_after | (keys - before <= after - keys))
+    found = has_before | has_after
+    point = _locf_values(segment, evals)
+    point[found] = segment.values[np.where(use_before, before, after)[found] - class_start[found]]
+    return Imputation(point=point)
+
+
+# A run needs one entry per (segment length, frequency, feature spec); the
+# bound keeps a long-lived process from holding every length it has seen.
+@functools.lru_cache(maxsize=16)
+def _time_basis(length: int, freq: FrequencySpec, fspec: FeatureSpec) -> FeatureMatrix:
+    """The time-only feature rows of a segment, built once and shared read-only."""
+    ticks = np.arange(length)
+    if fspec.kind == HANDCRAFTED_FOURIER:
+        fm = handcrafted_features(ticks, freq, fspec.periods or None)
+    else:
+        fm = random_fourier_basis(ticks, fspec)
+    fm.rows.flags.writeable = False
+    fm.t_norm.flags.writeable = False
+    return fm
 
 
 def _build_features(segment: Segment, fspec: FeatureSpec, use_covariates: bool):
-    ticks = np.arange(segment.length)
-    if fspec.kind == HANDCRAFTED_FOURIER:
-        fm = handcrafted_features(ticks, segment.freq, fspec.periods or None)
-    else:
-        fm = random_fourier_basis(ticks, fspec)
+    fm = _time_basis(segment.length, segment.freq, fspec)
     if use_covariates:
         fm = stack_covariates(fm, segment.covariates)
     return fm
@@ -159,7 +162,6 @@ def impute_time_indexed(
     lam: float = DEFAULT_LAMBDA,
     use_covariates: bool = False,
     quantile_levels: tuple[float, ...] | None = None,
-    imputer_id: str | None = None,
 ) -> Imputation:
     """Regress the visible values onto per-timestamp features, then predict
     the held-out timestamps.
@@ -187,22 +189,7 @@ def impute_time_indexed(
             qmodel = pinball_fit(fm.rows[vis], y, alpha=alpha, lam=lam)
             raw[alpha] = predict(qmodel, fm.rows[evals]) * norm.std + norm.mean
         quantiles = enforce_noncrossing(raw)
-
-    base_id = "tix_fourier" if fspec.kind == HANDCRAFTED_FOURIER else "tix_random_basis"
-    if quantile_levels:
-        base_id += "_q"
-    params = {
-        "fspec": fspec.__dict__,
-        "lam": lam,
-        "use_covariates": use_covariates,
-        "quantile_levels": list(quantile_levels or ()),
-    }
-    return Imputation(
-        point=point,
-        quantiles=quantiles,
-        imputer_id=imputer_id or base_id,
-        config_digest=config_digest(base_id, params),
-    )
+    return Imputation(point=point, quantiles=quantiles)
 
 
 def impute_covariate_ridge(segment: Segment, lam: float = DEFAULT_LAMBDA) -> Imputation:
@@ -220,11 +207,7 @@ def impute_covariate_ridge(segment: Segment, lam: float = DEFAULT_LAMBDA) -> Imp
     X = np.column_stack(cols)
     model = ridge_fit(X[vis], segment.values[vis], lam)
     point = predict(model, X[evals])
-    return Imputation(
-        point=point,
-        imputer_id="covar_ridge",
-        config_digest=config_digest("covar_ridge", {"lam": lam}),
-    )
+    return Imputation(point=point)
 
 
 def _tix_factory(kind: str, quantile: bool, params: dict) -> Callable[[Segment], Imputation]:

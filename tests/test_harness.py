@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import csv
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 import yaml
 
-from tixbench import FrequencySpec, ScoreRecord
+from tixbench import FrequencySpec, ScoreRecord, harness, impute_linear
 from tixbench.cli import main as cli_main
 from tixbench.harness import (
     DatasetSpec,
@@ -286,6 +287,54 @@ class TestRun:
         )
         assert len(kept.records) > 0
         assert len(filtered.records) == 0
+
+
+def blas_threads() -> list[int]:
+    return [getter() for getter, _ in harness._openblas_thread_api()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS copy at two threads, so that a pin to one shows."""
+    api = harness._openblas_thread_api()
+    if not api:
+        pytest.skip("no OpenBLAS copy is loaded")
+    before = [getter() for getter, _ in api]
+    for _, setter in api:
+        setter(2)
+    yield [2] * len(api)
+    for (_, setter), count in zip(api, before):
+        setter(count)
+
+
+class TestBlasThreads:
+    def test_tasks_run_on_one_thread_and_counts_come_back(self, tmp_path, monkeypatch, two_blas_threads):
+        seen = []
+
+        def spy(segment):
+            seen.append(blas_threads())
+            return impute_linear(segment)
+
+        monkeypatch.setattr(harness, "make_imputer", lambda imputer_id, **params: spy)
+        run(demo_config(tmp_path))
+        assert len(seen) == 2 * 4 * 3
+        assert all(counts == [1] * len(two_blas_threads) for counts in seen)
+        assert blas_threads() == two_blas_threads
+
+    def test_counts_come_back_when_a_task_raises(self, tmp_path, monkeypatch, two_blas_threads):
+        def failing(segment):
+            raise RuntimeError("imputer failed")
+
+        monkeypatch.setattr(harness, "make_imputer", lambda imputer_id, **params: failing)
+        with pytest.raises(RuntimeError, match="imputer failed"):
+            run(demo_config(tmp_path))
+        assert blas_threads() == two_blas_threads
+
+    def test_pool_initializer_pins_the_worker(self, two_blas_threads):
+        with ProcessPoolExecutor(max_workers=1, initializer=harness._pin_worker) as pool:
+            in_worker = pool.submit(blas_threads).result(timeout=60)
+        assert in_worker == [1] * len(two_blas_threads)
+        assert blas_threads() == two_blas_threads
 
 
 class TestReport:

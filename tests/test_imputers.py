@@ -8,16 +8,20 @@ import pytest
 from oracles import linear_interp_oracle, locf_oracle, seasonal_oracle
 from tixbench import (
     FeatureSpec,
+    FrequencySpec,
     Scenario,
     apply_scenario,
+    handcrafted_features,
     impute_covariate_ridge,
     impute_linear,
     impute_locf,
     impute_seasonal_naive,
     impute_time_indexed,
     make_imputer,
+    random_fourier_basis,
     znorm_mae,
 )
+from tixbench.imputers import _time_basis
 from conftest import make_segment
 
 
@@ -112,6 +116,17 @@ class TestSeasonalNaive:
                     expected = seasonal_oracle(values, np.array(obs), evals, S)
                     np.testing.assert_array_equal(got, expected)
 
+    @pytest.mark.parametrize("season", [24, 168])
+    @pytest.mark.parametrize("scenario", [Scenario("pointwise", 0.7, "p"), Scenario("blocks", 4, "b")])
+    def test_matches_oracle_at_segment_scale(self, season, scenario):
+        rng = np.random.default_rng(season)
+        seg = apply_scenario(make_segment(rng.normal(size=672), rng.random(672) < 0.99), scenario, seed=3)
+        evals = np.flatnonzero(seg.eval_mask)
+        np.testing.assert_array_equal(
+            impute_seasonal_naive(seg, season=season).point,
+            seasonal_oracle(seg.values, seg.obs_mask, evals, season),
+        )
+
     def test_default_season_from_freq(self):
         values = np.arange(72.0)
         obs = [i for i in range(72) if i != 26]
@@ -174,6 +189,34 @@ class TestTimeIndexed:
         out = impute_time_indexed(masked, fspec=spec, lam=1e-8)
         truth = masked.values[masked.eval_mask]
         assert znorm_mae(truth, out.point, masked.norm) < 1e-3
+
+
+class TestTimeBasisCache:
+    HOURLY = FrequencySpec(24)
+    RANDOM = FeatureSpec(kind="random_fourier", n_random=8, seed=3)
+
+    def test_rows_equal_a_fresh_build(self):
+        ticks = np.arange(672)
+        np.testing.assert_array_equal(
+            _time_basis(672, self.HOURLY, FeatureSpec()).rows, handcrafted_features(ticks, self.HOURLY).rows
+        )
+        np.testing.assert_array_equal(
+            _time_basis(672, self.HOURLY, self.RANDOM).rows, random_fourier_basis(ticks, self.RANDOM).rows
+        )
+
+    def test_rows_are_read_only(self):
+        fm = _time_basis(672, self.HOURLY, FeatureSpec())
+        with pytest.raises(ValueError, match="read-only"):
+            fm.rows[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            fm.t_norm[0] = 1.0
+
+    def test_one_entry_per_length_and_spec(self):
+        built = _time_basis(672, self.HOURLY, FeatureSpec())
+        assert _time_basis(672, self.HOURLY, FeatureSpec()) is built
+        assert _time_basis(336, self.HOURLY, FeatureSpec()).rows.shape == (336, 5)
+        assert _time_basis(672, self.HOURLY, FeatureSpec(periods=[12.0])) is not built
+        assert _time_basis(672, self.HOURLY, self.RANDOM).rows.shape == (672, 17)
 
 
 class TestCovariateRidge:
@@ -265,7 +308,6 @@ class TestContract:
         masked = apply_scenario(seg, Scenario("pointwise", 0.5, "p1"), seed=17)
         out = make_imputer("tix_fourier_q", quantile_levels=[0.1, 0.9])(masked)
         assert set(out.quantiles) == {0.1, 0.9}
-        assert out.imputer_id == "tix_fourier_q"
 
     def test_crossing_quantiles_rejected_at_construction(self):
         from tixbench import Imputation
@@ -273,7 +315,5 @@ class TestContract:
         with pytest.raises(ValueError, match="cross"):
             Imputation(
                 point=np.array([1.0]),
-                imputer_id="x",
-                config_digest="d",
                 quantiles={0.1: np.array([2.0]), 0.9: np.array([1.0])},
             )
