@@ -23,7 +23,7 @@ from .imputers import (
     impute_time_indexed,
     make_imputer,
 )
-from .masking import DEFAULT_SCENARIOS, Scenario, apply_scenario
+from .masking import DEFAULT_SCENARIOS, InfeasibleScenario, Scenario, apply_scenario
 from .metrics import ScoreRecord, aggregate, average_ranks, quantile_loss, wql, znorm_mae
 from .regress import LinearModel, enforce_noncrossing, pinball_fit, predict, ridge_fit
 from .synth import Component, SynthSpec, generate
@@ -50,6 +50,7 @@ __all__ = [
     "impute_time_indexed",
     "make_imputer",
     "DEFAULT_SCENARIOS",
+    "InfeasibleScenario",
     "Scenario",
     "apply_scenario",
     "ScoreRecord",

@@ -59,17 +59,21 @@ class FeatureMatrix:
     """One feature row per timestamp; all rows finite and of equal dim."""
 
     rows: np.ndarray
-    dim: int
     t_norm: np.ndarray
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=float)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "t_norm", np.asarray(self.t_norm, dtype=float))
-        if rows.ndim != 2 or rows.shape[1] != self.dim:
-            raise ValueError("rows must be 2-D with `dim` columns")
+        if rows.ndim != 2:
+            raise ValueError("rows must be 2-D")
         if not np.all(np.isfinite(rows)):
             raise ValueError("feature rows must be finite")
+
+    @property
+    def dim(self) -> int:
+        """Number of feature columns."""
+        return self.rows.shape[1]
 
 
 def _normalized_time(ticks) -> tuple[np.ndarray, np.ndarray]:
@@ -101,7 +105,7 @@ def handcrafted_features(
         cols.append(np.sin(theta))
         cols.append(np.cos(theta))
     rows = np.column_stack(cols)
-    return FeatureMatrix(rows=rows, dim=rows.shape[1], t_norm=t_norm)
+    return FeatureMatrix(rows=rows, t_norm=t_norm)
 
 
 def random_fourier_basis(ticks, spec: FeatureSpec) -> FeatureMatrix:
@@ -124,7 +128,7 @@ def random_fourier_basis(ticks, spec: FeatureSpec) -> FeatureMatrix:
         cols.append(np.sin(theta))
         cols.append(np.cos(theta))
     rows = np.column_stack(cols)
-    return FeatureMatrix(rows=rows, dim=rows.shape[1], t_norm=t_norm)
+    return FeatureMatrix(rows=rows, t_norm=t_norm)
 
 
 def stack_covariates(
@@ -148,4 +152,4 @@ def stack_covariates(
         std = max(float(np.std(ch)), std_floor)
         cols.append(((ch - np.mean(ch)) / std)[:, None])
     rows = np.hstack(cols)
-    return FeatureMatrix(rows=rows, dim=rows.shape[1], t_norm=base.t_norm)
+    return FeatureMatrix(rows=rows, t_norm=base.t_norm)

@@ -27,7 +27,7 @@ import yaml
 from . import __version__
 from .core import FrequencySpec, TimeSeries, chrono_split, extract_segments, masked_norm_stats
 from .imputers import make_imputer
-from .masking import DEFAULT_SCENARIOS, Scenario, apply_scenario
+from .masking import DEFAULT_SCENARIOS, InfeasibleScenario, Scenario, apply_scenario
 from .metrics import ScoreRecord, aggregate, average_ranks, wql, znorm_mae
 from .synth import Component, SynthSpec
 from .synth import generate as synth_generate
@@ -333,10 +333,8 @@ def _score_task(args) -> list[ScoreRecord]:
     mask_seed = stable_seed(run_seed, ds_id, segment.start, scenario.label)
     try:
         masked = apply_scenario(segment, scenario, mask_seed)
-    except ValueError as err:
-        if "infeasible" in str(err):
-            return []
-        raise
+    except InfeasibleScenario:
+        return []
     truth = masked.values[masked.eval_mask]
     if len(truth) == 0:
         return []

@@ -21,6 +21,10 @@ BLOCKS = "blocks"
 _REJECTION_LIMIT = 1000
 
 
+class InfeasibleScenario(ValueError):
+    """The segment cannot hold the scenario, e.g. too few fully visible days."""
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A missingness scenario: kind, parameter and a stable report label.
@@ -90,11 +94,11 @@ def apply_scenario(segment: Segment, scenario: Scenario, seed: int) -> Segment:
         steps = segment.freq.steps_per_day
         k = int(scenario.param)
         if k * steps >= segment.length:
-            raise ValueError("infeasible block scenario")
+            raise InfeasibleScenario("infeasible block scenario")
         n_days = segment.length // steps
         feasible = [d for d in range(n_days) if obs[d * steps : (d + 1) * steps].all()]
         if len(feasible) < k:
-            raise ValueError("infeasible block scenario")
+            raise InfeasibleScenario("infeasible block scenario")
         days = _pick_block_days(rng, feasible, k)
         chosen = np.concatenate([np.arange(d * steps, (d + 1) * steps) for d in days])
 

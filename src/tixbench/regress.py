@@ -6,10 +6,11 @@ mapped back to the original scale before being returned, so predictions are
 invariant to affine rescaling of any feature column.
 
 The ridge head solves the regularized normal equations with a symmetric
-positive-definite solve. The quantile head minimizes the pinball loss by
-gradient descent on a smoothed surrogate, annealing the smoothing width and
-letting a backtracking line search decay the step; adequate at in-context
-scale (a few thousand rows) without pulling in an LP solver.
+positive-definite solve. The quantile head is the linear program of Koenker
+& Bassett (1978) plus a ridge term, solved to a tolerance by a primal-dual
+predictor-corrector interior-point method (Mehrotra 1992), the Frisch-Newton
+method of Portnoy & Koenker (1997): 10-20 Newton steps, each one Cholesky
+factorization of a (d+1)x(d+1) matrix.
 """
 
 from __future__ import annotations
@@ -24,10 +25,14 @@ from .core import STD_FLOOR
 
 DEFAULT_LAMBDA = 1e-3
 
-_PINBALL_MAX_ITER = 5000
-_PINBALL_TOL_REL = 1e-7
-_PINBALL_STALL = 5
-_H_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
+# pinball_fit's interior-point constants. Fits take 10-20 Newton steps; the
+# cap ends one whose residuals stall (lam = 0 on a rank-deficient basis) while
+# no iterate can have shrunk below 1e-215, so u/s and v/z stay finite.
+_IPM_TOL = 1e-9
+_IPM_MAX_STEPS = 50
+_IPM_STEP_FRACTION = 0.99995
+_IPM_THETA_MIN = 1e-10
+_IPM_JITTER = 1e-12
 
 
 @dataclass(frozen=True)
@@ -120,35 +125,29 @@ def predict(model: LinearModel, X) -> np.ndarray:
     return rows @ model.weights + model.intercept
 
 
-def _pinball(residual: np.ndarray, alpha: float) -> float:
-    return float(np.where(residual > 0, alpha * residual, (alpha - 1.0) * residual).sum())
+def _step_to_boundary(pairs) -> float:
+    """Largest t <= 1 that keeps every x + t * dx nonnegative."""
+    return min(float(np.min(-x[dx < 0] / dx[dx < 0], initial=1.0)) for x, dx in pairs)
 
 
-def _smoothed_slope(residual: np.ndarray, alpha: float, h: float) -> np.ndarray:
-    # d/dr of the smoothed pinball loss: the two linear branches joined by a
-    # quadratic ramp of half-width h.
-    return np.where(
-        residual >= h,
-        alpha,
-        np.where(residual <= -h, alpha - 1.0, residual / (2.0 * h) + (alpha - 0.5)),
-    )
+def pinball_fit(X, y, alpha: float, lam: float = DEFAULT_LAMBDA) -> LinearModel:
+    """Quantile linear head: minimize sum pinball_alpha(y - Xw - b) + penalty.
 
+    With Xs the standardized columns, ys = (y - mean) / sy and Z = [Xs, 1],
+    it solves min alpha 1'u + (1 - alpha) 1'v + (lam / sy) ||w||^2 subject
+    to Z (w, b) + u - v = ys and u, v >= 0. In original units that is sum
+    pinball + (lam / sy^2) ||w_std||^2: lam ||w_std||^2 on the unit-variance
+    targets the imputers pass. Each Newton step factors the normal matrix
+    Z' diag(1/theta) Z + 2 (lam / sy) diag(1, .., 1, 0), theta = u/s + v/z
+    with s, z the dual slacks, once for both predictor and corrector.
 
-def pinball_fit(
-    X,
-    y,
-    alpha: float,
-    lam: float = DEFAULT_LAMBDA,
-    max_iter: int = _PINBALL_MAX_ITER,
-    tol_rel: float = _PINBALL_TOL_REL,
-) -> LinearModel:
-    """Quantile linear head: minimize sum pinball_alpha(Xw + b, y) + lam*||w||^2.
-
-    Warm-started at the ridge solution, then descended on a smoothed pinball
-    objective with the smoothing width annealed over a fixed schedule. Each
-    stage stops once the exact objective improves by less than ``tol_rel``
-    (relative) for 5 consecutive iterations; ``max_iter`` caps the total
-    iteration count across stages.
+    It stops when the gap u's + v'z and the primal and dual residuals are
+    each below 1e-9 relative to their scale, or at a step cap, and returns
+    the last iterate either way. For rank-deficient bases, even at lam = 0,
+    theta is clamped at 1e-10 and the matrix jittered by 1e-12 times its
+    largest diagonal entry, with one refinement solve against the unjittered
+    matrix. At lam = 0 the jitter still limits moves along null directions,
+    so such a fit can end above the LP optimum.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie strictly in (0, 1)")
@@ -163,66 +162,64 @@ def pinball_fit(
     my = float(np.mean(y))
     sy = max(float(np.std(y)), STD_FLOOR)
     ys = (y - my) / sy
-    # The descent runs on the target scaled by sy; dividing the penalty by sy
-    # keeps the minimizer that of sum QL(original units) + lam * ||w_std||^2.
     lam_eff = lam / sy
 
-    A = Xs.T @ Xs + max(lam_eff, 1e-10) * np.eye(X.shape[1])
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            w = scipy.linalg.solve(A, Xs.T @ ys, assume_a="pos")
-    except np.linalg.LinAlgError:
-        w = np.zeros(X.shape[1])
-    b = 0.0
+    n, d = Xs.shape
+    Z = np.column_stack([Xs, np.ones(n)])
+    pen = np.full(d + 1, 2.0 * lam_eff)
+    pen[-1] = 0.0
+    # Start at beta = 0 with ys split into u - v (primal feasible) and the dual
+    # a = alpha - s = z - (1 - alpha) at 0 (feasible at lam = 0). s and z are
+    # updated apart, so neither is lost to cancellation as it nears 0.
+    beta = np.zeros(d + 1)
+    u = np.maximum(ys, 0.0) + 1.0
+    v = np.maximum(-ys, 0.0) + 1.0
+    s = np.full(n, alpha)
+    z = np.full(n, 1.0 - alpha)
 
-    def objective(wv: np.ndarray, bv: float) -> float:
-        r = ys - (Xs @ wv + bv)
-        return _pinball(r, alpha) + lam_eff * float(wv @ wv)
-
-    obj = objective(w, b)
-    budget = max_iter
-    for h in _H_SCHEDULE:
-        if budget <= 0:
+    for _ in range(_IPM_MAX_STEPS):
+        rp = ys - Z @ beta - u + v
+        a = alpha - s
+        rd = Z.T @ a - pen * beta
+        gap = float(u @ s + v @ z)
+        obj = alpha * u.sum() + (1.0 - alpha) * v.sum() + lam_eff * float(beta[:-1] @ beta[:-1])
+        if (
+            gap <= _IPM_TOL * (1.0 + obj)
+            and np.linalg.norm(rp) <= _IPM_TOL * (1.0 + np.linalg.norm(ys))
+            and np.linalg.norm(rd) <= _IPM_TOL * (1.0 + np.linalg.norm(Z) * np.linalg.norm(a))
+        ):
             break
-        stall = 0
-        step = 1.0
-        while budget > 0:
-            budget -= 1
-            r = ys - (Xs @ w + b)
-            slope = _smoothed_slope(r, alpha, h)
-            gw = -Xs.T @ slope + 2.0 * lam_eff * w
-            gb = -float(slope.sum())
-            gnorm2 = float(gw @ gw) + gb * gb
-            if gnorm2 == 0.0:
-                break
-            # Backtracking line search on the exact objective; the accepted
-            # step only ever decays within an iteration.
-            s = step
-            new_obj = obj
-            for _ in range(60):
-                wn = w - s * gw / len(ys)
-                bn = b - s * gb / len(ys)
-                cand = objective(wn, bn)
-                if cand < obj:
-                    new_obj = cand
-                    break
-                s *= 0.5
-            else:
-                break
-            w, b = wn, bn
-            improved = obj - new_obj
-            obj = new_obj
-            step = min(s * 2.0, 1e3)
-            if improved < tol_rel * max(1.0, abs(obj)):
-                stall += 1
-                if stall >= _PINBALL_STALL:
-                    break
-            else:
-                stall = 0
+        theta = np.maximum(u / s + v / z, _IPM_THETA_MIN)
+        N = (Z / theta[:, None]).T @ Z
+        N[np.diag_indices(d + 1)] += pen
+        fac = scipy.linalg.cho_factor(N + _IPM_JITTER * N.diagonal().max() * np.eye(d + 1))
 
-    w_orig = w * sy / sx
-    b_orig = my + sy * b - float(w_orig @ mx)
+        def newton(cu: np.ndarray, cv: np.ndarray):
+            # The Newton step in which u*s changes by s*cu and v*z by z*cv.
+            q = rp - cu + cv
+            rhs = rd + Z.T @ (q / theta)
+            db = scipy.linalg.cho_solve(fac, rhs)
+            db += scipy.linalg.cho_solve(fac, rhs - N @ db)
+            da = (q - Z @ db) / theta
+            return db, da, cu + u / s * da, cv - v / z * da
+
+        # Predictor: the affine-scaling direction, aiming at u*s = v*z = 0.
+        db, da, du, dv = newton(-u, -v)
+        t = _step_to_boundary(((u, du), (v, dv), (s, -da), (z, da)))
+        mu = gap / (2 * n)
+        mu_aff = ((u + t * du) @ (s - t * da) + (v + t * dv) @ (z + t * da)) / (2 * n)
+        sigma = (mu_aff / mu) ** 3
+        # Corrector: centre at sigma * mu, with Mehrotra's second-order term.
+        db, da, du, dv = newton((sigma * mu + du * da) / s - u, (sigma * mu - dv * da) / z - v)
+        t = _IPM_STEP_FRACTION * _step_to_boundary(((u, du), (v, dv), (s, -da), (z, da)))
+        beta += t * db
+        u += t * du
+        v += t * dv
+        s -= t * da
+        z += t * da
+
+    w_orig = beta[:-1] * sy / sx
+    b_orig = my + sy * beta[-1] - float(w_orig @ mx)
     return LinearModel(weights=w_orig, intercept=b_orig, lam=lam, quantile=alpha)
 
 

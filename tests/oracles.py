@@ -8,6 +8,7 @@ own oracle.
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 def two_pass_mean_std(values):
@@ -45,6 +46,28 @@ def pinball_objective(pred, y, alpha):
         else:
             total += (1.0 - alpha) * (p - v)
     return total
+
+
+def pinball_lp_oracle(X, y, alpha):
+    """Minimal pinball loss of the unpenalized linear quantile fit (lam=0).
+
+    HiGHS solves the dual of the Koenker-Bassett LP, max y'a subject to
+    Z'a = 0 and alpha - 1 <= a <= alpha with Z = [X 1]; its optimum equals
+    the primal one. The primal form can fail in presolve on numerically
+    rank-deficient bases.
+    """
+    y = np.asarray(y, dtype=float)
+    Z = np.column_stack([np.asarray(X, dtype=float), np.ones(len(y))])
+    res = linprog(
+        -y,
+        A_eq=Z.T,
+        b_eq=np.zeros(Z.shape[1]),
+        bounds=[(alpha - 1.0, alpha)] * len(y),
+        method="highs",
+    )
+    if res.status != 0:
+        raise ArithmeticError(f"LP oracle failed: {res.message}")
+    return float(-res.fun)
 
 
 def grid_quantile_intercept(y, alpha, n_grid=2001):

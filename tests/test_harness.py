@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from tixbench import FrequencySpec, ScoreRecord, harness, impute_linear
+from tixbench import FrequencySpec, InfeasibleScenario, ScoreRecord, harness, impute_linear
 from tixbench.cli import main as cli_main
 from tixbench.harness import (
     DatasetSpec,
@@ -264,6 +264,22 @@ class TestRun:
         # The heavily over-regularized head collapses toward the context mean
         # and must rank behind the default fit under the wql metric.
         assert bench.ranks["q_daily"] < bench.ranks["q_stiff"]
+
+    def test_infeasible_scenario_skips_the_task(self, tmp_path, monkeypatch):
+        def infeasible(segment, scenario, seed):
+            raise InfeasibleScenario("infeasible block scenario")
+
+        monkeypatch.setattr(harness, "apply_scenario", infeasible)
+        assert run(demo_config(tmp_path)).records == ()
+
+    def test_other_scenario_errors_propagate(self, tmp_path, monkeypatch):
+        # Only the type marks a scenario as infeasible, not the message.
+        def broken(segment, scenario, seed):
+            raise ValueError("infeasible-sounding but untyped")
+
+        monkeypatch.setattr(harness, "apply_scenario", broken)
+        with pytest.raises(ValueError, match="untyped"):
+            run(demo_config(tmp_path))
 
     def test_min_std_filter_drops_flat_segments(self, tmp_path):
         flat_synth = {

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tixbench import DEFAULT_SCENARIOS, Scenario, apply_scenario, znorm_stats
+from tixbench import DEFAULT_SCENARIOS, InfeasibleScenario, Scenario, apply_scenario, znorm_stats
 from conftest import make_segment
 
 POINTWISE_HALF = Scenario("pointwise", 0.5, "pointwise1")
@@ -89,14 +89,14 @@ class TestBlocks:
 
     def test_infeasible_when_not_enough_days(self):
         seg = full_segment(n=3 * 24)
-        with pytest.raises(ValueError, match="infeasible block scenario"):
+        with pytest.raises(InfeasibleScenario, match="infeasible block scenario"):
             apply_scenario(seg, BLOCKS_FOUR, seed=0)
 
     def test_infeasible_when_days_already_masked(self):
         obs = np.ones(5 * 24, dtype=bool)
         obs[: 3 * 24] = False
         seg = make_segment(np.arange(5 * 24.0), obs)
-        with pytest.raises(ValueError, match="infeasible block scenario"):
+        with pytest.raises(InfeasibleScenario, match="infeasible block scenario"):
             apply_scenario(seg, Scenario("blocks", 3, "b3"), seed=0)
 
     def test_blocks_only_from_fully_visible_days(self):

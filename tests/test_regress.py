@@ -5,8 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_quantile_intercept, pinball_objective, ridge_oracle
-from tixbench import LinearModel, enforce_noncrossing, pinball_fit, predict, ridge_fit
+from conftest import HOURLY
+from oracles import grid_quantile_intercept, pinball_lp_oracle, pinball_objective, ridge_oracle
+from tixbench import (
+    FeatureSpec,
+    LinearModel,
+    enforce_noncrossing,
+    handcrafted_features,
+    pinball_fit,
+    predict,
+    random_fourier_basis,
+    ridge_fit,
+)
 
 
 def random_instance(rng, n=20, d=4):
@@ -134,6 +144,84 @@ class TestPinball:
         for alpha in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 pinball_fit(X, y, alpha=alpha)
+
+
+def context_rows(kind, d, rng):
+    """Features and target of one in-context fit at benchmark size: 300-450
+    visible rows of a 28-day hourly segment."""
+    ticks = np.arange(28 * 24)
+    vis = np.sort(rng.choice(len(ticks), size=int(rng.integers(300, 451)), replace=False))
+    if kind == "gaussian":
+        X = rng.normal(size=(len(ticks), d))
+    else:
+        # Handcrafted Fourier (d=5), plus a random-walk covariate for d=6.
+        X = handcrafted_features(ticks, HOURLY).rows
+        if d == 6:
+            X = np.column_stack([X, np.cumsum(rng.normal(size=len(ticks)))])
+    daily = np.sin(2 * np.pi * ticks / 24)
+    y = daily + 0.3 * rng.standard_t(3, size=len(ticks))
+    return X[vis], (y[vis] - y[vis].mean()) / y[vis].std()
+
+
+class TestPinballLP:
+    @pytest.mark.parametrize(
+        "kind,d", [("gaussian", 1), ("gaussian", 5), ("gaussian", 40), ("fourier", 5), ("fourier", 6)]
+    )
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_matches_lp_optimum(self, kind, d, alpha):
+        rng = np.random.default_rng([d, int(alpha * 10), kind == "fourier"])
+        X, y = context_rows(kind, d, rng)
+        model = pinball_fit(X, y, alpha=alpha, lam=0.0)
+        best = pinball_lp_oracle(X, y, alpha)
+        gap = (pinball_objective(predict(model, X), y, alpha) - best) / best
+        assert abs(gap) < 1e-6
+
+    def test_penalized_fit_meets_optimality_conditions(self):
+        # Subgradient conditions of sum pinball + (lam / sy^2) ||w_std||^2 on
+        # a target whose std sy is far from 1: Z'g = (2 lam / sy^2) (sx^2 w, 0)
+        # with g = alpha above the fit, alpha - 1 below it and any value in
+        # [alpha - 1, alpha] on it.
+        rng = np.random.default_rng(55)
+        X, y = context_rows("fourier", 6, rng)
+        y = 3.0 * y + 1.0
+        alpha, lam = 0.3, 2.0
+        model = pinball_fit(X, y, alpha=alpha, lam=lam)
+        r = y - predict(model, X)
+        on_fit = np.abs(r) < 1e-6 * y.std()
+        Z = np.column_stack([X, np.ones(len(y))])
+        target = np.append(2.0 * lam / y.std() ** 2 * X.std(axis=0) ** 2 * model.weights, 0.0)
+        target -= Z[~on_fit].T @ np.where(r[~on_fit] > 0, alpha, alpha - 1.0)
+        g_on = np.linalg.lstsq(Z[on_fit].T, target, rcond=None)[0]
+        assert np.linalg.norm(Z[on_fit].T @ g_on - target) < 1e-6 * len(y)
+        assert np.all((g_on > alpha - 1.0 - 1e-6) & (g_on < alpha + 1e-6))
+
+    def test_random_basis_ridge_penalty_is_optimal(self):
+        # d=129, numerically rank-deficient; lam=10 as the quantile imputers
+        # use it on this basis.
+        rng = np.random.default_rng(129)
+        ticks = np.arange(28 * 24)
+        spec = FeatureSpec(kind="random_fourier", n_random=64, freq_range=(0.5, 60.0), seed=0)
+        vis = np.sort(rng.choice(len(ticks), size=400, replace=False))
+        X = random_fourier_basis(ticks, spec).rows[vis]
+        y = np.sin(2 * np.pi * vis / 24) + 0.3 * rng.normal(size=len(vis))
+        lam, sx, sy = 10.0, X.std(axis=0), y.std()
+
+        def objective(w, b):
+            # The documented objective in original units.
+            return pinball_objective(X @ w + b, y, 0.8) + lam / sy**2 * float(np.sum((w * sx) ** 2))
+
+        model = pinball_fit(X, y, alpha=0.8, lam=lam)
+        best = objective(model.weights, model.intercept)
+        tol = 1e-9 * best
+        ridge = ridge_fit(X, y, lam)
+        assert best <= objective(ridge.weights, ridge.intercept) + tol
+        for _ in range(50):
+            dw = rng.normal(scale=1e-3, size=X.shape[1])
+            db = rng.normal(scale=1e-3)
+            assert best <= objective(model.weights + dw, model.intercept + db) + tol
+
+        unpenalized = pinball_fit(X, y, alpha=0.8, lam=0.0)
+        assert np.all(np.isfinite(predict(unpenalized, X)))
 
 
 class TestPredict:
