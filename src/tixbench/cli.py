@@ -47,8 +47,9 @@ def _cmd_run(args) -> int:
 def _cmd_synth(args) -> int:
     with open(args.spec) as fh:
         raw = yaml.safe_load(fh) or {}
-    spec = synth_from_dict(raw)
-    series = generate(spec, series_id=raw.get("id", Path(args.spec).stem))
+    # The optional ``id`` names the series; it is no field of the spec.
+    series_id = raw.pop("id", Path(args.spec).stem) if isinstance(raw, dict) else None
+    series = generate(synth_from_dict(raw), series_id=series_id)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     cov_names = sorted(series.covariates)
@@ -144,7 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:
+        # A bad config, spec or input file, or a run that cannot go on.
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

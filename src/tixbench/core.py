@@ -12,7 +12,7 @@ through the timestamps themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -253,7 +253,3 @@ def znorm_stats(segment: Segment, std_floor: float = STD_FLOOR) -> NormStats:
     """
     return masked_norm_stats(segment.values, segment.obs_mask, std_floor)
 
-
-def with_norm(segment: Segment, std_floor: float = STD_FLOOR) -> Segment:
-    """Return the segment with ``norm`` populated from its visible context."""
-    return replace(segment, norm=znorm_stats(segment, std_floor))

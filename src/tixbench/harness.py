@@ -17,7 +17,7 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -73,7 +73,9 @@ class DatasetSpec:
     min_std_filter: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "id", str(self.id))
         object.__setattr__(self, "covariate_columns", tuple(self.covariate_columns))
+        object.__setattr__(self, "min_std_filter", float(self.min_std_filter))
         if (self.path is None) == (self.synth is None):
             raise ValueError(f"dataset {self.id!r} needs exactly one of path or synth")
         if self.path is not None and self.steps_per_day < 1:
@@ -89,8 +91,9 @@ class ImputerSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.name:
-            object.__setattr__(self, "name", self.id)
+        object.__setattr__(self, "name", str(self.name or self.id))
+        # Building the imputer once checks the id and every param key.
+        make_imputer(self.id, **self.params)
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,10 @@ class RunConfig:
         object.__setattr__(self, "datasets", tuple(self.datasets))
         object.__setattr__(self, "imputers", tuple(self.imputers))
         object.__setattr__(self, "scenarios", tuple(self.scenarios) or DEFAULT_SCENARIOS)
+        object.__setattr__(self, "splits", tuple(float(f) for f in self.splits))
+        object.__setattr__(self, "stride_days", tuple(float(d) for d in self.stride_days))
+        if len(self.splits) != 3 or len(self.stride_days) != 2:
+            raise ValueError("splits needs three fractions and the segment stride two day counts")
         if not self.datasets:
             raise ValueError("config needs at least one dataset")
         if not self.imputers:
@@ -126,72 +133,66 @@ class RunConfig:
             raise ValueError("rank_metric must be 'mae' or 'wql'")
 
 
+def _mapping(raw, where: str) -> dict:
+    """A copy of ``raw``, which must be a mapping."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where}: expected a mapping, got {raw!r}")
+    return dict(raw)
+
+
+def _strict(cls, raw, where: str, **resolved):
+    """Build ``cls`` from the mapping ``raw`` plus the fields in ``resolved``.
+
+    Every key of ``raw`` must name a field of ``cls`` that ``resolved`` does
+    not set, and every omitted field takes the default that ``cls`` declares.
+    An unknown key or a missing field is a ``ValueError`` that says where it
+    was.
+    """
+    raw = _mapping(raw, where)
+    if "id" in raw:
+        where = f"{where} {raw['id']!r}"
+    unknown = [k for k in raw if k not in {f.name for f in fields(cls)} - resolved.keys()]
+    if unknown:
+        raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
+    try:
+        return cls(**raw, **resolved)
+    except TypeError as err:
+        raise ValueError(f"{where}: {err}") from None
+
+
 def synth_from_dict(raw: dict) -> SynthSpec:
-    freq = FrequencySpec(
-        steps_per_day=int(raw["steps_per_day"]),
-        seasonal_period=int(raw.get("seasonal_period", 0)),
+    """Build a synthetic-series spec; ``steps_per_day`` and ``seasonal_period`` form its ``freq``."""
+    rest = _mapping(raw, "synth")
+    freq = {k: rest.pop(k) for k in ("steps_per_day", "seasonal_period") if k in rest}
+    components = [_strict(Component, c, "synth component") for c in rest.pop("components", None) or ()]
+    return _strict(
+        SynthSpec, rest, "synth", freq=_strict(FrequencySpec, freq, "synth"), components=components
     )
-    comps = tuple(
-        Component(
-            kind=str(c["kind"]),
-            amplitude=float(c.get("amplitude", 1.0)),
-            period_ticks=None if c.get("period_ticks") is None else float(c["period_ticks"]),
-            noise_std=None if c.get("noise_std") is None else float(c["noise_std"]),
-            covariate_gain=None if c.get("covariate_gain") is None else float(c["covariate_gain"]),
-        )
-        for c in raw["components"]
-    )
-    return SynthSpec(
-        length_days=int(raw["length_days"]),
-        freq=freq,
-        components=comps,
-        seed=int(raw.get("seed", 0)),
-    )
+
+
+# The segment keys, by the RunConfig field each fills.
+_SEGMENT_KEYS = {"len_days": "segment_len_days", "stride": "stride_days"}
 
 
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> RunConfig:
+    """Build a run config from parsed YAML; CSV paths resolve against ``base_dir``."""
     base = Path(base_dir) if base_dir is not None else Path(".")
+    rest = _mapping(raw, "config")
     datasets = []
-    for d in raw.get("datasets", []):
-        synth = synth_from_dict(d["synth"]) if "synth" in d else None
-        path = d.get("path")
-        if path is not None:
-            p = Path(path)
-            path = str(p if p.is_absolute() else base / p)
-        datasets.append(
-            DatasetSpec(
-                id=str(d["id"]),
-                path=path,
-                synth=synth,
-                timestamp_column=str(d.get("timestamp_column", "timestamp")),
-                value_column=str(d.get("value_column", "value")),
-                covariate_columns=tuple(d.get("covariate_columns", ())),
-                steps_per_day=int(d.get("steps_per_day", 0)),
-                seasonal_period=int(d.get("seasonal_period", 0)),
-                min_std_filter=float(d.get("min_std_filter", 0.0)),
-            )
-        )
-    imputers = tuple(
-        ImputerSpec(id=str(i["id"]), name=str(i.get("name", "")), params=dict(i.get("params", {})))
-        for i in raw.get("imputers", [])
-    )
-    scenarios = tuple(
-        Scenario(kind=str(s["kind"]), param=float(s["param"]), label=str(s["label"]))
-        for s in raw.get("scenarios", [])
-    )
-    segment = raw.get("segment", {})
-    stride = segment.get("stride", (0.5, 2.0))
-    return RunConfig(
-        datasets=tuple(datasets),
-        imputers=imputers,
-        scenarios=scenarios or DEFAULT_SCENARIOS,
-        seed=int(raw.get("seed", 0)),
-        splits=tuple(float(f) for f in raw.get("splits", (0.7, 0.1, 0.2))),
-        segment_len_days=int(segment.get("len_days", 28)),
-        stride_days=(float(stride[0]), float(stride[1])),
-        output_dir=str(raw.get("output_dir", "out")),
-        rank_metric=str(raw.get("rank_metric", "mae")),
-    )
+    for entry in rest.pop("datasets", None) or ():
+        d = _mapping(entry, "dataset")
+        if "synth" in d:
+            d["synth"] = synth_from_dict(d["synth"])
+        if d.get("path") is not None:
+            d["path"] = str(base / d["path"])
+        datasets.append(_strict(DatasetSpec, d, "dataset"))
+    imputers = [_strict(ImputerSpec, i, "imputer") for i in rest.pop("imputers", None) or ()]
+    scenarios = [_strict(Scenario, s, "scenario") for s in rest.pop("scenarios", None) or ()]
+    # A segment key that fills no field keeps a dotted name, which the strict
+    # check below rejects.
+    segment = _mapping(rest.pop("segment", None) or {}, "segment")
+    rest.update({_SEGMENT_KEYS.get(k, f"segment.{k}"): v for k, v in segment.items()})
+    return _strict(RunConfig, rest, "config", datasets=datasets, imputers=imputers, scenarios=scenarios)
 
 
 def load_config(path) -> RunConfig:

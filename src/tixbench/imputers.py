@@ -14,6 +14,7 @@ two ``tix_`` ids for quantile variants.
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -210,55 +211,43 @@ def impute_covariate_ridge(segment: Segment, lam: float = DEFAULT_LAMBDA) -> Imp
     return Imputation(point=point)
 
 
-def _tix_factory(kind: str, quantile: bool, params: dict) -> Callable[[Segment], Imputation]:
-    fspec = FeatureSpec(
-        kind=kind,
-        periods=tuple(params.get("periods", ())),
-        n_random=int(params.get("n_random", 64)),
-        freq_range=tuple(params.get("freq_range", (0.5, 400.0))),
-        seed=int(params.get("basis_seed", 0)),
-    )
-    lam = float(params.get("lam", DEFAULT_LAMBDA))
-    use_cov = bool(params.get("use_covariates", False))
-    levels = tuple(params.get("quantile_levels", DEFAULT_QUANTILE_LEVELS)) if quantile else None
+# Registry ids: each local id names its imputer function, whose keyword
+# parameters are the params an entry may set; each tix id names a feature
+# basis, and appending "_q" gives its quantile variant.
+_LOCAL_IMPUTERS = {
+    "linear": impute_linear,
+    "locf": impute_locf,
+    "seasonal_naive": impute_seasonal_naive,
+    "covar_ridge": impute_covariate_ridge,
+}
+_TIX_BASES = {"tix_fourier": HANDCRAFTED_FOURIER, "tix_random_basis": RANDOM_FOURIER}
+# tix params that configure the feature basis, by the FeatureSpec field each sets.
+_BASIS_KEYS = {"periods": "periods", "n_random": "n_random", "freq_range": "freq_range", "basis_seed": "seed"}
 
-    def _impute(segment: Segment) -> Imputation:
-        return impute_time_indexed(
-            segment, fspec=fspec, lam=lam, use_covariates=use_cov, quantile_levels=levels
-        )
 
-    return _impute
+def _keywords(fn) -> frozenset[str]:
+    """The parameters of ``fn`` after the segment."""
+    return frozenset(list(inspect.signature(fn).parameters)[1:])
+
+
+# Computed once: inspecting a signature costs more than the rest of a lookup.
+_PARAMS = {imputer_id: _keywords(fn) for imputer_id, fn in _LOCAL_IMPUTERS.items()}
+for _tix_id in _TIX_BASES:
+    _PARAMS[_tix_id] = _keywords(impute_time_indexed) - {"fspec", "quantile_levels"} | set(_BASIS_KEYS)
+    _PARAMS[f"{_tix_id}_q"] = _PARAMS[_tix_id] | {"quantile_levels"}
 
 
 def make_imputer(imputer_id: str, **params) -> Callable[[Segment], Imputation]:
-    """Look up an imputer by registry id, binding any parameter overrides."""
-    quantile = imputer_id.endswith("_q")
-    base = imputer_id[:-2] if quantile else imputer_id
-
-    if base == "linear" and not quantile:
-        return impute_linear
-    if base == "locf" and not quantile:
-        return impute_locf
-    if base == "seasonal_naive" and not quantile:
-        season = params.get("season")
-        return lambda seg: impute_seasonal_naive(seg, season)
-    if base == "covar_ridge" and not quantile:
-        lam = float(params.get("lam", DEFAULT_LAMBDA))
-        return lambda seg: impute_covariate_ridge(seg, lam)
-    if base == "tix_fourier":
-        return _tix_factory(HANDCRAFTED_FOURIER, quantile, params)
-    if base == "tix_random_basis":
-        return _tix_factory(RANDOM_FOURIER, quantile, params)
-    raise ValueError(f"unknown imputer {imputer_id!r}")
-
-
-REGISTRY_IDS: tuple[str, ...] = (
-    "linear",
-    "locf",
-    "seasonal_naive",
-    "tix_fourier",
-    "tix_fourier_q",
-    "tix_random_basis",
-    "tix_random_basis_q",
-    "covar_ridge",
-)
+    """Look up an imputer by registry id and bind its params; an unknown id or param is a ValueError."""
+    if imputer_id not in _PARAMS:
+        raise ValueError(f"unknown imputer {imputer_id!r}")
+    unknown = sorted(params.keys() - _PARAMS[imputer_id])
+    if unknown:
+        raise ValueError(f"imputer {imputer_id!r}: unknown param {', '.join(map(repr, unknown))}")
+    if imputer_id in _LOCAL_IMPUTERS:
+        return functools.partial(_LOCAL_IMPUTERS[imputer_id], **params)
+    basis = {field: params.pop(key) for key, field in _BASIS_KEYS.items() if key in params}
+    fspec = FeatureSpec(_TIX_BASES[imputer_id.removesuffix("_q")], **basis)
+    if imputer_id.endswith("_q"):
+        params.setdefault("quantile_levels", DEFAULT_QUANTILE_LEVELS)
+    return functools.partial(impute_time_indexed, fspec=fspec, **params)

@@ -38,6 +38,7 @@ class Scenario:
     label: str
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "label", str(self.label))
         if self.kind not in (POINTWISE, BLOCKS):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.kind == POINTWISE and not (0.0 < self.param < 1.0):

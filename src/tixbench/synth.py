@@ -38,6 +38,9 @@ class Component:
     covariate_gain: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("amplitude", "period_ticks", "noise_std", "covariate_gain"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
         if self.kind not in (SINE, TREND, NOISE, COVARIATE_LINEAR):
             raise ValueError(f"unknown component kind {self.kind!r}")
         if self.kind == SINE and (self.period_ticks is None or self.period_ticks <= 0):

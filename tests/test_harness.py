@@ -1,18 +1,23 @@
 from __future__ import annotations
 
+import copy
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from tixbench import FrequencySpec, InfeasibleScenario, ScoreRecord, harness, impute_linear
+from tixbench import Component, FrequencySpec, InfeasibleScenario, ScoreRecord, SynthSpec, harness, impute_linear
 from tixbench.cli import main as cli_main
 from tixbench.harness import (
     DatasetSpec,
+    ImputerSpec,
     IngestionError,
+    RunConfig,
+    config_digest,
     config_from_dict,
     ingest_csv,
     load_config,
@@ -41,6 +46,15 @@ SYNTH_DICT = {
         {"kind": "sine", "amplitude": 1.0, "period_ticks": 24},
         {"kind": "noise", "noise_std": 0.1},
     ],
+}
+
+
+# One entry at every level of a config, each of which is checked for unknown keys.
+EVERY_LEVEL = {
+    "segment": {"len_days": 28, "stride": [14, 14]},
+    "datasets": [{"id": "demo", "synth": SYNTH_DICT}],
+    "scenarios": [{"kind": "pointwise", "param": 0.5, "label": "p"}],
+    "imputers": [{"id": "tix_fourier", "params": {"lam": 1.0}}],
 }
 
 
@@ -167,6 +181,56 @@ class TestRunConfig:
                     "imputers": [{"id": "linear"}, {"id": "linear"}],
                 }
             )
+
+    @pytest.mark.parametrize(
+        "path, key",
+        [
+            pytest.param((), "bogus", id="top_level"),
+            pytest.param(("segment",), "strides", id="segment"),
+            pytest.param(("datasets", 0), "value_col", id="dataset"),
+            pytest.param(("datasets", 0, "synth"), "length", id="synth"),
+            pytest.param(("datasets", 0, "synth", "components", 0), "amp", id="component"),
+            pytest.param(("scenarios", 0), "weight", id="scenario"),
+            pytest.param(("imputers", 0), "parms", id="imputer"),
+            pytest.param(("imputers", 0, "params"), "lamda", id="imputer_params"),
+            pytest.param(("imputers", 0, "params"), "quantile_levels", id="quantile_levels_without_q"),
+        ],
+    )
+    def test_unknown_key_rejected_at_load(self, path, key):
+        raw = copy.deepcopy(EVERY_LEVEL)
+        config_from_dict(copy.deepcopy(raw))
+        target = raw
+        for step in path:
+            target = target[step]
+        target[key] = 1
+        with pytest.raises(ValueError, match=f"unknown (key|param) '(segment\\.)?{key}'"):
+            config_from_dict(raw)
+
+    def test_integer_and_float_values_digest_alike(self):
+        def with_numbers(period, stride):
+            synth = {**SYNTH_DICT, "components": [{"kind": "sine", "period_ticks": period}]}
+            return config_from_dict(
+                {
+                    "segment": {"stride": stride},
+                    "datasets": [{"id": "d", "synth": synth}],
+                    "imputers": [{"id": "linear"}],
+                }
+            )
+
+        from_yaml = with_numbers(24, [14, 14])
+        assert config_digest(from_yaml) == config_digest(with_numbers(24.0, [14.0, 14.0]))
+        # A spec built in Python gets the same coercions as one parsed from YAML.
+        built = RunConfig(
+            datasets=[
+                DatasetSpec(
+                    id="d",
+                    synth=SynthSpec(280, FrequencySpec(24), [Component("sine", 1, 24)], seed=5),
+                )
+            ],
+            imputers=[ImputerSpec("linear")],
+            stride_days=(14, 14),
+        )
+        assert config_digest(built) == config_digest(from_yaml)
 
     def test_dataset_needs_source(self):
         with pytest.raises(ValueError, match="exactly one of path or synth"):
@@ -464,6 +528,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert "ghost" in err
 
+    def test_synth_accepts_id_and_rejects_unknown_keys(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.yaml"
+        spec_path.write_text(yaml.safe_dump({**SYNTH_DICT, "id": "named"}))
+        assert cli_main(["synth", str(spec_path), "-o", str(tmp_path / "a.csv")]) == 0
+        spec_path.write_text(yaml.safe_dump({**SYNTH_DICT, "lenght_days": 30}))
+        assert cli_main(["synth", str(spec_path), "-o", str(tmp_path / "b.csv")]) == 1
+        assert "error: synth: unknown key 'lenght_days'" in capsys.readouterr().err
+
+    def test_run_reports_config_and_run_errors(self, tmp_path, capsys):
+        # The empty covariate cell at tick 150 falls inside the first window
+        # of the test slice, so covar_ridge fails during the run.
+        rows = [[t, float(t), "" if t == 150 else 1.0] for t in range(1344)]
+        write_csv(tmp_path / "gap.csv", rows, header=("timestamp", "value", "temp"))
+        dataset = {"id": "gap", "path": "gap.csv", "steps_per_day": 24, "covariate_columns": ["temp"]}
+        cfg = {
+            "datasets": [dataset],
+            "imputers": [{"id": "covar_ridge"}],
+            "splits": [0.05, 0.05, 0.9],
+            "output_dir": str(tmp_path / "out"),
+        }
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        assert cli_main(["run", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == "error: covariate not fully observed\n"
+        cfg_path.write_text(yaml.safe_dump({**cfg, "imputers": [{"id": "covar_ridge", "params": {"lamda": 1}}]}))
+        assert cli_main(["run", str(cfg_path)]) == 1
+        assert "unknown param 'lamda'" in capsys.readouterr().err
+
     def test_score_with_quantile_columns(self, tmp_path, capsys):
         truth = write_csv(tmp_path / "t.csv", [[0, 2.0], [1, 4.0]])
         pred = write_csv(
@@ -475,3 +567,19 @@ class TestCli:
         scored = json.loads(capsys.readouterr().out)
         assert "wql" in scored
         assert scored["wql_levels"] == [0.1, 0.9]
+
+
+def test_demo_matches_committed_results(tmp_path):
+    """``out/demo/`` is the golden output of ``configs/demo.yaml``."""
+    root = Path(__file__).resolve().parents[1]
+    golden = json.loads((root / "out" / "demo" / "results.json").read_text())
+    _, paths = run_and_report(load_config(root / "configs" / "demo.yaml"), output_dir=tmp_path)
+    fresh = json.loads(paths["json"].read_text())
+    assert fresh["meta"]["config_digest"] == golden["meta"]["config_digest"]
+    assert len(fresh["records"]) == len(golden["records"])
+    identity = ("dataset", "imputer_id", "scenario_label", "n_points")
+    for new, old in zip(fresh["records"], golden["records"]):
+        assert list(new) == list(old)
+        assert [new[k] for k in identity] == [old[k] for k in identity]
+        assert new["mae"] == pytest.approx(old["mae"], rel=1e-9, abs=0)
+        assert new["wql"] == old["wql"]
