@@ -13,7 +13,7 @@ import numpy as np
 import yaml
 
 from .core import STD_FLOOR
-from .harness import IngestionError, load_config, parse_timestamp, run_and_report, synth_from_dict
+from .harness import DatasetSpec, IngestionError, load_config, parse_timestamp, run_and_report, synth_from_dict
 from .metrics import wql as wql_metric
 from .synth import generate
 
@@ -55,7 +55,7 @@ def _cmd_synth(args) -> int:
     cov_names = sorted(series.covariates)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["timestamp", "value", *cov_names])
+        writer.writerow([DatasetSpec.timestamp_column, DatasetSpec.value_column, *cov_names])
         for i, ts in enumerate(series.timestamps):
             writer.writerow(
                 [int(ts), repr(float(series.values[i])), *(repr(float(series.covariates[c][i])) for c in cov_names)]
@@ -67,10 +67,9 @@ def _cmd_synth(args) -> int:
 def _read_value_csv(path, timestamp_column: str, value_column: str):
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or timestamp_column not in reader.fieldnames:
-            raise ValueError(f"{path}: missing column {timestamp_column!r}")
-        if value_column not in reader.fieldnames:
-            raise ValueError(f"{path}: missing column {value_column!r}")
+        for col in (timestamp_column, value_column):
+            if reader.fieldnames is None or col not in reader.fieldnames:
+                raise ValueError(f"{path}: missing column {col!r}")
         quantile_cols = [c for c in reader.fieldnames if c.startswith("q0.")]
         out: dict = {}
         quants: dict = {}
@@ -137,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_score = sub.add_parser("score", help="score a prediction CSV against a truth CSV")
     p_score.add_argument("truth")
     p_score.add_argument("pred")
-    p_score.add_argument("--timestamp-column", default="timestamp")
-    p_score.add_argument("--value-column", default="value")
+    p_score.add_argument("--timestamp-column", default=DatasetSpec.timestamp_column)
+    p_score.add_argument("--value-column", default=DatasetSpec.value_column)
     p_score.set_defaults(func=_cmd_score)
     return parser
 

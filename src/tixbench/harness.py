@@ -222,9 +222,9 @@ def parse_timestamp(text: str):
 def ingest_csv(
     path,
     freq: FrequencySpec,
-    timestamp_column: str = "timestamp",
-    value_column: str = "value",
-    covariate_columns: tuple[str, ...] = (),
+    timestamp_column: str = DatasetSpec.timestamp_column,
+    value_column: str = DatasetSpec.value_column,
+    covariate_columns: tuple[str, ...] = DatasetSpec.covariate_columns,
     series_id: str | None = None,
 ) -> TimeSeries:
     """Load a comma-separated file onto the regular tick grid.
@@ -341,7 +341,11 @@ def _score_task(args) -> list[ScoreRecord]:
         return []
     records = []
     for spec in imputer_specs:
-        imputation = make_imputer(spec.id, **spec.params)(masked)
+        try:
+            imputation = make_imputer(spec.id, **spec.params)(masked)
+        except ValueError as err:
+            where = f"dataset {ds_id!r}, segment {segment.start}, scenario {scenario.label!r}, imputer {spec.name!r}"
+            raise ValueError(f"{where}: {err}") from err
         mae = znorm_mae(truth, imputation.point, masked.norm)
         wql_value = None
         if imputation.quantiles is not None:

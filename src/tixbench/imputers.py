@@ -170,7 +170,7 @@ def impute_time_indexed(
     The target is z-normalized by the segment's visible-context stats before
     the ridge fit and predictions are mapped back; the fit uses all observed
     points of the segment as context. With ``quantile_levels`` given, one
-    pinball head is fitted independently per level and the predictions are
+    batched pinball fit gives a head per level, and the predictions are
     passed through the non-crossing rearrangement.
     """
     fspec = fspec or FeatureSpec()
@@ -185,11 +185,8 @@ def impute_time_indexed(
 
     quantiles = None
     if quantile_levels:
-        raw = {}
-        for alpha in quantile_levels:
-            qmodel = pinball_fit(fm.rows[vis], y, alpha=alpha, lam=lam)
-            raw[alpha] = predict(qmodel, fm.rows[evals]) * norm.std + norm.mean
-        quantiles = enforce_noncrossing(raw)
+        heads = pinball_fit(fm.rows[vis], y, alpha=quantile_levels, lam=lam)
+        quantiles = enforce_noncrossing({m.quantile: predict(m, fm.rows[evals]) * norm.std + norm.mean for m in heads})
     return Imputation(point=point, quantiles=quantiles)
 
 
@@ -237,13 +234,28 @@ for _tix_id in _TIX_BASES:
     _PARAMS[f"{_tix_id}_q"] = _PARAMS[_tix_id] | {"quantile_levels"}
 
 
+# Param value rules: (test, what a value must be). Levels key the quantile fits.
+_VALUE_RULES = {
+    "season": (lambda season: season is None or int(season) >= 1, "must be >= 1"),
+    "lam": (lambda lam: lam >= 0, "must be >= 0"),
+    "quantile_levels": (
+        lambda levels: bool(levels) and all(lo < hi for lo, hi in zip([0.0, *levels], [*levels, 1.0])),
+        "must be non-empty, strictly inside (0, 1) and strictly increasing",
+    ),
+}
+
+
 def make_imputer(imputer_id: str, **params) -> Callable[[Segment], Imputation]:
-    """Look up an imputer by registry id and bind its params; an unknown id or param is a ValueError."""
+    """Look up an imputer by registry id and bind its params; an unknown id or param or a bad value is a ValueError."""
     if imputer_id not in _PARAMS:
         raise ValueError(f"unknown imputer {imputer_id!r}")
     unknown = sorted(params.keys() - _PARAMS[imputer_id])
     if unknown:
         raise ValueError(f"imputer {imputer_id!r}: unknown param {', '.join(map(repr, unknown))}")
+    for key in params.keys() & _VALUE_RULES:
+        valid, rule = _VALUE_RULES[key]
+        if not valid(params[key]):
+            raise ValueError(f"imputer {imputer_id!r}: {key} {rule}, got {params[key]!r}")
     if imputer_id in _LOCAL_IMPUTERS:
         return functools.partial(_LOCAL_IMPUTERS[imputer_id], **params)
     basis = {field: params.pop(key) for key, field in _BASIS_KEYS.items() if key in params}

@@ -10,7 +10,10 @@ positive-definite solve. The quantile head is the linear program of Koenker
 & Bassett (1978) plus a ridge term, solved to a tolerance by a primal-dual
 predictor-corrector interior-point method (Mehrotra 1992), the Frisch-Newton
 method of Portnoy & Koenker (1997): 10-20 Newton steps, each one Cholesky
-factorization of a (d+1)x(d+1) matrix.
+factorization of a (d+1)x(d+1) matrix per level. One call fits a sequence of
+levels on a shared design: every level that has not yet converged takes its
+Newton step in the same vectorized pass, and a level leaves the active set at
+its own stopping test.
 """
 
 from __future__ import annotations
@@ -66,6 +69,20 @@ def _rows(X) -> np.ndarray:
     return rows
 
 
+def _inputs(X, y, lam: float, min_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The feature rows and target of a fit, checked along with its penalty."""
+    X, y = _rows(X), np.asarray(y, dtype=float)
+    if X.shape[0] < min_rows:
+        raise ValueError(f"empty context: fewer than {min_rows} rows")
+    if X.shape[0] != len(y):
+        raise ValueError("X and y must have matching row counts")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise ValueError("non-finite inputs")
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
+    return X, y
+
+
 def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mx = X.mean(axis=0)
     sx = np.maximum(X.std(axis=0), STD_FLOOR)
@@ -80,16 +97,7 @@ def ridge_fit(X, y, lam: float = DEFAULT_LAMBDA) -> LinearModel:
     least-squares solve when the regularized system is singular (lam = 0 on
     rank-deficient contexts).
     """
-    X = _rows(X)
-    y = np.asarray(y, dtype=float)
-    if X.shape[0] < 1:
-        raise ValueError("empty context")
-    if X.shape[0] != len(y):
-        raise ValueError("X and y must have matching row counts")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValueError("non-finite inputs")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    X, y = _inputs(X, y, lam, min_rows=1)
 
     Xs, mx, sx = _standardize(X)
     my = float(np.mean(y))
@@ -125,38 +133,34 @@ def predict(model: LinearModel, X) -> np.ndarray:
     return rows @ model.weights + model.intercept
 
 
-def _step_to_boundary(pairs) -> float:
-    """Largest t <= 1 that keeps every x + t * dx nonnegative."""
-    return min(float(np.min(-x[dx < 0] / dx[dx < 0], initial=1.0)) for x, dx in pairs)
+def _step_to_boundary(pairs) -> np.ndarray:
+    """Per row, the largest t <= 1 that keeps every x + t * dx nonnegative."""
+    return np.min([np.divide(-x, dx, out=np.ones_like(x), where=dx < 0) for x, dx in pairs], axis=(0, 2), initial=1.0)
 
 
-def pinball_fit(X, y, alpha: float, lam: float = DEFAULT_LAMBDA) -> LinearModel:
-    """Quantile linear head: minimize sum pinball_alpha(y - Xw - b) + penalty.
+def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel | list[LinearModel]:
+    """Quantile linear heads: minimize sum pinball_alpha(y - Xw - b) + penalty.
 
-    With Xs the standardized columns, ys = (y - mean) / sy and Z = [Xs, 1],
-    it solves min alpha 1'u + (1 - alpha) 1'v + (lam / sy) ||w||^2 subject
-    to Z (w, b) + u - v = ys and u, v >= 0. In original units that is sum
-    pinball + (lam / sy^2) ||w_std||^2: lam ||w_std||^2 on the unit-variance
-    targets the imputers pass. Each Newton step factors the normal matrix
-    Z' diag(1/theta) Z + 2 (lam / sy) diag(1, .., 1, 0), theta = u/s + v/z
-    with s, z the dual slacks, once for both predictor and corrector.
+    One level ``alpha`` gives one LinearModel; a sequence gives a list in the
+    same order. With Xs the standardized columns, ys = (y - mean) / sy and
+    Z = [Xs, 1], each level solves min alpha 1'u + (1 - alpha) 1'v +
+    (lam / sy) ||w||^2 subject to Z (w, b) + u - v = ys and u, v >= 0: sum
+    pinball + (lam / sy^2) ||w_std||^2 in original units. The levels share Z
+    and step together; each step factors, per level, Z' diag(1/theta) Z +
+    2 (lam / sy) diag(1, .., 1, 0), theta = u/s + v/z with s, z the dual
+    slacks, once for both predictor and corrector.
 
-    It stops when the gap u's + v'z and the primal and dual residuals are
-    each below 1e-9 relative to their scale, or at a step cap, and returns
-    the last iterate either way. For rank-deficient bases, even at lam = 0,
-    theta is clamped at 1e-10 and the matrix jittered by 1e-12 times its
-    largest diagonal entry, with one refinement solve against the unjittered
-    matrix. At lam = 0 the jitter still limits moves along null directions,
-    so such a fit can end above the LP optimum.
+    A level leaves the active set when its gap u's + v'z and its primal and
+    dual residuals are each below 1e-9 relative to their scale, or at a step
+    cap. For rank-deficient bases theta is clamped at 1e-10 and the matrix
+    jittered by 1e-12 times its largest diagonal entry, with one refinement
+    solve against the unjittered matrix. At lam = 0 the jitter still limits
+    moves along null directions, so such a fit can end above the LP optimum.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie strictly in (0, 1)")
-    X = _rows(X)
-    y = np.asarray(y, dtype=float)
-    if X.shape[0] < 2:
-        raise ValueError("empty context: pinball fit needs at least 2 rows")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValueError("non-finite inputs")
+    levels = np.atleast_1d(np.asarray(alpha, dtype=float))
+    if levels.ndim != 1 or not len(levels) or not np.all((levels > 0.0) & (levels < 1.0)):
+        raise ValueError("alpha must be one level or a sequence of levels, each strictly in (0, 1)")
+    X, y = _inputs(X, y, lam, min_rows=2)
 
     Xs, mx, sx = _standardize(X)
     my = float(np.mean(y))
@@ -166,61 +170,72 @@ def pinball_fit(X, y, alpha: float, lam: float = DEFAULT_LAMBDA) -> LinearModel:
 
     n, d = Xs.shape
     Z = np.column_stack([Xs, np.ones(n)])
-    pen = np.full(d + 1, 2.0 * lam_eff)
-    pen[-1] = 0.0
-    # Start at beta = 0 with ys split into u - v (primal feasible) and the dual
-    # a = alpha - s = z - (1 - alpha) at 0 (feasible at lam = 0). s and z are
-    # updated apart, so neither is lost to cancellation as it nears 0.
-    beta = np.zeros(d + 1)
-    u = np.maximum(ys, 0.0) + 1.0
-    v = np.maximum(-ys, 0.0) + 1.0
-    s = np.full(n, alpha)
-    z = np.full(n, 1.0 - alpha)
+    z_norm, ys_norm = np.linalg.norm(Z), np.linalg.norm(ys)
+    pen = np.append(np.full(d, 2.0 * lam_eff), 0.0)
+    # Row i is level active[i]: beta = 0, u - v = ys (primal feasible), a = alpha - s = z - (1 - alpha) = 0
+    # (dual feasible at lam = 0). s and z are updated apart, so neither is lost to cancellation near 0.
+    active, al, beta = np.arange(len(levels)), levels, np.zeros((len(levels), d + 1))
+    u = np.tile(np.maximum(ys, 0.0) + 1.0, (len(levels), 1))
+    v = np.tile(np.maximum(-ys, 0.0) + 1.0, (len(levels), 1))
+    s, z = np.repeat(al[:, None], n, axis=1), np.repeat(1.0 - al[:, None], n, axis=1)
+    solved, normal, weighted = np.empty_like(beta), np.empty((len(levels), d + 1, d + 1)), np.empty((d + 1, n))
+    diag = np.arange(d + 1)
 
     for _ in range(_IPM_MAX_STEPS):
-        rp = ys - Z @ beta - u + v
-        a = alpha - s
-        rd = Z.T @ a - pen * beta
-        gap = float(u @ s + v @ z)
-        obj = alpha * u.sum() + (1.0 - alpha) * v.sum() + lam_eff * float(beta[:-1] @ beta[:-1])
-        if (
-            gap <= _IPM_TOL * (1.0 + obj)
-            and np.linalg.norm(rp) <= _IPM_TOL * (1.0 + np.linalg.norm(ys))
-            and np.linalg.norm(rd) <= _IPM_TOL * (1.0 + np.linalg.norm(Z) * np.linalg.norm(a))
-        ):
-            break
+        rp = ys - beta @ Z.T - u + v
+        a = al[:, None] - s
+        rd = a @ Z - pen * beta
+        gap = np.sum(u * s, axis=1) + np.sum(v * z, axis=1)
+        obj = al * u.sum(axis=1) + (1.0 - al) * v.sum(axis=1) + lam_eff * np.sum(beta[:, :-1] ** 2, axis=1)
+        done = (gap <= _IPM_TOL * (1.0 + obj)) & (np.linalg.norm(rp, axis=1) <= _IPM_TOL * (1.0 + ys_norm))
+        done &= np.linalg.norm(rd, axis=1) <= _IPM_TOL * (1.0 + z_norm * np.linalg.norm(a, axis=1))
+        if done.any():
+            solved[active[done]] = beta[done]
+            active, al, beta, u, v, s, z, rp, rd, gap = (x[~done] for x in (active, al, beta, u, v, s, z, rp, rd, gap))
+            if not len(active):
+                break
         theta = np.maximum(u / s + v / z, _IPM_THETA_MIN)
-        N = (Z / theta[:, None]).T @ Z
-        N[np.diag_indices(d + 1)] += pen
-        fac = scipy.linalg.cho_factor(N + _IPM_JITTER * N.diagonal().max() * np.eye(d + 1))
+        N = normal[: len(active)]
+        for Ni, th in zip(N, theta):
+            np.matmul(np.divide(Z.T, th, out=weighted), Z, out=Ni)
+        N[:, diag, diag] += pen + _IPM_JITTER * (N[:, diag, diag] + pen).max(axis=1, keepdims=True)
+        # Each Ni is symmetric, so Ni.T is Ni in the Fortran order LAPACK factors in place.
+        factors = [scipy.linalg.lapack.dpotrf(Ni.T, overwrite_a=1, clean=0) for Ni in N]
+        if any(info for _, info in factors):
+            raise np.linalg.LinAlgError("the normal matrix of a level is not positive definite")
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            return np.array([scipy.linalg.lapack.dpotrs(fac, r)[0] for (fac, _), r in zip(factors, rhs)])
 
         def newton(cu: np.ndarray, cv: np.ndarray):
             # The Newton step in which u*s changes by s*cu and v*z by z*cv.
             q = rp - cu + cv
-            rhs = rd + Z.T @ (q / theta)
-            db = scipy.linalg.cho_solve(fac, rhs)
-            db += scipy.linalg.cho_solve(fac, rhs - N @ db)
-            da = (q - Z @ db) / theta
+            rhs = rd + (q / theta) @ Z
+            db = solve(rhs)
+            db += solve(rhs - ((db @ Z.T) / theta @ Z + pen * db))
+            da = (q - db @ Z.T) / theta
             return db, da, cu + u / s * da, cv - v / z * da
 
         # Predictor: the affine-scaling direction, aiming at u*s = v*z = 0.
         db, da, du, dv = newton(-u, -v)
-        t = _step_to_boundary(((u, du), (v, dv), (s, -da), (z, da)))
+        t = _step_to_boundary(((u, du), (v, dv), (s, -da), (z, da)))[:, None]
         mu = gap / (2 * n)
-        mu_aff = ((u + t * du) @ (s - t * da) + (v + t * dv) @ (z + t * da)) / (2 * n)
-        sigma = (mu_aff / mu) ** 3
+        mu_aff = (np.sum((u + t * du) * (s - t * da), axis=1) + np.sum((v + t * dv) * (z + t * da), axis=1)) / (2 * n)
+        sigma_mu = ((mu_aff / mu) ** 3 * mu)[:, None]
         # Corrector: centre at sigma * mu, with Mehrotra's second-order term.
-        db, da, du, dv = newton((sigma * mu + du * da) / s - u, (sigma * mu - dv * da) / z - v)
-        t = _IPM_STEP_FRACTION * _step_to_boundary(((u, du), (v, dv), (s, -da), (z, da)))
+        db, da, du, dv = newton((sigma_mu + du * da) / s - u, (sigma_mu - dv * da) / z - v)
+        t = _IPM_STEP_FRACTION * _step_to_boundary(((u, du), (v, dv), (s, -da), (z, da)))[:, None]
         beta += t * db
         u += t * du
         v += t * dv
         s -= t * da
         z += t * da
+    solved[active] = beta
 
-    w_orig = beta[:-1] * sy / sx
-    b_orig = my + sy * beta[-1] - float(w_orig @ mx)
-    return LinearModel(weights=w_orig, intercept=b_orig, lam=lam, quantile=alpha)
+    w_orig = solved[:, :-1] * sy / sx
+    b_orig = my + sy * solved[:, -1] - w_orig @ mx
+    models = [LinearModel(w, float(b), lam, quantile=float(q)) for w, b, q in zip(w_orig, b_orig, levels)]
+    return models[0] if np.ndim(alpha) == 0 else models
 
 
 def enforce_noncrossing(quantile_predictions: dict[float, np.ndarray]) -> dict[float, np.ndarray]:

@@ -206,6 +206,30 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"unknown (key|param) '(segment\\.)?{key}'"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "imputer_id, key, good, bad",
+        [
+            pytest.param("seasonal_naive", "season", 1, 0, id="season"),
+            pytest.param("tix_fourier", "lam", 0.0, -1.0, id="tix_lam"),
+            pytest.param("tix_random_basis_q", "lam", 10.0, -0.5, id="tix_q_lam"),
+            pytest.param("covar_ridge", "lam", 0.0, -1e-3, id="covar_ridge_lam"),
+            pytest.param("tix_fourier_q", "quantile_levels", [0.1, 0.9], [0.0, 1.5], id="levels_outside"),
+            pytest.param("tix_fourier_q", "quantile_levels", [0.5], [], id="levels_empty"),
+            pytest.param("tix_fourier_q", "quantile_levels", [0.2, 0.5], [0.5, 0.2], id="levels_decreasing"),
+            pytest.param("tix_fourier_q", "quantile_levels", [0.3, 0.4], [0.3, 0.3], id="levels_repeated"),
+        ],
+    )
+    def test_bad_imputer_value_rejected_at_load(self, imputer_id, key, good, bad):
+        def config(value):
+            return {
+                "datasets": [{"id": "d", "synth": SYNTH_DICT}],
+                "imputers": [{"id": imputer_id, "params": {key: value}}],
+            }
+
+        config_from_dict(config(good))
+        with pytest.raises(ValueError, match=f"imputer '{imputer_id}': {key} must be"):
+            config_from_dict(config(bad))
+
     def test_integer_and_float_values_digest_alike(self):
         def with_numbers(period, stride):
             synth = {**SYNTH_DICT, "components": [{"kind": "sine", "period_ticks": period}]}
@@ -551,7 +575,10 @@ class TestCli:
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(yaml.safe_dump(cfg))
         assert cli_main(["run", str(cfg_path)]) == 1
-        assert capsys.readouterr().err == "error: covariate not fully observed\n"
+        assert capsys.readouterr().err == (
+            "error: dataset 'gap', segment 0, scenario 'pointwise1', imputer 'covar_ridge': "
+            "covariate not fully observed\n"
+        )
         cfg_path.write_text(yaml.safe_dump({**cfg, "imputers": [{"id": "covar_ridge", "params": {"lamda": 1}}]}))
         assert cli_main(["run", str(cfg_path)]) == 1
         assert "unknown param 'lamda'" in capsys.readouterr().err

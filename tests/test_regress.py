@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -146,11 +147,11 @@ class TestPinball:
                 pinball_fit(X, y, alpha=alpha)
 
 
-def context_rows(kind, d, rng):
-    """Features and target of one in-context fit at benchmark size: 300-450
-    visible rows of a 28-day hourly segment."""
+def context_rows(kind, d, rng, size=None):
+    """Features and target of one in-context fit at benchmark size: ``size``
+    (by default 300-450) visible rows of a 28-day hourly segment."""
     ticks = np.arange(28 * 24)
-    vis = np.sort(rng.choice(len(ticks), size=int(rng.integers(300, 451)), replace=False))
+    vis = np.sort(rng.choice(len(ticks), size=size or int(rng.integers(300, 451)), replace=False))
     if kind == "gaussian":
         X = rng.normal(size=(len(ticks), d))
     else:
@@ -161,6 +162,21 @@ def context_rows(kind, d, rng):
     daily = np.sin(2 * np.pi * ticks / 24)
     y = daily + 0.3 * rng.standard_t(3, size=len(ticks))
     return X[vis], (y[vis] - y[vis].mean()) / y[vis].std()
+
+
+def random_basis_rows(rng, size):
+    """Random Fourier features (d=129) and target at ``size`` visible rows of a
+    28-day hourly segment."""
+    ticks = np.arange(28 * 24)
+    spec = FeatureSpec(kind="random_fourier", n_random=64, freq_range=(0.5, 60.0), seed=0)
+    vis = np.sort(rng.choice(len(ticks), size=size, replace=False))
+    X = random_fourier_basis(ticks, spec).rows[vis]
+    return X, np.sin(2 * np.pi * vis / 24) + 0.3 * rng.normal(size=len(vis))
+
+
+def penalized_objective(X, y, alpha, lam, w, b):
+    """The objective pinball_fit documents, in original units."""
+    return pinball_objective(X @ w + b, y, alpha) + lam / y.std() ** 2 * float(np.sum((w * X.std(axis=0)) ** 2))
 
 
 class TestPinballLP:
@@ -199,16 +215,11 @@ class TestPinballLP:
         # d=129, numerically rank-deficient; lam=10 as the quantile imputers
         # use it on this basis.
         rng = np.random.default_rng(129)
-        ticks = np.arange(28 * 24)
-        spec = FeatureSpec(kind="random_fourier", n_random=64, freq_range=(0.5, 60.0), seed=0)
-        vis = np.sort(rng.choice(len(ticks), size=400, replace=False))
-        X = random_fourier_basis(ticks, spec).rows[vis]
-        y = np.sin(2 * np.pi * vis / 24) + 0.3 * rng.normal(size=len(vis))
-        lam, sx, sy = 10.0, X.std(axis=0), y.std()
+        X, y = random_basis_rows(rng, 400)
+        lam = 10.0
 
         def objective(w, b):
-            # The documented objective in original units.
-            return pinball_objective(X @ w + b, y, 0.8) + lam / sy**2 * float(np.sum((w * sx) ** 2))
+            return penalized_objective(X, y, 0.8, lam, w, b)
 
         model = pinball_fit(X, y, alpha=0.8, lam=lam)
         best = objective(model.weights, model.intercept)
@@ -222,6 +233,62 @@ class TestPinballLP:
 
         unpenalized = pinball_fit(X, y, alpha=0.8, lam=0.0)
         assert np.all(np.isfinite(predict(unpenalized, X)))
+
+
+NINE_LEVELS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+
+
+class TestPinballLevels:
+    """One pinball_fit call with a sequence of levels, at the sizes the
+    quantile imputers use: about 600 visible rows of a 28-day hourly segment."""
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_every_level_matches_lp_optimum(self, d):
+        rng = np.random.default_rng([d, 600])
+        X, y = context_rows("fourier", d, rng, size=600)
+        models = pinball_fit(X, y, alpha=NINE_LEVELS, lam=0.0)
+        for alpha, model in zip(NINE_LEVELS, models):
+            best = pinball_lp_oracle(X, y, alpha)
+            assert abs(pinball_objective(predict(model, X), y, alpha) - best) / best < 1e-6
+
+    def test_random_basis_levels_match_one_level_fits(self):
+        rng = np.random.default_rng(600)
+        X, y = random_basis_rows(rng, 600)
+        lam = 10.0
+        for alpha, model in zip(NINE_LEVELS, pinball_fit(X, y, alpha=NINE_LEVELS, lam=lam)):
+            single = pinball_fit(X, y, alpha=alpha, lam=lam)
+            ours = penalized_objective(X, y, alpha, lam, model.weights, model.intercept)
+            alone = penalized_objective(X, y, alpha, lam, single.weights, single.intercept)
+            assert abs(ours - alone) <= 1e-9 * alone
+
+    def test_models_follow_the_given_order(self):
+        rng = np.random.default_rng(3)
+        X, y = context_rows("fourier", 5, rng)
+        levels = (0.9, 0.1, 0.5)
+        models = pinball_fit(X, y, alpha=levels, lam=1.0)
+        assert [m.quantile for m in models] == list(levels)
+        for alpha, model in zip(levels, models):
+            single = pinball_fit(X, y, alpha=alpha, lam=1.0)
+            np.testing.assert_allclose(predict(model, X), predict(single, X), atol=1e-6)
+        assert isinstance(pinball_fit(X, y, alpha=0.5), LinearModel)
+        (one,) = pinball_fit(X, y, alpha=[0.5])
+        assert one.quantile == 0.5
+
+    def test_level_validation(self):
+        X, y = np.ones((5, 1)), np.arange(5.0)
+        for levels in ([], [0.5, 1.0], [[0.5]]):
+            with pytest.raises(ValueError):
+                pinball_fit(X, y, alpha=levels)
+
+    def test_factorization_failure_raises(self, monkeypatch):
+        def not_positive_definite(a, **kwargs):
+            return a, 2
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", not_positive_definite)
+        rng = np.random.default_rng(4)
+        X, y = context_rows("fourier", 5, rng)
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            pinball_fit(X, y, alpha=NINE_LEVELS, lam=0.0)
 
 
 class TestPredict:
