@@ -12,7 +12,7 @@ from .core import (
     extract_segments,
     znorm_stats,
 )
-from .features import FeatureMatrix, FeatureSpec, handcrafted_features, random_fourier_basis, stack_covariates
+from .features import FeatureSpec, handcrafted_features, random_fourier_basis, stack_covariates
 from .imputers import (
     DEFAULT_QUANTILE_LEVELS,
     Imputation,
@@ -36,7 +36,6 @@ __all__ = [
     "chrono_split",
     "extract_segments",
     "znorm_stats",
-    "FeatureMatrix",
     "FeatureSpec",
     "handcrafted_features",
     "random_fourier_basis",

@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .core import STD_FLOOR
+from .core import masked_norm_stats
 from .harness import DatasetSpec, IngestionError, load_config, parse_timestamp, run_and_report, synth_from_dict
-from .metrics import wql as wql_metric
+from .metrics import wql as wql_metric, znorm_mae
 from .synth import generate
 
 
@@ -95,12 +95,12 @@ def _cmd_score(args) -> int:
         return 1
     t = np.array([truth[k] for k in keys])
     p = np.array([pred[k] for k in keys])
-    std = max(float(np.std(t)), STD_FLOOR)
+    norm = masked_norm_stats(t, np.ones_like(t, dtype=bool))
     result = {
         "n_points": len(keys),
         "mae": float(np.mean(np.abs(t - p))),
-        "znorm_mae": float(np.mean(np.abs(t - p)) / std),
-        "truth_std": std,
+        "znorm_mae": znorm_mae(t, p, norm),
+        "truth_std": norm.std,
     }
     complete_levels = sorted(a for a, m in quants.items() if all(k in m for k in keys))
     if complete_levels:

@@ -124,7 +124,6 @@ class Segment:
     scenario has been applied.
     """
 
-    parent_id: str
     start: int
     length: int
     values: np.ndarray
@@ -222,7 +221,6 @@ def extract_segments(
         if np.any(obs):
             segments.append(
                 Segment(
-                    parent_id=series.id,
                     start=pos,
                     length=window,
                     values=series.values[pos : pos + window].copy(),
@@ -237,19 +235,19 @@ def extract_segments(
     return segments
 
 
-def masked_norm_stats(values: np.ndarray, mask: np.ndarray, std_floor: float = STD_FLOOR) -> NormStats:
+def masked_norm_stats(values: np.ndarray, mask: np.ndarray) -> NormStats:
     """Mean/std over masked-in positions, std floored; population std."""
     if not np.any(mask):
         raise ValueError("empty context")
     vis = np.asarray(values, dtype=float)[np.asarray(mask, dtype=bool)]
-    return NormStats(mean=float(np.mean(vis)), std=float(max(np.std(vis), std_floor)))
+    return NormStats(mean=float(np.mean(vis)), std=float(max(np.std(vis), STD_FLOOR)))
 
 
-def znorm_stats(segment: Segment, std_floor: float = STD_FLOOR) -> NormStats:
+def znorm_stats(segment: Segment) -> NormStats:
     """Normalization statistics over the segment's visible context only.
 
     Values at positions with ``obs_mask`` false never enter the computation,
     so held-out ground truth cannot leak into the normalization.
     """
-    return masked_norm_stats(segment.values, segment.obs_mask, std_floor)
+    return masked_norm_stats(segment.values, segment.obs_mask)
 

@@ -54,41 +54,26 @@ class FeatureSpec:
                 raise ValueError("freq_range must satisfy 0 < min < max")
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """One feature row per timestamp; all rows finite and of equal dim."""
-
-    rows: np.ndarray
-    t_norm: np.ndarray
-
-    def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=float)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "t_norm", np.asarray(self.t_norm, dtype=float))
-        if rows.ndim != 2:
-            raise ValueError("rows must be 2-D")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("feature rows must be finite")
-
-    @property
-    def dim(self) -> int:
-        """Number of feature columns."""
-        return self.rows.shape[1]
-
-
 def _normalized_time(ticks) -> tuple[np.ndarray, np.ndarray]:
     t = np.asarray(ticks, dtype=float)
-    if t.ndim != 1 or len(t) == 0:
-        raise ValueError("ticks must be a nonempty 1-D sequence")
+    if t.ndim != 1 or len(t) == 0 or not np.all(np.isfinite(t)):
+        raise ValueError("ticks must be a nonempty, finite 1-D sequence")
     span = t.max() - t.min()
     if span < 1:
         raise ValueError("degenerate segment")
     return t - t.min(), (t - t.min()) / span
 
 
-def handcrafted_features(
-    ticks, freq: FrequencySpec, periods: tuple[float, ...] | None = None
-) -> FeatureMatrix:
+def _fourier_rows(t_norm: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Rows (t_norm, sin theta_1, cos theta_1, sin theta_2, ...) for an (n, k) theta."""
+    rows = np.empty((len(t_norm), 1 + 2 * theta.shape[1]))
+    rows[:, 0] = t_norm
+    rows[:, 1::2] = np.sin(theta)
+    rows[:, 2::2] = np.cos(theta)
+    return rows
+
+
+def handcrafted_features(ticks, freq: FrequencySpec, periods: tuple[float, ...] | None = None) -> np.ndarray:
     """Rows (t_norm, sin/cos at each period), periods in raw ticks.
 
     ``t_norm`` runs over [0, 1] across the ticks given (pass the full segment
@@ -99,16 +84,10 @@ def handcrafted_features(
     offsets, t_norm = _normalized_time(ticks)
     if periods is None or len(periods) == 0:
         periods = (float(freq.steps_per_day), float(freq.steps_per_week))
-    cols = [t_norm]
-    for p in periods:
-        theta = 2.0 * np.pi * offsets / p
-        cols.append(np.sin(theta))
-        cols.append(np.cos(theta))
-    rows = np.column_stack(cols)
-    return FeatureMatrix(rows=rows, t_norm=t_norm)
+    return _fourier_rows(t_norm, 2.0 * np.pi * offsets[:, None] / np.asarray(periods, dtype=float))
 
 
-def random_fourier_basis(ticks, spec: FeatureSpec) -> FeatureMatrix:
+def random_fourier_basis(ticks, spec: FeatureSpec) -> np.ndarray:
     """Rows (t_norm, sin/cos pairs at seeded random frequencies).
 
     Frequencies are log-uniform over ``spec.freq_range`` in cycles per
@@ -122,18 +101,10 @@ def random_fourier_basis(ticks, spec: FeatureSpec) -> FeatureMatrix:
     lo, hi = spec.freq_range
     freqs = np.exp(rng.uniform(np.log(lo), np.log(hi), size=spec.n_random))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=spec.n_random)
-    cols = [t_norm]
-    for f, phi in zip(freqs, phases):
-        theta = 2.0 * np.pi * f * t_norm + phi
-        cols.append(np.sin(theta))
-        cols.append(np.cos(theta))
-    rows = np.column_stack(cols)
-    return FeatureMatrix(rows=rows, t_norm=t_norm)
+    return _fourier_rows(t_norm, 2.0 * np.pi * freqs * t_norm[:, None] + phases)
 
 
-def stack_covariates(
-    base: FeatureMatrix, covariates: dict[str, np.ndarray], std_floor: float = STD_FLOOR
-) -> FeatureMatrix:
+def stack_covariates(base: np.ndarray, covariates: dict[str, np.ndarray]) -> np.ndarray:
     """Append covariate channels to the feature rows, one column per channel.
 
     Channels are appended in sorted-name order, each z-normalized by its own
@@ -142,14 +113,13 @@ def stack_covariates(
     """
     if not covariates:
         return base
-    cols = [base.rows]
+    cols = [base]
     for name in sorted(covariates):
         ch = np.asarray(covariates[name], dtype=float)
-        if len(ch) != base.rows.shape[0]:
+        if len(ch) != base.shape[0]:
             raise ValueError(f"covariate {name!r} length mismatch")
         if not np.all(np.isfinite(ch)):
             raise ValueError("covariate not fully observed")
-        std = max(float(np.std(ch)), std_floor)
+        std = max(float(np.std(ch)), STD_FLOOR)
         cols.append(((ch - np.mean(ch)) / std)[:, None])
-    rows = np.hstack(cols)
-    return FeatureMatrix(rows=rows, t_norm=base.t_norm)
+    return np.hstack(cols)

@@ -330,7 +330,9 @@ class BenchReport:
 
 
 def _score_task(args) -> list[ScoreRecord]:
-    ds_id, segment, scenario, run_seed, imputer_specs = args
+    # test_start is the grid tick of the test slice's first row: an error names
+    # the window by its grid ticks, while the mask seed hashes segment.start.
+    ds_id, segment, scenario, run_seed, imputer_specs, test_start = args
     mask_seed = stable_seed(run_seed, ds_id, segment.start, scenario.label)
     try:
         masked = apply_scenario(segment, scenario, mask_seed)
@@ -344,7 +346,9 @@ def _score_task(args) -> list[ScoreRecord]:
         try:
             imputation = make_imputer(spec.id, **spec.params)(masked)
         except ValueError as err:
-            where = f"dataset {ds_id!r}, segment {segment.start}, scenario {scenario.label!r}, imputer {spec.name!r}"
+            first = test_start + segment.start
+            ticks = f"{first}-{first + segment.length - 1}"
+            where = f"dataset {ds_id!r}, ticks {ticks}, scenario {scenario.label!r}, imputer {spec.name!r}"
             raise ValueError(f"{where}: {err}") from err
         mae = znorm_mae(truth, imputation.point, masked.norm)
         wql_value = None
@@ -486,7 +490,7 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
             ]
         for segment in segments:
             for scenario in config.scenarios:
-                tasks.append((ds.id, segment, scenario, config.seed, config.imputers))
+                tasks.append((ds.id, segment, scenario, config.seed, config.imputers, int(test.timestamps[0])))
 
     with _one_blas_thread():
         if jobs > 1:

@@ -24,7 +24,6 @@ from .core import FrequencySpec, Segment, znorm_stats
 from .features import (
     HANDCRAFTED_FOURIER,
     RANDOM_FOURIER,
-    FeatureMatrix,
     FeatureSpec,
     handcrafted_features,
     random_fourier_basis,
@@ -138,23 +137,15 @@ def impute_seasonal_naive(segment: Segment, season: int | None = None) -> Imputa
 # A run needs one entry per (segment length, frequency, feature spec); the
 # bound keeps a long-lived process from holding every length it has seen.
 @functools.lru_cache(maxsize=16)
-def _time_basis(length: int, freq: FrequencySpec, fspec: FeatureSpec) -> FeatureMatrix:
+def _time_basis(length: int, freq: FrequencySpec, fspec: FeatureSpec) -> np.ndarray:
     """The time-only feature rows of a segment, built once and shared read-only."""
     ticks = np.arange(length)
     if fspec.kind == HANDCRAFTED_FOURIER:
-        fm = handcrafted_features(ticks, freq, fspec.periods or None)
+        X = handcrafted_features(ticks, freq, fspec.periods or None)
     else:
-        fm = random_fourier_basis(ticks, fspec)
-    fm.rows.flags.writeable = False
-    fm.t_norm.flags.writeable = False
-    return fm
-
-
-def _build_features(segment: Segment, fspec: FeatureSpec, use_covariates: bool):
-    fm = _time_basis(segment.length, segment.freq, fspec)
-    if use_covariates:
-        fm = stack_covariates(fm, segment.covariates)
-    return fm
+        X = random_fourier_basis(ticks, fspec)
+    X.flags.writeable = False
+    return X
 
 
 def impute_time_indexed(
@@ -176,17 +167,19 @@ def impute_time_indexed(
     fspec = fspec or FeatureSpec()
     vis = _require_context(segment, minimum=2)
     evals = _eval_indices(segment)
-    fm = _build_features(segment, fspec, use_covariates)
+    X = _time_basis(segment.length, segment.freq, fspec)
+    if use_covariates:
+        X = stack_covariates(X, segment.covariates)
     norm = segment.norm or znorm_stats(segment)
     y = (segment.values[vis] - norm.mean) / norm.std
 
-    model = ridge_fit(fm.rows[vis], y, lam)
-    point = predict(model, fm.rows[evals]) * norm.std + norm.mean
+    model = ridge_fit(X[vis], y, lam)
+    point = predict(model, X[evals]) * norm.std + norm.mean
 
     quantiles = None
     if quantile_levels:
-        heads = pinball_fit(fm.rows[vis], y, alpha=quantile_levels, lam=lam)
-        quantiles = enforce_noncrossing({m.quantile: predict(m, fm.rows[evals]) * norm.std + norm.mean for m in heads})
+        heads = pinball_fit(X[vis], y, alpha=quantile_levels, lam=lam)
+        quantiles = enforce_noncrossing({m.quantile: predict(m, X[evals]) * norm.std + norm.mean for m in heads})
     return Imputation(point=point, quantiles=quantiles)
 
 

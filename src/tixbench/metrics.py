@@ -13,11 +13,9 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .core import NormStats
-
-WQL_LEVELS: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+from .imputers import DEFAULT_QUANTILE_LEVELS
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,7 @@ def quantile_loss(q, x, alpha: float):
     return float(out) if out.ndim == 0 else out
 
 
-def wql(quantile_preds: Mapping[float, np.ndarray], truth, alphas: Sequence[float] = WQL_LEVELS) -> float:
+def wql(quantile_preds: Mapping[float, np.ndarray], truth, alphas: Sequence[float] = DEFAULT_QUANTILE_LEVELS) -> float:
     """Weighted quantile loss averaged over levels.
 
     Per level: 2 * sum(QL_alpha) / sum(|truth|), sums taken over every scored
@@ -117,6 +115,13 @@ def aggregate(records: Iterable, group_by: Sequence[str]) -> list[dict]:
     return rows
 
 
+def _mid_ranks(values: np.ndarray) -> np.ndarray:
+    """Ascending ranks from 1, ties sharing their mean rank: 1 + (number below) + (ties - 1) / 2."""
+    below = (values[:, None] > values).sum(axis=1)
+    ties = (values[:, None] == values).sum(axis=1)
+    return 1 + below + (ties - 1) / 2
+
+
 def average_ranks(records: Iterable, metric: str = "mae") -> dict[str, float]:
     """Mean rank per imputer across all (dataset, scenario) tasks.
 
@@ -141,7 +146,7 @@ def average_ranks(records: Iterable, metric: str = "mae") -> dict[str, float]:
         scores = tasks[key]
         if set(scores) != imputers:
             raise ValueError("incomplete score matrix")
-        ranks = rankdata([scores[name] for name in order], method="average")
+        ranks = _mid_ranks(np.array([scores[name] for name in order]))
         for name, rank in zip(order, ranks):
             totals[name] += float(rank)
     n_tasks = len(tasks)

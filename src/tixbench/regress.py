@@ -42,13 +42,11 @@ _IPM_JITTER = 1e-12
 class LinearModel:
     """Fitted coefficients of a ridge or pinball linear head.
 
-    ``lam`` is the ridge penalty applied to the standardized coefficients;
     ``quantile`` is set for pinball models and None for ridge.
     """
 
     weights: np.ndarray
     intercept: float
-    lam: float
     quantile: float | None = None
 
     def __post_init__(self) -> None:
@@ -56,14 +54,12 @@ class LinearModel:
         object.__setattr__(self, "weights", w)
         if not np.all(np.isfinite(w)) or not np.isfinite(self.intercept):
             raise ValueError("model coefficients must be finite")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
         if self.quantile is not None and not (0.0 < self.quantile < 1.0):
             raise ValueError("quantile must lie strictly in (0, 1)")
 
 
 def _rows(X) -> np.ndarray:
-    rows = np.asarray(getattr(X, "rows", X), dtype=float)
+    rows = np.asarray(X, dtype=float)
     if rows.ndim == 1:
         rows = rows[:, None]
     return rows
@@ -122,7 +118,7 @@ def ridge_fit(X, y, lam: float = DEFAULT_LAMBDA) -> LinearModel:
 
     w = ws / sx
     b = my - float(w @ mx)
-    return LinearModel(weights=w, intercept=b, lam=lam)
+    return LinearModel(weights=w, intercept=b)
 
 
 def predict(model: LinearModel, X) -> np.ndarray:
@@ -234,7 +230,7 @@ def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel | list[
 
     w_orig = solved[:, :-1] * sy / sx
     b_orig = my + sy * solved[:, -1] - w_orig @ mx
-    models = [LinearModel(w, float(b), lam, quantile=float(q)) for w, b, q in zip(w_orig, b_orig, levels)]
+    models = [LinearModel(w, float(b), quantile=float(q)) for w, b, q in zip(w_orig, b_orig, levels)]
     return models[0] if np.ndim(alpha) == 0 else models
 
 

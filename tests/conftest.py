@@ -28,7 +28,6 @@ def make_segment(values, obs_mask, eval_mask=None, freq=HOURLY, covariates=None)
     if eval_mask is None:
         eval_mask = np.zeros(n, dtype=bool)
     return Segment(
-        parent_id="test",
         start=0,
         length=n,
         values=values,

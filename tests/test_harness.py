@@ -576,7 +576,7 @@ class TestCli:
         cfg_path.write_text(yaml.safe_dump(cfg))
         assert cli_main(["run", str(cfg_path)]) == 1
         assert capsys.readouterr().err == (
-            "error: dataset 'gap', segment 0, scenario 'pointwise1', imputer 'covar_ridge': "
+            "error: dataset 'gap', ticks 134-805, scenario 'pointwise1', imputer 'covar_ridge': "
             "covariate not fully observed\n"
         )
         cfg_path.write_text(yaml.safe_dump({**cfg, "imputers": [{"id": "covar_ridge", "params": {"lamda": 1}}]}))

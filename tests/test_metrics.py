@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from oracles import ranks_oracle, wql_oracle
+import tixbench
 from tixbench import NormStats, ScoreRecord, aggregate, average_ranks, quantile_loss, wql, znorm_mae
+from tixbench.metrics import _mid_ranks
 
 
 def rec(dataset, imputer, scenario, mae, wql_value=None, n=10):
@@ -201,3 +209,37 @@ class TestAverageRanks:
         assert average_ranks(records, metric="wql") == {"A": 1.0, "B": 2.0}
         with pytest.raises(ValueError, match="incomplete score matrix"):
             average_ranks([rec("d", "A", "s", 0.9)], metric="wql")
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.3, 0.1, 0.2],
+            [0.5],
+            [2.0, 2.0, 2.0],
+            [0.1, 0.3, 0.1, 0.2, 0.3, 0.3],
+            [1e-300, 0.0, 1e-300, -0.0],
+        ],
+    )
+    def test_mid_ranks_match_scipy(self, values):
+        np.testing.assert_array_equal(_mid_ranks(np.array(values)), rankdata(values, method="average"))
+
+    @given(values=st.lists(st.integers(0, 4), min_size=1, max_size=9))
+    @settings(max_examples=60)
+    def test_mid_ranks_match_scipy_with_ties(self, values):
+        values = np.array(values, dtype=float) / 7
+        np.testing.assert_array_equal(_mid_ranks(values), rankdata(values, method="average"))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a second to import and nothing in a run needs it.
+    src = str(Path(tixbench.__file__).resolve().parents[1])
+    code = "import sys, tixbench; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout == "False\n"

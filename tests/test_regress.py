@@ -156,7 +156,7 @@ def context_rows(kind, d, rng, size=None):
         X = rng.normal(size=(len(ticks), d))
     else:
         # Handcrafted Fourier (d=5), plus a random-walk covariate for d=6.
-        X = handcrafted_features(ticks, HOURLY).rows
+        X = handcrafted_features(ticks, HOURLY)
         if d == 6:
             X = np.column_stack([X, np.cumsum(rng.normal(size=len(ticks)))])
     daily = np.sin(2 * np.pi * ticks / 24)
@@ -170,7 +170,7 @@ def random_basis_rows(rng, size):
     ticks = np.arange(28 * 24)
     spec = FeatureSpec(kind="random_fourier", n_random=64, freq_range=(0.5, 60.0), seed=0)
     vis = np.sort(rng.choice(len(ticks), size=size, replace=False))
-    X = random_fourier_basis(ticks, spec).rows[vis]
+    X = random_fourier_basis(ticks, spec)[vis]
     return X, np.sin(2 * np.pi * vis / 24) + 0.3 * rng.normal(size=len(vis))
 
 
@@ -293,12 +293,12 @@ class TestPinballLevels:
 
 class TestPredict:
     def test_constant_model(self):
-        model = LinearModel(weights=np.zeros(3), intercept=2.5, lam=0.0)
+        model = LinearModel(weights=np.zeros(3), intercept=2.5)
         out = predict(model, np.random.default_rng(0).normal(size=(7, 3)))
         np.testing.assert_array_equal(out, np.full(7, 2.5))
 
     def test_identity_echo(self):
-        model = LinearModel(weights=np.array([1.0]), intercept=0.0, lam=0.0)
+        model = LinearModel(weights=np.array([1.0]), intercept=0.0)
         x = np.linspace(-3, 3, 11)[:, None]
         np.testing.assert_array_equal(predict(model, x), x[:, 0])
 
@@ -311,7 +311,7 @@ class TestPredict:
         assert np.array_equal(a, b)
 
     def test_dimension_mismatch(self):
-        model = LinearModel(weights=np.zeros(3), intercept=0.0, lam=0.0)
+        model = LinearModel(weights=np.zeros(3), intercept=0.0)
         with pytest.raises(ValueError, match="dimension mismatch"):
             predict(model, np.ones((4, 2)))
 
@@ -319,7 +319,7 @@ class TestPredict:
     @settings(max_examples=25)
     def test_linearity(self, a, b):
         rng = np.random.default_rng(10)
-        model = LinearModel(weights=rng.normal(size=3), intercept=1.5, lam=0.0)
+        model = LinearModel(weights=rng.normal(size=3), intercept=1.5)
         X1 = rng.normal(size=(6, 3))
         X2 = rng.normal(size=(6, 3))
         lhs = predict(model, a * X1 + b * X2)
