@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STD_FLOOR, FrequencySpec
+from .core import FrequencySpec
 
 HANDCRAFTED_FOURIER = "handcrafted_fourier"
 RANDOM_FOURIER = "random_fourier"
@@ -107,9 +107,9 @@ def random_fourier_basis(ticks, spec: FeatureSpec) -> np.ndarray:
 def stack_covariates(base: np.ndarray, covariates: dict[str, np.ndarray]) -> np.ndarray:
     """Append covariate channels to the feature rows, one column per channel.
 
-    Channels are appended in sorted-name order, each z-normalized by its own
-    statistics over the requested timestamps. Covariates must be fully
-    observed wherever features are requested (NaN anywhere is an error).
+    Channels are appended as given, in sorted-name order; the heads
+    standardize every column over their context rows. Covariates must be
+    fully observed wherever features are requested (NaN anywhere is an error).
     """
     if not covariates:
         return base
@@ -120,6 +120,5 @@ def stack_covariates(base: np.ndarray, covariates: dict[str, np.ndarray]) -> np.
             raise ValueError(f"covariate {name!r} length mismatch")
         if not np.all(np.isfinite(ch)):
             raise ValueError("covariate not fully observed")
-        std = max(float(np.std(ch)), STD_FLOOR)
-        cols.append(((ch - np.mean(ch)) / std)[:, None])
+        cols.append(ch[:, None])
     return np.hstack(cols)

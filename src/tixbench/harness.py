@@ -205,9 +205,13 @@ def load_config(path) -> RunConfig:
 
 def config_digest(config: RunConfig) -> str:
     # output_dir has no effect on any result, so it does not identify the
-    # experiment.
+    # experiment. A CSV dataset counts by the SHA-256 of its bytes, not by its
+    # path, so a config and its data digest alike in any directory.
     payload = asdict(config)
     payload.pop("output_dir", None)
+    for ds in payload["datasets"]:
+        if ds["path"] is not None:
+            ds["path"] = hashlib.sha256(Path(ds["path"]).read_bytes()).hexdigest()
     text = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -471,6 +475,10 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
             failures[ds.id] = str(err)
     if failures:
         raise IngestionError(failures)
+    for ds, series in loaded:
+        for spec in config.imputers:
+            if spec.id == "covar_ridge" and not series.covariates:
+                raise ValueError(f"imputer {spec.name!r} needs a covariate channel, but dataset {ds.id!r} has none")
 
     tasks = []
     for ds, series in loaded:

@@ -148,6 +148,29 @@ def _time_basis(length: int, freq: FrequencySpec, fspec: FeatureSpec) -> np.ndar
     return X
 
 
+def _fit_heads(
+    segment: Segment, X: np.ndarray, lam: float, quantile_levels: tuple[float, ...] | None = None
+) -> Imputation:
+    """Fit heads on the visible rows of ``X`` and predict its evaluated rows.
+
+    The target is z-normalized by the segment's visible-context stats before
+    the fits and predictions are mapped back. A ridge head gives the point
+    estimate; with ``quantile_levels`` given, one batched pinball fit gives a
+    head per level, and the predictions pass through the non-crossing
+    rearrangement.
+    """
+    vis = _require_context(segment, minimum=2)
+    norm = segment.norm or znorm_stats(segment)
+    y = (segment.values[vis] - norm.mean) / norm.std
+    X_vis, X_eval = X[vis], X[_eval_indices(segment)]
+    point = predict(ridge_fit(X_vis, y, lam), X_eval) * norm.std + norm.mean
+    quantiles = None
+    if quantile_levels:
+        heads = pinball_fit(X_vis, y, alpha=quantile_levels, lam=lam)
+        quantiles = enforce_noncrossing({m.quantile: predict(m, X_eval) * norm.std + norm.mean for m in heads})
+    return Imputation(point=point, quantiles=quantiles)
+
+
 def impute_time_indexed(
     segment: Segment,
     fspec: FeatureSpec | None = None,
@@ -158,47 +181,20 @@ def impute_time_indexed(
     """Regress the visible values onto per-timestamp features, then predict
     the held-out timestamps.
 
-    The target is z-normalized by the segment's visible-context stats before
-    the ridge fit and predictions are mapped back; the fit uses all observed
-    points of the segment as context. With ``quantile_levels`` given, one
-    batched pinball fit gives a head per level, and the predictions are
-    passed through the non-crossing rearrangement.
+    The fit uses all observed points of the segment as context; with
+    ``quantile_levels`` given, it adds non-crossing quantile heads.
     """
-    fspec = fspec or FeatureSpec()
-    vis = _require_context(segment, minimum=2)
-    evals = _eval_indices(segment)
-    X = _time_basis(segment.length, segment.freq, fspec)
+    X = _time_basis(segment.length, segment.freq, fspec or FeatureSpec())
     if use_covariates:
         X = stack_covariates(X, segment.covariates)
-    norm = segment.norm or znorm_stats(segment)
-    y = (segment.values[vis] - norm.mean) / norm.std
-
-    model = ridge_fit(X[vis], y, lam)
-    point = predict(model, X[evals]) * norm.std + norm.mean
-
-    quantiles = None
-    if quantile_levels:
-        heads = pinball_fit(X[vis], y, alpha=quantile_levels, lam=lam)
-        quantiles = enforce_noncrossing({m.quantile: predict(m, X[evals]) * norm.std + norm.mean for m in heads})
-    return Imputation(point=point, quantiles=quantiles)
+    return _fit_heads(segment, X, lam, quantile_levels)
 
 
 def impute_covariate_ridge(segment: Segment, lam: float = DEFAULT_LAMBDA) -> Imputation:
     """Ridge fit of the target on the covariate channels only (plus intercept)."""
     if not segment.covariates:
         raise ValueError("covariate required")
-    vis = _require_context(segment)
-    evals = _eval_indices(segment)
-    cols = []
-    for name in sorted(segment.covariates):
-        ch = segment.covariates[name]
-        if not np.all(np.isfinite(ch)):
-            raise ValueError("covariate not fully observed")
-        cols.append(ch)
-    X = np.column_stack(cols)
-    model = ridge_fit(X[vis], segment.values[vis], lam)
-    point = predict(model, X[evals])
-    return Imputation(point=point)
+    return _fit_heads(segment, stack_covariates(np.empty((segment.length, 0)), segment.covariates), lam)
 
 
 # Registry ids: each local id names its imputer function, whose keyword
@@ -210,9 +206,12 @@ _LOCAL_IMPUTERS = {
     "seasonal_naive": impute_seasonal_naive,
     "covar_ridge": impute_covariate_ridge,
 }
-_TIX_BASES = {"tix_fourier": HANDCRAFTED_FOURIER, "tix_random_basis": RANDOM_FOURIER}
-# tix params that configure the feature basis, by the FeatureSpec field each sets.
-_BASIS_KEYS = {"periods": "periods", "n_random": "n_random", "freq_range": "freq_range", "basis_seed": "seed"}
+# Each tix id's basis kind and the params that configure it, by the
+# FeatureSpec field each sets.
+_TIX_BASES = {
+    "tix_fourier": (HANDCRAFTED_FOURIER, {"periods": "periods"}),
+    "tix_random_basis": (RANDOM_FOURIER, {"n_random": "n_random", "freq_range": "freq_range", "basis_seed": "seed"}),
+}
 
 
 def _keywords(fn) -> frozenset[str]:
@@ -222,8 +221,8 @@ def _keywords(fn) -> frozenset[str]:
 
 # Computed once: inspecting a signature costs more than the rest of a lookup.
 _PARAMS = {imputer_id: _keywords(fn) for imputer_id, fn in _LOCAL_IMPUTERS.items()}
-for _tix_id in _TIX_BASES:
-    _PARAMS[_tix_id] = _keywords(impute_time_indexed) - {"fspec", "quantile_levels"} | set(_BASIS_KEYS)
+for _tix_id, (_, _basis_keys) in _TIX_BASES.items():
+    _PARAMS[_tix_id] = _keywords(impute_time_indexed) - {"fspec", "quantile_levels"} | set(_basis_keys)
     _PARAMS[f"{_tix_id}_q"] = _PARAMS[_tix_id] | {"quantile_levels"}
 
 
@@ -251,8 +250,8 @@ def make_imputer(imputer_id: str, **params) -> Callable[[Segment], Imputation]:
             raise ValueError(f"imputer {imputer_id!r}: {key} {rule}, got {params[key]!r}")
     if imputer_id in _LOCAL_IMPUTERS:
         return functools.partial(_LOCAL_IMPUTERS[imputer_id], **params)
-    basis = {field: params.pop(key) for key, field in _BASIS_KEYS.items() if key in params}
-    fspec = FeatureSpec(_TIX_BASES[imputer_id.removesuffix("_q")], **basis)
+    kind, basis_keys = _TIX_BASES[imputer_id.removesuffix("_q")]
+    fspec = FeatureSpec(kind, **{field: params.pop(key) for key, field in basis_keys.items() if key in params})
     if imputer_id.endswith("_q"):
         params.setdefault("quantile_levels", DEFAULT_QUANTILE_LEVELS)
     return functools.partial(impute_time_indexed, fspec=fspec, **params)

@@ -5,8 +5,8 @@ rows, std floored) and keep the intercept unpenalized; coefficients are
 mapped back to the original scale before being returned, so predictions are
 invariant to affine rescaling of any feature column.
 
-The ridge head solves the regularized normal equations with a symmetric
-positive-definite solve. The quantile head is the linear program of Koenker
+The ridge head solves the regularized normal equations with one LAPACK
+Cholesky solve. The quantile head is the linear program of Koenker
 & Bassett (1978) plus a ridge term, solved to a tolerance by a primal-dual
 predictor-corrector interior-point method (Mehrotra 1992), the Frisch-Newton
 method of Portnoy & Koenker (1997): 10-20 Newton steps, each one Cholesky
@@ -18,7 +18,6 @@ its own stopping test.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,9 +88,10 @@ def ridge_fit(X, y, lam: float = DEFAULT_LAMBDA) -> LinearModel:
     """Ridge regression with unpenalized intercept via normal equations.
 
     Minimizes ||y - Xw - b||^2 + lam * ||w_std||^2 where w_std are the
-    coefficients on internally standardized columns. Falls back to a
-    least-squares solve when the regularized system is singular (lam = 0 on
-    rank-deficient contexts).
+    coefficients on internally standardized columns. One Cholesky solve
+    (``dposv``) gives w_std; when the system is not positive definite or its
+    residual is too large (lam = 0 on rank-deficient contexts), the exact
+    minimum-norm least-squares solution replaces it.
     """
     X, y = _inputs(X, y, lam, min_rows=1)
 
@@ -101,19 +101,12 @@ def ridge_fit(X, y, lam: float = DEFAULT_LAMBDA) -> LinearModel:
 
     A = Xs.T @ Xs + lam * np.eye(X.shape[1])
     rhs = Xs.T @ ys
-    try:
-        with warnings.catch_warnings():
-            # The residual check below decides whether the solve was good
-            # enough; scipy's ill-conditioning warning is redundant here.
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            ws = scipy.linalg.solve(A, rhs, assume_a="pos")
-    except np.linalg.LinAlgError:
+    tol = 1e-8 * max(np.linalg.norm(rhs), 1.0)
+    _, ws, info = scipy.linalg.lapack.dposv(A, rhs)
+    # "not <=" also sends a NaN residual to the fallback.
+    if info or not np.linalg.norm(A @ ws - rhs) <= tol:
         ws = np.linalg.lstsq(A, rhs, rcond=None)[0]
-    resid = np.linalg.norm(A @ ws - rhs)
-    if resid > 1e-8 * max(np.linalg.norm(rhs), 1.0):
-        ws = np.linalg.lstsq(A, rhs, rcond=None)[0]
-        resid = np.linalg.norm(A @ ws - rhs)
-        if resid > 1e-8 * max(np.linalg.norm(rhs), 1.0):
+        if not np.linalg.norm(A @ ws - rhs) <= tol:
             raise ArithmeticError("normal equations solve did not converge")
 
     w = ws / sx
@@ -140,11 +133,12 @@ def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel | list[
     One level ``alpha`` gives one LinearModel; a sequence gives a list in the
     same order. With Xs the standardized columns, ys = (y - mean) / sy and
     Z = [Xs, 1], each level solves min alpha 1'u + (1 - alpha) 1'v +
-    (lam / sy) ||w||^2 subject to Z (w, b) + u - v = ys and u, v >= 0: sum
-    pinball + (lam / sy^2) ||w_std||^2 in original units. The levels share Z
-    and step together; each step factors, per level, Z' diag(1/theta) Z +
-    2 (lam / sy) diag(1, .., 1, 0), theta = u/s + v/z with s, z the dual
-    slacks, once for both predictor and corrector.
+    lam ||w||^2 subject to Z (w, b) + u - v = ys and u, v >= 0: sum pinball
+    + (lam / sy) ||w_std||^2 in original units, so a fit on c * y is c times
+    the fit on y, as with ``ridge_fit``. The levels share Z and step
+    together; each step factors, per level, Z' diag(1/theta) Z +
+    2 lam diag(1, .., 1, 0), theta = u/s + v/z with s, z the dual slacks,
+    once for both predictor and corrector.
 
     A level leaves the active set when its gap u's + v'z and its primal and
     dual residuals are each below 1e-9 relative to their scale, or at a step
@@ -162,12 +156,11 @@ def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel | list[
     my = float(np.mean(y))
     sy = max(float(np.std(y)), STD_FLOOR)
     ys = (y - my) / sy
-    lam_eff = lam / sy
 
     n, d = Xs.shape
     Z = np.column_stack([Xs, np.ones(n)])
     z_norm, ys_norm = np.linalg.norm(Z), np.linalg.norm(ys)
-    pen = np.append(np.full(d, 2.0 * lam_eff), 0.0)
+    pen = np.append(np.full(d, 2.0 * lam), 0.0)
     # Row i is level active[i]: beta = 0, u - v = ys (primal feasible), a = alpha - s = z - (1 - alpha) = 0
     # (dual feasible at lam = 0). s and z are updated apart, so neither is lost to cancellation near 0.
     active, al, beta = np.arange(len(levels)), levels, np.zeros((len(levels), d + 1))
@@ -182,7 +175,7 @@ def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel | list[
         a = al[:, None] - s
         rd = a @ Z - pen * beta
         gap = np.sum(u * s, axis=1) + np.sum(v * z, axis=1)
-        obj = al * u.sum(axis=1) + (1.0 - al) * v.sum(axis=1) + lam_eff * np.sum(beta[:, :-1] ** 2, axis=1)
+        obj = al * u.sum(axis=1) + (1.0 - al) * v.sum(axis=1) + lam * np.sum(beta[:, :-1] ** 2, axis=1)
         done = (gap <= _IPM_TOL * (1.0 + obj)) & (np.linalg.norm(rp, axis=1) <= _IPM_TOL * (1.0 + ys_norm))
         done &= np.linalg.norm(rd, axis=1) <= _IPM_TOL * (1.0 + z_norm * np.linalg.norm(a, axis=1))
         if done.any():

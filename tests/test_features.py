@@ -137,6 +137,13 @@ class TestStackCovariates:
         out = stack_covariates(fm, {"a": np.arange(100.0)})
         assert out.shape[1] == 6
 
+    def test_channels_appended_as_given(self):
+        fm = handcrafted_features(np.arange(50), HOURLY)
+        a = np.linspace(0, 1, 50)
+        b = 1e3 + np.linspace(5, 6, 50) ** 2
+        out = stack_covariates(fm, {"b": b, "a": a})
+        np.testing.assert_array_equal(out, np.column_stack([fm, a, b]))
+
     def test_channel_order_is_sorted_names(self):
         fm = handcrafted_features(np.arange(50), HOURLY)
         a = np.linspace(0, 1, 50)

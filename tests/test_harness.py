@@ -54,7 +54,10 @@ EVERY_LEVEL = {
     "segment": {"len_days": 28, "stride": [14, 14]},
     "datasets": [{"id": "demo", "synth": SYNTH_DICT}],
     "scenarios": [{"kind": "pointwise", "param": 0.5, "label": "p"}],
-    "imputers": [{"id": "tix_fourier", "params": {"lam": 1.0}}],
+    "imputers": [
+        {"id": "tix_fourier", "params": {"lam": 1.0}},
+        {"id": "tix_random_basis", "params": {"n_random": 8}},
+    ],
 }
 
 
@@ -194,6 +197,10 @@ class TestRunConfig:
             pytest.param(("imputers", 0), "parms", id="imputer"),
             pytest.param(("imputers", 0, "params"), "lamda", id="imputer_params"),
             pytest.param(("imputers", 0, "params"), "quantile_levels", id="quantile_levels_without_q"),
+            pytest.param(("imputers", 0, "params"), "n_random", id="n_random_on_fourier"),
+            pytest.param(("imputers", 0, "params"), "freq_range", id="freq_range_on_fourier"),
+            pytest.param(("imputers", 0, "params"), "basis_seed", id="basis_seed_on_fourier"),
+            pytest.param(("imputers", 1, "params"), "periods", id="periods_on_random_basis"),
         ],
     )
     def test_unknown_key_rejected_at_load(self, path, key):
@@ -229,6 +236,22 @@ class TestRunConfig:
         config_from_dict(config(good))
         with pytest.raises(ValueError, match=f"imputer '{imputer_id}': {key} must be"):
             config_from_dict(config(bad))
+
+    def test_csv_dataset_digests_by_content(self, tmp_path):
+        # The same config and CSV in two directories digest alike; one
+        # changed cell changes the digest.
+        rows = [[t, float(t % 24)] for t in range(96)]
+        cfg = {"datasets": [{"id": "c", "path": "c.csv", "steps_per_day": 24}], "imputers": [{"id": "linear"}]}
+        digests = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            write_csv(tmp_path / name / "c.csv", rows)
+            (tmp_path / name / "cfg.yaml").write_text(yaml.safe_dump(cfg))
+            digests.append(config_digest(load_config(tmp_path / name / "cfg.yaml")))
+        assert digests[0] == digests[1]
+        rows[5][1] = 99.0
+        write_csv(tmp_path / "b" / "c.csv", rows)
+        assert config_digest(load_config(tmp_path / "b" / "cfg.yaml")) != digests[0]
 
     def test_integer_and_float_values_digest_alike(self):
         def with_numbers(period, stride):
@@ -391,6 +414,19 @@ class TestRun:
         )
         assert len(kept.records) > 0
         assert len(filtered.records) == 0
+
+    def test_covariate_imputer_without_covariates_fails_before_any_task(self, monkeypatch):
+        def no_task(args):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(harness, "_score_task", no_task)
+        synth = {**SYNTH_DICT, "length_days": 200}
+        config = config_from_dict(
+            {"datasets": [{"id": "d", "synth": synth}], "imputers": [{"id": "linear"}, {"id": "covar_ridge"}]}
+        )
+        message = "^imputer 'covar_ridge' needs a covariate channel, but dataset 'd' has none$"
+        with pytest.raises(ValueError, match=message):
+            run(config)
 
 
 def blas_threads() -> list[int]:

@@ -18,7 +18,9 @@ from tixbench import (
     impute_seasonal_naive,
     impute_time_indexed,
     make_imputer,
+    predict,
     random_fourier_basis,
+    ridge_fit,
     znorm_mae,
 )
 from tixbench.imputers import _time_basis
@@ -254,6 +256,43 @@ class TestCovariateRidge:
             n_vis = masked.obs_mask.sum()
             deviations.append(abs(out.point.mean() - vis_mean) <= 3 * vis_std / np.sqrt(n_vis))
         assert np.mean(deviations) >= 0.9
+
+    @pytest.mark.parametrize(
+        "names, lam",
+        [
+            (("a", "b"), 0.0),
+            (("a", "b"), 1e-3),
+            (("a", "b"), 10.0),
+            (("a", "b", "b_copy"), 0.0),
+        ],
+    )
+    def test_matches_raw_unit_ridge(self, names, lam, monkeypatch):
+        # The fit in z-units on the channels as given equals ridge_fit on the
+        # raw channels and the raw target. A duplicated channel at lam = 0
+        # makes the normal matrix singular, so the exact lstsq path runs.
+        rng = np.random.default_rng(20)
+        n = 400
+        channels = {"a": 50.0 + 8.0 * rng.normal(size=n), "b": rng.normal(size=n).cumsum()}
+        channels["b_copy"] = channels["b"].copy()
+        covariates = {name: channels[name] for name in names}
+        values = 100.0 + 3.0 * channels["a"] - channels["b"] + rng.normal(size=n)
+        seg = make_segment(values, np.ones(n, dtype=bool), covariates=covariates)
+        masked = apply_scenario(seg, Scenario("pointwise", 0.5, "p1"), seed=21)
+        X = np.column_stack([covariates[name] for name in sorted(covariates)])
+        vis, evals = masked.obs_mask, masked.eval_mask
+        expected = predict(ridge_fit(X[vis], masked.values[vis], lam), X[evals])
+
+        lstsq_calls = []
+        lstsq = np.linalg.lstsq
+
+        def counted_lstsq(*args, **kwargs):
+            lstsq_calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        out = impute_covariate_ridge(masked, lam=lam)
+        np.testing.assert_allclose(out.point, expected, rtol=1e-9, atol=0)
+        assert bool(lstsq_calls) == ("b_copy" in names)
 
     def test_requires_covariates(self):
         seg = make_segment(np.arange(48.0), np.ones(48, dtype=bool))

@@ -176,7 +176,7 @@ def random_basis_rows(rng, size):
 
 def penalized_objective(X, y, alpha, lam, w, b):
     """The objective pinball_fit documents, in original units."""
-    return pinball_objective(X @ w + b, y, alpha) + lam / y.std() ** 2 * float(np.sum((w * X.std(axis=0)) ** 2))
+    return pinball_objective(X @ w + b, y, alpha) + lam / y.std() * float(np.sum((w * X.std(axis=0)) ** 2))
 
 
 class TestPinballLP:
@@ -193,8 +193,8 @@ class TestPinballLP:
         assert abs(gap) < 1e-6
 
     def test_penalized_fit_meets_optimality_conditions(self):
-        # Subgradient conditions of sum pinball + (lam / sy^2) ||w_std||^2 on
-        # a target whose std sy is far from 1: Z'g = (2 lam / sy^2) (sx^2 w, 0)
+        # Subgradient conditions of sum pinball + (lam / sy) ||w_std||^2 on
+        # a target whose std sy is far from 1: Z'g = (2 lam / sy) (sx^2 w, 0)
         # with g = alpha above the fit, alpha - 1 below it and any value in
         # [alpha - 1, alpha] on it.
         rng = np.random.default_rng(55)
@@ -205,11 +205,22 @@ class TestPinballLP:
         r = y - predict(model, X)
         on_fit = np.abs(r) < 1e-6 * y.std()
         Z = np.column_stack([X, np.ones(len(y))])
-        target = np.append(2.0 * lam / y.std() ** 2 * X.std(axis=0) ** 2 * model.weights, 0.0)
+        target = np.append(2.0 * lam / y.std() * X.std(axis=0) ** 2 * model.weights, 0.0)
         target -= Z[~on_fit].T @ np.where(r[~on_fit] > 0, alpha, alpha - 1.0)
         g_on = np.linalg.lstsq(Z[on_fit].T, target, rcond=None)[0]
         assert np.linalg.norm(Z[on_fit].T @ g_on - target) < 1e-6 * len(y)
         assert np.all((g_on > alpha - 1.0 - 1e-6) & (g_on < alpha + 1e-6))
+
+    def test_penalized_fit_is_scale_equivariant(self):
+        # On a target whose std is far from 1, a fit on c * y predicts c times
+        # the fit on y at every level, as ridge_fit does.
+        rng = np.random.default_rng(56)
+        X, y = context_rows("fourier", 6, rng)
+        y = 3.0 * y + 1.0
+        c, levels = 12.0, (0.2, 0.7)
+        for base, scaled in zip(pinball_fit(X, y, alpha=levels, lam=2.0), pinball_fit(X, c * y, alpha=levels, lam=2.0)):
+            gap = np.abs(predict(scaled, X) - c * predict(base, X))
+            assert gap.max() <= 1e-9 * c * y.std()
 
     def test_random_basis_ridge_penalty_is_optimal(self):
         # d=129, numerically rank-deficient; lam=10 as the quantile imputers
