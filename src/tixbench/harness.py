@@ -490,6 +490,12 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
             stride_max_days=config.stride_days[1],
             seed=stable_seed(config.seed, ds.id, "segments"),
         )
+        if not segments:
+            window = config.segment_len_days * test.freq.steps_per_day
+            raise ValueError(
+                f"dataset {ds.id!r} yields no segment: its test slice of {len(test)} ticks holds no"
+                f" {window}-tick ({config.segment_len_days}-day) window with an observed value"
+            )
         if ds.min_std_filter > 0:
             segments = [
                 s

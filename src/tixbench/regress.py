@@ -9,8 +9,9 @@ The ridge head solves the regularized normal equations with one LAPACK
 Cholesky solve. The quantile head is the linear program of Koenker
 & Bassett (1978) plus a ridge term, solved to a tolerance by a primal-dual
 predictor-corrector interior-point method (Mehrotra 1992), the Frisch-Newton
-method of Portnoy & Koenker (1997): 10-20 Newton steps, each one Cholesky
-factorization of a (d+1)x(d+1) matrix per level. One call fits a sequence of
+method of Portnoy & Koenker (1997), on the rank-r column space of the
+standardized rows (r <= d): 10-20 Newton steps, each one Cholesky
+factorization of an (r+1)x(r+1) matrix per level. One call fits a sequence of
 levels on a shared design: every level that has not yet converged takes its
 Newton step in the same vectorized pass, and a level leaves the active set at
 its own stopping test.
@@ -131,10 +132,14 @@ def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel | list[
     """Quantile linear heads: minimize sum pinball_alpha(y - Xw - b) + penalty.
 
     One level ``alpha`` gives one LinearModel; a sequence gives a list in the
-    same order. With Xs the standardized columns, ys = (y - mean) / sy and
-    Z = [Xs, 1], each level solves min alpha 1'u + (1 - alpha) 1'v +
-    lam ||w||^2 subject to Z (w, b) + u - v = ys and u, v >= 0: sum pinball
-    + (lam / sy) ||w_std||^2 in original units, so a fit on c * y is c times
+    same order. With Xs the standardized columns, ys = (y - mean) / sy, the
+    thin SVD Xs = U S V' and r the number of singular values above 1e-12
+    times the largest, the fit runs on Z = [U_r S_r, 1]: each level solves
+    min alpha 1'u + (1 - alpha) 1'v + lam ||c||^2 subject to
+    Z (c, b) + u - v = ys and u, v >= 0, and w_std = V_r c. Since
+    ||V_r c|| = ||c|| and a null-space part of w_std changes no fit but adds
+    to the penalty, this is the fit on [Xs, 1]: sum pinball +
+    (lam / sy) ||w_std||^2 in original units, so a fit on k * y is k times
     the fit on y, as with ``ridge_fit``. The levels share Z and step
     together; each step factors, per level, Z' diag(1/theta) Z +
     2 lam diag(1, .., 1, 0), theta = u/s + v/z with s, z the dual slacks,
@@ -142,10 +147,11 @@ def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel | list[
 
     A level leaves the active set when its gap u's + v'z and its primal and
     dual residuals are each below 1e-9 relative to their scale, or at a step
-    cap. For rank-deficient bases theta is clamped at 1e-10 and the matrix
-    jittered by 1e-12 times its largest diagonal entry, with one refinement
-    solve against the unjittered matrix. At lam = 0 the jitter still limits
-    moves along null directions, so such a fit can end above the LP optimum.
+    cap. Z has full column rank, as the columns of U_r are orthogonal to the
+    constant; still, theta is clamped at 1e-10 and the matrix jittered by
+    1e-12 times its largest diagonal entry, with one refinement solve against
+    the unjittered matrix, for the round-off that singular values near the
+    rank cut leave in it.
     """
     levels = np.atleast_1d(np.asarray(alpha, dtype=float))
     if levels.ndim != 1 or not len(levels) or not np.all((levels > 0.0) & (levels < 1.0)):
@@ -157,18 +163,20 @@ def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel | list[
     sy = max(float(np.std(y)), STD_FLOOR)
     ys = (y - my) / sy
 
-    n, d = Xs.shape
-    Z = np.column_stack([Xs, np.ones(n)])
+    U, S, Vt = np.linalg.svd(Xs, full_matrices=False)
+    r = int(np.sum(S > 1e-12 * S.max(initial=0.0)))
+    n = len(ys)
+    Z = np.column_stack([U[:, :r] * S[:r], np.ones(n)])
     z_norm, ys_norm = np.linalg.norm(Z), np.linalg.norm(ys)
-    pen = np.append(np.full(d, 2.0 * lam), 0.0)
+    pen = np.append(np.full(r, 2.0 * lam), 0.0)
     # Row i is level active[i]: beta = 0, u - v = ys (primal feasible), a = alpha - s = z - (1 - alpha) = 0
     # (dual feasible at lam = 0). s and z are updated apart, so neither is lost to cancellation near 0.
-    active, al, beta = np.arange(len(levels)), levels, np.zeros((len(levels), d + 1))
+    active, al, beta = np.arange(len(levels)), levels, np.zeros((len(levels), r + 1))
     u = np.tile(np.maximum(ys, 0.0) + 1.0, (len(levels), 1))
     v = np.tile(np.maximum(-ys, 0.0) + 1.0, (len(levels), 1))
     s, z = np.repeat(al[:, None], n, axis=1), np.repeat(1.0 - al[:, None], n, axis=1)
-    solved, normal, weighted = np.empty_like(beta), np.empty((len(levels), d + 1, d + 1)), np.empty((d + 1, n))
-    diag = np.arange(d + 1)
+    solved, normal, weighted = np.empty_like(beta), np.empty((len(levels), r + 1, r + 1)), np.empty((r + 1, n))
+    diag = np.arange(r + 1)
 
     for _ in range(_IPM_MAX_STEPS):
         rp = ys - beta @ Z.T - u + v
@@ -221,7 +229,7 @@ def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel | list[
         z += t * da
     solved[active] = beta
 
-    w_orig = solved[:, :-1] * sy / sx
+    w_orig = solved[:, :-1] @ Vt[:r] * sy / sx
     b_orig = my + sy * solved[:, -1] - w_orig @ mx
     models = [LinearModel(w, float(b), quantile=float(q)) for w, b, q in zip(w_orig, b_orig, levels)]
     return models[0] if np.ndim(alpha) == 0 else models

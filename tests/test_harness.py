@@ -428,6 +428,26 @@ class TestRun:
         with pytest.raises(ValueError, match=message):
             run(config)
 
+    def test_dataset_without_segments_fails_before_any_task(self, monkeypatch):
+        # A 60-day series leaves a test slice too short for one 28-day window;
+        # the 200-day one beside it must not let the run pass with its records alone.
+        def no_task(args):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(harness, "_score_task", no_task)
+        datasets = [
+            {"id": "long", "synth": {**SYNTH_DICT, "length_days": 200}},
+            {"id": "short", "synth": {**SYNTH_DICT, "length_days": 60}},
+        ]
+        config = config_from_dict({"datasets": datasets, "imputers": [{"id": "linear"}]})
+        _, _, test = harness.chrono_split(harness.load_dataset(config.datasets[1]), config.splits)
+        message = (
+            f"^dataset 'short' yields no segment: its test slice of {len(test)} ticks holds no"
+            r" 672-tick \(28-day\) window with an observed value$"
+        )
+        with pytest.raises(ValueError, match=message):
+            run(config)
+
 
 def blas_threads() -> list[int]:
     return [getter() for getter, _ in harness._openblas_thread_api()]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg.lapack
+from scipy.optimize import lsq_linear
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -179,6 +180,30 @@ def penalized_objective(X, y, alpha, lam, w, b):
     return pinball_objective(X @ w + b, y, alpha) + lam / y.std() * float(np.sum((w * X.std(axis=0)) ** 2))
 
 
+def dual_bound(X, y, alpha, lam, model):
+    """A lower bound on the optimum of ``penalized_objective``.
+
+    Every g in [alpha - 1, alpha]^n with 1'g = 0 gives one (weak duality):
+    y'g - ||X'g / sx||^2 / (4 lam / sy). This takes the g of the subgradient
+    conditions at the fit: alpha above it, alpha - 1 below it, and on it
+    (within 1e-3 std(y)) the box-bounded least-squares solution of
+    Z'g = (2 lam / sy) (sx^2 w, 0), then moves g inside the box until 1'g = 0.
+    A residual put on the wrong side only loosens the bound.
+    """
+    lam_y, sx = lam / y.std(), X.std(axis=0)
+    r = y - predict(model, X)
+    on_fit = np.abs(r) < 1e-3 * y.std()
+    g = np.where(r > 0, alpha, alpha - 1.0)
+    Z = np.column_stack([X, np.ones(len(y))])
+    target = np.append(2.0 * lam_y * sx**2 * model.weights, 0.0) - Z[~on_fit].T @ g[~on_fit]
+    g[on_fit] = lsq_linear(Z[on_fit].T, target, bounds=(alpha - 1.0, alpha), method="bvls").x
+    excess = g.sum()
+    room = g - (alpha - 1.0) if excess > 0 else alpha - g
+    g -= excess * room / room.sum()
+    assert np.all((g >= alpha - 1.0) & (g <= alpha)) and abs(g.sum()) <= 1e-12 * len(y)
+    return float(y @ g - np.sum((X.T @ g / sx) ** 2) / (4.0 * lam_y))
+
+
 class TestPinballLP:
     @pytest.mark.parametrize(
         "kind,d", [("gaussian", 1), ("gaussian", 5), ("gaussian", 40), ("fourier", 5), ("fourier", 6)]
@@ -210,6 +235,30 @@ class TestPinballLP:
         g_on = np.linalg.lstsq(Z[on_fit].T, target, rcond=None)[0]
         assert np.linalg.norm(Z[on_fit].T @ g_on - target) < 1e-6 * len(y)
         assert np.all((g_on > alpha - 1.0 - 1e-6) & (g_on < alpha + 1e-6))
+
+    @pytest.mark.parametrize("n", [202, 336, 576, 624])
+    def test_random_basis_fits_are_certified_optimal(self, n):
+        # The quantile workload's own fits: d=129, lam=10, the nine default
+        # levels, at its context sizes. Each objective lies within 1e-6 of a
+        # lower bound on the optimum (1e-10 to 2e-7 measured over 52 such
+        # instances).
+        rng = np.random.default_rng([129, n])
+        X, y = random_basis_rows(rng, n)
+        lam = 10.0
+        for alpha, model in zip(NINE_LEVELS, pinball_fit(X, y, alpha=NINE_LEVELS, lam=lam)):
+            primal = penalized_objective(X, y, alpha, lam, model.weights, model.intercept)
+            assert primal - dual_bound(X, y, alpha, lam, model) <= 1e-6 * primal
+
+    def test_duplicated_and_constant_columns_match_lp_optimum(self):
+        # Exact rank deficiency at lam=0: a copy of one column and a constant
+        # column change neither the LP nor its optimum.
+        rng = np.random.default_rng(7)
+        X, y = context_rows("fourier", 5, rng)
+        padded = np.column_stack([X, X[:, 2], np.full(len(y), 4.0)])
+        for alpha in (0.1, 0.5, 0.9):
+            model = pinball_fit(padded, y, alpha=alpha, lam=0.0)
+            best = pinball_lp_oracle(X, y, alpha)
+            assert abs(pinball_objective(predict(model, padded), y, alpha) - best) <= 1e-9 * best
 
     def test_penalized_fit_is_scale_equivariant(self):
         # On a target whose std is far from 1, a fit on c * y predicts c times
