@@ -120,8 +120,7 @@ class Segment:
     ``obs_mask`` marks what an imputer may see; ``eval_mask`` marks held-out
     positions that will be scored. The two masks are disjoint, and callers
     must only ever move parent-observed positions into ``eval_mask``.
-    ``norm`` carries the visible-context normalization once a missingness
-    scenario has been applied.
+    ``znorm_stats`` gives the statistics of the visible context.
     """
 
     start: int
@@ -131,7 +130,6 @@ class Segment:
     eval_mask: np.ndarray
     freq: FrequencySpec
     covariates: dict[str, np.ndarray] = field(default_factory=dict)
-    norm: NormStats | None = None
 
     def __post_init__(self) -> None:
         if self.length < 1:

@@ -18,14 +18,14 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .core import FrequencySpec, TimeSeries, chrono_split, extract_segments, masked_norm_stats
+from .core import FrequencySpec, TimeSeries, chrono_split, extract_segments, masked_norm_stats, znorm_stats
 from .imputers import make_imputer
 from .masking import DEFAULT_SCENARIOS, InfeasibleScenario, Scenario, apply_scenario
 from .metrics import ScoreRecord, aggregate, average_ranks, wql, znorm_mae
@@ -170,6 +170,8 @@ def synth_from_dict(raw: dict) -> SynthSpec:
     )
 
 
+# Dataset keys that only a CSV entry reads; a synth entry sets its frequency inside ``synth``.
+_CSV_KEYS = ("steps_per_day", "seasonal_period", "timestamp_column", "value_column", "covariate_columns")
 # The segment keys, by the RunConfig field each fills.
 _SEGMENT_KEYS = {"len_days": "segment_len_days", "stride": "stride_days"}
 
@@ -182,6 +184,9 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> RunConfig:
     for entry in rest.pop("datasets", None) or ():
         d = _mapping(entry, "dataset")
         if "synth" in d:
+            for key in _CSV_KEYS:
+                if key in d:
+                    raise ValueError(f"dataset {d.get('id')!r}: {key!r} applies only to CSV datasets, not to synth")
             d["synth"] = synth_from_dict(d["synth"])
         if d.get("path") is not None:
             d["path"] = str(base / d["path"])
@@ -264,7 +269,7 @@ def ingest_csv(
     if isinstance(stamps[0], datetime):
         # Infer the grid step as the smallest positive spacing; every other
         # spacing must be a whole multiple of it (a gap on the same grid).
-        offsets = np.array([int((s - stamps[0]).total_seconds() * 1e6) for s in stamps], dtype=np.int64)
+        offsets = np.array([(s - stamps[0]) // timedelta(microseconds=1) for s in stamps], dtype=np.int64)
         if len(offsets) > 1:
             diffs = np.diff(offsets)
             step = int(diffs.min())
@@ -342,7 +347,7 @@ def _score_task(args) -> list[ScoreRecord]:
         masked = apply_scenario(segment, scenario, mask_seed)
     except InfeasibleScenario:
         return []
-    truth = masked.values[masked.eval_mask]
+    truth, norm = masked.values[masked.eval_mask], znorm_stats(masked)
     if len(truth) == 0:
         return []
     records = []
@@ -354,7 +359,7 @@ def _score_task(args) -> list[ScoreRecord]:
             ticks = f"{first}-{first + segment.length - 1}"
             where = f"dataset {ds_id!r}, ticks {ticks}, scenario {scenario.label!r}, imputer {spec.name!r}"
             raise ValueError(f"{where}: {err}") from err
-        mae = znorm_mae(truth, imputation.point, masked.norm)
+        mae = znorm_mae(truth, imputation.point, norm)
         wql_value = None
         if imputation.quantiles is not None:
             try:

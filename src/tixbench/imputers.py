@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import FrequencySpec, Segment, znorm_stats
+from .core import FrequencySpec, Segment
 from .features import (
     HANDCRAFTED_FOURIER,
     RANDOM_FOURIER,
@@ -153,21 +153,18 @@ def _fit_heads(
 ) -> Imputation:
     """Fit heads on the visible rows of ``X`` and predict its evaluated rows.
 
-    The target is z-normalized by the segment's visible-context stats before
-    the fits and predictions are mapped back. A ridge head gives the point
-    estimate; with ``quantile_levels`` given, one batched pinball fit gives a
-    head per level, and the predictions pass through the non-crossing
-    rearrangement.
+    The heads fit the visible values as they are; the fits scale the target
+    themselves. A ridge head gives the point estimate; with
+    ``quantile_levels`` given, one batched pinball fit gives a head per level,
+    and the predictions pass through the non-crossing rearrangement.
     """
     vis = _require_context(segment, minimum=2)
-    norm = segment.norm or znorm_stats(segment)
-    y = (segment.values[vis] - norm.mean) / norm.std
-    X_vis, X_eval = X[vis], X[_eval_indices(segment)]
-    point = predict(ridge_fit(X_vis, y, lam), X_eval) * norm.std + norm.mean
+    y, X_vis, X_eval = segment.values[vis], X[vis], X[_eval_indices(segment)]
+    point = predict(ridge_fit(X_vis, y, lam), X_eval)
     quantiles = None
     if quantile_levels:
         heads = pinball_fit(X_vis, y, alpha=quantile_levels, lam=lam)
-        quantiles = enforce_noncrossing({m.quantile: predict(m, X_eval) * norm.std + norm.mean for m in heads})
+        quantiles = enforce_noncrossing({m.quantile: predict(m, X_eval) for m in heads})
     return Imputation(point=point, quantiles=quantiles)
 
 

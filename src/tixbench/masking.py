@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Segment, round_half_up, znorm_stats
+from .core import Segment, round_half_up
 
 POINTWISE = "pointwise"
 BLOCKS = "blocks"
@@ -60,7 +60,8 @@ DEFAULT_SCENARIOS: tuple[Scenario, ...] = (
 
 def _pick_pointwise(rng: np.random.Generator, visible: np.ndarray, fraction: float) -> np.ndarray:
     k = round_half_up(fraction * len(visible))
-    k = min(k, len(visible))
+    if k >= len(visible):
+        raise InfeasibleScenario(f"pointwise draw of {k} would hide all {len(visible)} visible positions")
     return rng.choice(visible, size=k, replace=False)
 
 
@@ -80,9 +81,10 @@ def apply_scenario(segment: Segment, scenario: Scenario, seed: int) -> Segment:
     Pointwise(p) removes exactly round(p * n_visible) positions chosen
     uniformly without replacement. Blocks(k) removes k non-overlapping
     day-aligned runs of ``steps_per_day`` consecutive positions, chosen
-    uniformly among the day slots that are fully visible. The result carries
-    normalization stats computed on the remaining visible context.
-    Deterministic for fixed (segment, scenario, seed).
+    uniformly among the day slots that are fully visible. A scenario the
+    segment cannot hold raises ``InfeasibleScenario``: a block scenario
+    without k fully visible days, or a pointwise draw that would leave no
+    visible position. Deterministic for fixed (segment, scenario, seed).
     """
     rng = np.random.default_rng(seed)
     obs = segment.obs_mask.copy()
@@ -105,5 +107,4 @@ def apply_scenario(segment: Segment, scenario: Scenario, seed: int) -> Segment:
 
     obs[chosen] = False
     evl[chosen] = True
-    masked = replace(segment, obs_mask=obs, eval_mask=evl, norm=None)
-    return replace(masked, norm=znorm_stats(masked))
+    return replace(segment, obs_mask=obs, eval_mask=evl)

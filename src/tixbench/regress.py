@@ -1,9 +1,10 @@
 """In-context linear heads: closed-form ridge and pinball-loss regression.
 
-Both fits standardize feature columns internally (statistics of the context
-rows, std floored) and keep the intercept unpenalized; coefficients are
-mapped back to the original scale before being returned, so predictions are
-invariant to affine rescaling of any feature column.
+Both fits standardize the feature columns and the target by the mean and
+(floored) std of the context rows and penalize lam * ||c||^2, c the
+coefficients of that standardized problem, with the intercept free. Mapped
+back to original units, predictions are invariant to affine rescaling of any
+feature column, and a fit on k * y + m predicts k times the fit on y, plus m.
 
 The ridge head solves the regularized normal equations with one LAPACK
 Cholesky solve. The quantile head is the linear program of Koenker
@@ -79,27 +80,31 @@ def _inputs(X, y, lam: float, min_rows: int) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mx = X.mean(axis=0)
-    sx = np.maximum(X.std(axis=0), STD_FLOOR)
-    return (X - mx) / sx, mx, sx
+def _standardize(X: np.ndarray, y: np.ndarray):
+    """The columns of ``X`` and the target ``y``, centred and scaled (std
+    floored), and the map from coefficients and intercepts on them back to
+    original units."""
+    mx, my = X.mean(axis=0), float(np.mean(y))
+    sx, sy = np.maximum(X.std(axis=0), STD_FLOOR), max(float(np.std(y)), STD_FLOOR)
+
+    def to_original(c: np.ndarray, b):
+        w = c * sy / sx
+        return w, my + sy * b - w @ mx
+
+    return (X - mx) / sx, (y - my) / sy, to_original
 
 
 def ridge_fit(X, y, lam: float = DEFAULT_LAMBDA) -> LinearModel:
     """Ridge regression with unpenalized intercept via normal equations.
 
-    Minimizes ||y - Xw - b||^2 + lam * ||w_std||^2 where w_std are the
-    coefficients on internally standardized columns. One Cholesky solve
-    (``dposv``) gives w_std; when the system is not positive definite or its
-    residual is too large (lam = 0 on rank-deficient contexts), the exact
-    minimum-norm least-squares solution replaces it.
+    Minimizes ||ys - Xs c||^2 + lam * ||c||^2 on the standardized problem,
+    whose centring makes the intercept 0. One Cholesky solve (``dposv``)
+    gives c; when the system is not positive definite or its residual is too
+    large (lam = 0 on rank-deficient contexts), the exact minimum-norm
+    least-squares solution replaces it.
     """
     X, y = _inputs(X, y, lam, min_rows=1)
-
-    Xs, mx, sx = _standardize(X)
-    my = float(np.mean(y))
-    ys = y - my
-
+    Xs, ys, to_original = _standardize(X, y)
     A = Xs.T @ Xs + lam * np.eye(X.shape[1])
     rhs = Xs.T @ ys
     tol = 1e-8 * max(np.linalg.norm(rhs), 1.0)
@@ -110,9 +115,8 @@ def ridge_fit(X, y, lam: float = DEFAULT_LAMBDA) -> LinearModel:
         if not np.linalg.norm(A @ ws - rhs) <= tol:
             raise ArithmeticError("normal equations solve did not converge")
 
-    w = ws / sx
-    b = my - float(w @ mx)
-    return LinearModel(weights=w, intercept=b)
+    w, b = to_original(ws, 0.0)
+    return LinearModel(weights=w, intercept=float(b))
 
 
 def predict(model: LinearModel, X) -> np.ndarray:
@@ -132,18 +136,17 @@ def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel | list[
     """Quantile linear heads: minimize sum pinball_alpha(y - Xw - b) + penalty.
 
     One level ``alpha`` gives one LinearModel; a sequence gives a list in the
-    same order. With Xs the standardized columns, ys = (y - mean) / sy, the
+    same order. With Xs and ys the standardized columns and target, the
     thin SVD Xs = U S V' and r the number of singular values above 1e-12
     times the largest, the fit runs on Z = [U_r S_r, 1]: each level solves
-    min alpha 1'u + (1 - alpha) 1'v + lam ||c||^2 subject to
-    Z (c, b) + u - v = ys and u, v >= 0, and w_std = V_r c. Since
-    ||V_r c|| = ||c|| and a null-space part of w_std changes no fit but adds
-    to the penalty, this is the fit on [Xs, 1]: sum pinball +
-    (lam / sy) ||w_std||^2 in original units, so a fit on k * y is k times
-    the fit on y, as with ``ridge_fit``. The levels share Z and step
-    together; each step factors, per level, Z' diag(1/theta) Z +
-    2 lam diag(1, .., 1, 0), theta = u/s + v/z with s, z the dual slacks,
-    once for both predictor and corrector.
+    min alpha 1'u + (1 - alpha) 1'v + lam ||g||^2 subject to
+    Z (g, b) + u - v = ys and u, v >= 0, and c = V_r g. Since
+    ||V_r g|| = ||g|| and a null-space part of c changes no fit but adds
+    to the penalty, this is the fit on [Xs, 1] with penalty lam ||c||^2, as
+    in ``ridge_fit``. The levels share Z and step together; each step
+    factors, per level, Z' diag(1/theta) Z + 2 lam diag(1, .., 1, 0),
+    theta = u/s + v/z with s, z the dual slacks, once for both predictor
+    and corrector.
 
     A level leaves the active set when its gap u's + v'z and its primal and
     dual residuals are each below 1e-9 relative to their scale, or at a step
@@ -157,12 +160,7 @@ def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel | list[
     if levels.ndim != 1 or not len(levels) or not np.all((levels > 0.0) & (levels < 1.0)):
         raise ValueError("alpha must be one level or a sequence of levels, each strictly in (0, 1)")
     X, y = _inputs(X, y, lam, min_rows=2)
-
-    Xs, mx, sx = _standardize(X)
-    my = float(np.mean(y))
-    sy = max(float(np.std(y)), STD_FLOOR)
-    ys = (y - my) / sy
-
+    Xs, ys, to_original = _standardize(X, y)
     U, S, Vt = np.linalg.svd(Xs, full_matrices=False)
     r = int(np.sum(S > 1e-12 * S.max(initial=0.0)))
     n = len(ys)
@@ -229,8 +227,7 @@ def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel | list[
         z += t * da
     solved[active] = beta
 
-    w_orig = solved[:, :-1] @ Vt[:r] * sy / sx
-    b_orig = my + sy * solved[:, -1] - w_orig @ mx
+    w_orig, b_orig = to_original(solved[:, :-1] @ Vt[:r], solved[:, -1])
     models = [LinearModel(w, float(b), quantile=float(q)) for w, b, q in zip(w_orig, b_orig, levels)]
     return models[0] if np.ndim(alpha) == 0 else models
 

@@ -162,7 +162,7 @@ class TestStackCovariates:
     def test_covariate_carries_signal_fourier_cannot(self):
         # Target exactly 2*cov + 1 with day-long gaps: stacking the covariate
         # makes the fit exact while the univariate basis stays far off.
-        from tixbench import Scenario, apply_scenario, impute_time_indexed, znorm_mae
+        from tixbench import Scenario, apply_scenario, impute_time_indexed, znorm_mae, znorm_stats
         from conftest import make_segment
 
         rng = np.random.default_rng(0)
@@ -177,7 +177,7 @@ class TestStackCovariates:
         with_cov = impute_time_indexed(masked, lam=1e-9, use_covariates=True)
         without = impute_time_indexed(masked, lam=1e-9, use_covariates=False)
         assert np.mean(np.abs(with_cov.point - truth)) < 1e-9
-        assert znorm_mae(truth, without.point, masked.norm) > 0.1
+        assert znorm_mae(truth, without.point, znorm_stats(masked)) > 0.1
 
     def test_leakage_free(self):
         # Features depend on timestamps and spec only, never on target values.

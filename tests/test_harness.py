@@ -117,6 +117,14 @@ class TestIngest:
         with pytest.raises(ValueError, match="non-uniform sampling"):
             ingest_csv(path, HOURLY)
 
+    def test_sub_second_iso_grid(self, tmp_path):
+        # 1.047 s is 1046999 us through float seconds; the grid must come out uniform.
+        rows = [[f"2024-01-01T00:00:{t // 1000:02d}.{t % 1000:03d}", float(t)] for t in range(1100)]
+        series = ingest_csv(write_csv(tmp_path / "ms.csv", rows), HOURLY)
+        assert len(series) == 1100
+        assert series.obs_mask.all()
+        np.testing.assert_array_equal(series.values, np.arange(1100.0))
+
     def test_integer_timestamps_are_ticks(self, tmp_path):
         # Sparse integers sit on the unit grid; absent ticks become gaps.
         path = write_csv(tmp_path / "a.csv", [[0, 1.0], [10, 2.0], [15, 3.0], [27, 4.0]])
@@ -279,6 +287,20 @@ class TestRunConfig:
         )
         assert config_digest(built) == config_digest(from_yaml)
 
+    CSV_ONLY = {
+        "steps_per_day": 48,
+        "seasonal_period": 12,
+        "timestamp_column": "time",
+        "value_column": "load",
+        "covariate_columns": ["temp"],
+    }
+
+    @pytest.mark.parametrize("key", sorted(CSV_ONLY))
+    def test_csv_only_key_on_synth_dataset_rejected(self, key):
+        raw = {"datasets": [{"id": "x", "synth": SYNTH_DICT, key: self.CSV_ONLY[key]}], "imputers": [{"id": "linear"}]}
+        with pytest.raises(ValueError, match=f"^dataset 'x': '{key}' applies only to CSV datasets"):
+            config_from_dict(raw)
+
     def test_dataset_needs_source(self):
         with pytest.raises(ValueError, match="exactly one of path or synth"):
             DatasetSpec(id="x")
@@ -391,6 +413,24 @@ class TestRun:
         monkeypatch.setattr(harness, "apply_scenario", broken)
         with pytest.raises(ValueError, match="untyped"):
             run(demo_config(tmp_path))
+
+    def test_sparse_window_skips_its_tasks(self, tmp_path):
+        # 140 hourly days; the test slice is the last 28 days (ticks 2688-3359),
+        # four 7-day windows. The first holds one observed value, which no
+        # scenario can hide and leave a context; the other three are full.
+        sparse = range(2688, 2856)
+        rows = [[t, "" if t in sparse and t != 2700 else np.sin(2 * np.pi * t / 24)] for t in range(3360)]
+        write_csv(tmp_path / "sparse.csv", rows)
+        config = config_from_dict(
+            {
+                "segment": {"len_days": 7, "stride": [7, 7]},
+                "datasets": [{"id": "sparse", "path": str(tmp_path / "sparse.csv"), "steps_per_day": 24}],
+                "imputers": [{"id": "linear"}, {"id": "tix_fourier"}],
+            }
+        )
+        records = run(config).records
+        assert len(records) == 3 * 4 * 2
+        assert {r.n_points for r in records if r.scenario_label == "pointwise1"} == {84}
 
     def test_min_std_filter_drops_flat_segments(self, tmp_path):
         flat_synth = {

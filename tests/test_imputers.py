@@ -22,6 +22,7 @@ from tixbench import (
     random_fourier_basis,
     ridge_fit,
     znorm_mae,
+    znorm_stats,
 )
 from tixbench.imputers import _time_basis
 from conftest import make_segment
@@ -165,7 +166,7 @@ class TestTimeIndexed:
         with_cov = impute_time_indexed(masked, lam=1e-9, use_covariates=True)
         without = impute_time_indexed(masked, lam=1e-9, use_covariates=False)
         assert np.mean(np.abs(with_cov.point - truth)) < 1e-9
-        assert znorm_mae(truth, without.point, masked.norm) > 0.1
+        assert znorm_mae(truth, without.point, znorm_stats(masked)) > 0.1
 
     def test_quantile_variant_noncrossing(self):
         rng = np.random.default_rng(5)
@@ -190,7 +191,7 @@ class TestTimeIndexed:
         spec = FeatureSpec(kind="random_fourier", n_random=64, seed=0)
         out = impute_time_indexed(masked, fspec=spec, lam=1e-8)
         truth = masked.values[masked.eval_mask]
-        assert znorm_mae(truth, out.point, masked.norm) < 1e-3
+        assert znorm_mae(truth, out.point, znorm_stats(masked)) < 1e-3
 
 
 class TestTimeBasisCache:
@@ -327,7 +328,7 @@ class TestContract:
         before = fn(masked).point
         tampered_values = masked.values.copy()
         tampered_values[~masked.obs_mask] = 1e6
-        tampered = replace(masked, values=tampered_values, norm=masked.norm)
+        tampered = replace(masked, values=tampered_values)
         after = fn(tampered).point
         assert np.array_equal(before, after)
 

@@ -146,7 +146,17 @@ def test_mask_bookkeeping(seed, frac):
 def test_norm_uses_remaining_context_only():
     seg = full_segment(n=400, seed=4)
     masked = apply_scenario(seg, POINTWISE_HALF, seed=11)
-    assert masked.norm == znorm_stats(masked)
     vis = masked.values[masked.obs_mask]
-    assert masked.norm.mean == pytest.approx(vis.mean(), abs=1e-12)
-    assert masked.norm.std == pytest.approx(vis.std(), abs=1e-12)
+    assert znorm_stats(masked).mean == pytest.approx(vis.mean(), abs=1e-12)
+    assert znorm_stats(masked).std == pytest.approx(vis.std(), abs=1e-12)
+
+
+def test_pointwise_draw_that_would_hide_every_visible_point_is_infeasible():
+    # round(0.5 * 1) = 1: the only visible position would go.
+    obs = np.zeros(48, dtype=bool)
+    obs[10] = True
+    with pytest.raises(InfeasibleScenario, match="would hide all 1 visible"):
+        apply_scenario(make_segment(np.zeros(48), obs), POINTWISE_HALF, seed=0)
+    obs[20] = True
+    masked = apply_scenario(make_segment(np.zeros(48), obs), POINTWISE_HALF, seed=0)
+    assert masked.obs_mask.sum() == masked.eval_mask.sum() == 1
