@@ -28,8 +28,8 @@ def round_half_up(x: float) -> int:
 class FrequencySpec:
     """Sampling-rate metadata: ticks per day/week and the seasonal period.
 
-    ``steps_per_week`` is always 7 * ``steps_per_day``; pass 0 (the default)
-    to derive it. ``seasonal_period`` defaults to one day.
+    Counts are whole numbers (24.0 is stored as 24). ``steps_per_week`` is 7 *
+    ``steps_per_day`` (pass 0 to derive it); ``seasonal_period`` defaults to one day.
     """
 
     steps_per_day: int
@@ -37,6 +37,11 @@ class FrequencySpec:
     seasonal_period: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("steps_per_day", "steps_per_week", "seasonal_period"):
+            value = getattr(self, name)
+            if not float(value).is_integer():
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.steps_per_day < 1:
             raise ValueError("steps_per_day must be a positive integer")
         if self.steps_per_week == 0:
@@ -119,8 +124,10 @@ class Segment:
 
     ``obs_mask`` marks what an imputer may see; ``eval_mask`` marks held-out
     positions that will be scored. The two masks are disjoint, and callers
-    must only ever move parent-observed positions into ``eval_mask``.
-    ``znorm_stats`` gives the statistics of the visible context.
+    must only ever move parent-observed positions into ``eval_mask``. One
+    visible position is all an imputer needs; whether a task has a position
+    to score is ``apply_scenario``'s call. ``znorm_stats`` gives the
+    statistics of the visible context.
     """
 
     start: int
@@ -153,6 +160,22 @@ class Segment:
         return self.length
 
 
+def _split_fractions(fractions) -> tuple[float, float, float]:
+    """The split fractions as floats; there must be three, each positive, summing to 1."""
+    fr = tuple(float(f) for f in fractions)
+    if len(fr) != 3 or min(fr) <= 0 or abs(sum(fr) - 1.0) > 1e-9:
+        raise ValueError(f"splits must be three positive fractions that sum to 1, got {list(fr)}")
+    return fr
+
+
+def _check_window(len_days, stride) -> None:
+    """A window spans a whole number of days, at least one; its stride range, in days, has 0 < min <= max."""
+    if len_days < 1 or not float(len_days).is_integer():
+        raise ValueError(f"len_days must be a whole number >= 1, got {len_days!r}")
+    if len(stride) != 2 or not 0 < stride[0] <= stride[1]:
+        raise ValueError(f"stride needs two day counts with 0 < min <= max, got {list(stride)}")
+
+
 def chrono_split(
     series: TimeSeries, fractions: tuple[float, float, float]
 ) -> tuple[TimeSeries, TimeSeries, TimeSeries]:
@@ -161,13 +184,7 @@ def chrono_split(
     Boundary indices are floor(n * cumulative fraction); any remainder goes to
     the last slice, so concatenating the parts reproduces the input exactly.
     """
-    if len(fractions) != 3:
-        raise ValueError("fractions must be a triple")
-    fr = [float(f) for f in fractions]
-    if any(f <= 0 for f in fr):
-        raise ValueError("fractions must be positive")
-    if abs(sum(fr) - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1")
+    fr = _split_fractions(fractions)
     n = len(series)
     if n < 3:
         raise ValueError("series too short to split")
@@ -204,10 +221,7 @@ def extract_segments(
     generator; iteration stops once a full window no longer fits. Windows
     containing no observed position are skipped. Deterministic per seed.
     """
-    if seg_len_days < 1:
-        raise ValueError("seg_len_days must be >= 1")
-    if not (0 < stride_min_days <= stride_max_days):
-        raise ValueError("need 0 < stride_min_days <= stride_max_days")
+    _check_window(seg_len_days, (stride_min_days, stride_max_days))
     steps = series.freq.steps_per_day
     window = seg_len_days * steps
     n = len(series)

@@ -25,7 +25,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .core import FrequencySpec, TimeSeries, chrono_split, extract_segments, masked_norm_stats, znorm_stats
+from .core import FrequencySpec, TimeSeries, _check_window, _split_fractions, chrono_split, extract_segments
+from .core import znorm_stats
 from .imputers import make_imputer
 from .masking import DEFAULT_SCENARIOS, InfeasibleScenario, Scenario, apply_scenario
 from .metrics import ScoreRecord, aggregate, average_ranks, wql, znorm_mae
@@ -78,8 +79,11 @@ class DatasetSpec:
         object.__setattr__(self, "min_std_filter", float(self.min_std_filter))
         if (self.path is None) == (self.synth is None):
             raise ValueError(f"dataset {self.id!r} needs exactly one of path or synth")
-        if self.path is not None and self.steps_per_day < 1:
-            raise ValueError(f"dataset {self.id!r}: steps_per_day required for CSV datasets")
+        if self.path is not None:
+            try:
+                FrequencySpec(self.steps_per_day, seasonal_period=self.seasonal_period)
+            except ValueError as err:
+                raise ValueError(f"dataset {self.id!r}: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -112,10 +116,13 @@ class RunConfig:
         object.__setattr__(self, "datasets", tuple(self.datasets))
         object.__setattr__(self, "imputers", tuple(self.imputers))
         object.__setattr__(self, "scenarios", tuple(self.scenarios) or DEFAULT_SCENARIOS)
-        object.__setattr__(self, "splits", tuple(float(f) for f in self.splits))
         object.__setattr__(self, "stride_days", tuple(float(d) for d in self.stride_days))
-        if len(self.splits) != 3 or len(self.stride_days) != 2:
-            raise ValueError("splits needs three fractions and the segment stride two day counts")
+        object.__setattr__(self, "splits", _split_fractions(self.splits))
+        try:
+            _check_window(self.segment_len_days, self.stride_days)
+        except ValueError as err:
+            raise ValueError(f"segment.{err}") from None
+        object.__setattr__(self, "segment_len_days", int(self.segment_len_days))
         if not self.datasets:
             raise ValueError("config needs at least one dataset")
         if not self.imputers:
@@ -348,8 +355,6 @@ def _score_task(args) -> list[ScoreRecord]:
     except InfeasibleScenario:
         return []
     truth, norm = masked.values[masked.eval_mask], znorm_stats(masked)
-    if len(truth) == 0:
-        return []
     records = []
     for spec in imputer_specs:
         try:
@@ -502,11 +507,7 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
                 f" {window}-tick ({config.segment_len_days}-day) window with an observed value"
             )
         if ds.min_std_filter > 0:
-            segments = [
-                s
-                for s in segments
-                if masked_norm_stats(s.values, s.obs_mask).std >= ds.min_std_filter
-            ]
+            segments = [s for s in segments if znorm_stats(s).std >= ds.min_std_filter]
         for segment in segments:
             for scenario in config.scenarios:
                 tasks.append((ds.id, segment, scenario, config.seed, config.imputers, int(test.timestamps[0])))

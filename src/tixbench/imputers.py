@@ -63,31 +63,20 @@ class Imputation:
                     raise ValueError("quantile predictions cross")
 
 
-def _eval_indices(segment: Segment) -> np.ndarray:
-    return np.flatnonzero(segment.eval_mask)
-
-
-def _require_context(segment: Segment, minimum: int = 1) -> np.ndarray:
-    vis = np.flatnonzero(segment.obs_mask)
-    if len(vis) < minimum:
-        raise ValueError("empty context")
-    return vis
-
-
 def impute_linear(segment: Segment) -> Imputation:
     """Straight-line interpolation between the nearest visible anchors.
 
     Leading gaps copy the first visible value backward (NOCB); trailing gaps
     carry the last visible value forward (LOCF).
     """
-    vis = _require_context(segment)
-    evals = _eval_indices(segment)
+    vis = np.flatnonzero(segment.obs_mask)
+    evals = np.flatnonzero(segment.eval_mask)
     point = np.interp(evals.astype(float), vis.astype(float), segment.values[vis])
     return Imputation(point=point)
 
 
 def _locf_values(segment: Segment, positions: np.ndarray) -> np.ndarray:
-    vis = _require_context(segment)
+    vis = np.flatnonzero(segment.obs_mask)
     vals = segment.values[vis]
     idx = np.searchsorted(vis, positions, side="right") - 1
     out = np.where(idx >= 0, vals[np.maximum(idx, 0)], vals[0])
@@ -97,7 +86,7 @@ def _locf_values(segment: Segment, positions: np.ndarray) -> np.ndarray:
 def impute_locf(segment: Segment) -> Imputation:
     """Copy the most recent visible value; a leading gap copies the first
     visible value backward once (NOCB initialization)."""
-    evals = _eval_indices(segment)
+    evals = np.flatnonzero(segment.eval_mask)
     point = _locf_values(segment, evals)
     return Imputation(point=point)
 
@@ -112,8 +101,8 @@ def impute_seasonal_naive(segment: Segment, season: int | None = None) -> Imputa
     S = segment.freq.seasonal_period if season is None else int(season)
     if S < 1:
         raise ValueError("seasonal period must be >= 1")
-    vis = _require_context(segment)
-    evals = _eval_indices(segment)
+    vis = np.flatnonzero(segment.obs_mask)
+    evals = np.flatnonzero(segment.eval_mask)
     n = segment.length
     # The probe order finds the nearest visible position of t's residue class
     # mod S, the earlier one on a tie. Keying each position by
@@ -156,10 +145,11 @@ def _fit_heads(
     The heads fit the visible values as they are; the fits scale the target
     themselves. A ridge head gives the point estimate; with
     ``quantile_levels`` given, one batched pinball fit gives a head per level,
-    and the predictions pass through the non-crossing rearrangement.
+    and the predictions pass through the non-crossing rearrangement. One
+    visible value is enough context: every head then predicts that value.
     """
-    vis = _require_context(segment, minimum=2)
-    y, X_vis, X_eval = segment.values[vis], X[vis], X[_eval_indices(segment)]
+    vis = np.flatnonzero(segment.obs_mask)
+    y, X_vis, X_eval = segment.values[vis], X[vis], X[np.flatnonzero(segment.eval_mask)]
     point = predict(ridge_fit(X_vis, y, lam), X_eval)
     quantiles = None
     if quantile_levels:

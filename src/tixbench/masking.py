@@ -22,7 +22,7 @@ _REJECTION_LIMIT = 1000
 
 
 class InfeasibleScenario(ValueError):
-    """The segment cannot hold the scenario, e.g. too few fully visible days."""
+    """The scenario cannot apply: too few fully visible days, or a draw that hides no visible position or every one."""
 
 
 @dataclass(frozen=True)
@@ -58,13 +58,6 @@ DEFAULT_SCENARIOS: tuple[Scenario, ...] = (
 )
 
 
-def _pick_pointwise(rng: np.random.Generator, visible: np.ndarray, fraction: float) -> np.ndarray:
-    k = round_half_up(fraction * len(visible))
-    if k >= len(visible):
-        raise InfeasibleScenario(f"pointwise draw of {k} would hide all {len(visible)} visible positions")
-    return rng.choice(visible, size=k, replace=False)
-
-
 def _pick_block_days(rng: np.random.Generator, feasible: list[int], k: int) -> list[int]:
     # Rejection sampling of k non-overlapping day slots, with a deterministic
     # lexicographic fallback if rejection keeps failing.
@@ -81,10 +74,12 @@ def apply_scenario(segment: Segment, scenario: Scenario, seed: int) -> Segment:
     Pointwise(p) removes exactly round(p * n_visible) positions chosen
     uniformly without replacement. Blocks(k) removes k non-overlapping
     day-aligned runs of ``steps_per_day`` consecutive positions, chosen
-    uniformly among the day slots that are fully visible. A scenario the
-    segment cannot hold raises ``InfeasibleScenario``: a block scenario
-    without k fully visible days, or a pointwise draw that would leave no
-    visible position. Deterministic for fixed (segment, scenario, seed).
+    uniformly among the day slots that are fully visible. This is the one
+    place that decides whether a task can be scored: it raises
+    ``InfeasibleScenario`` for a block scenario without k fully visible days,
+    and for a draw that hides no position or every visible one. Any segment
+    it returns has both a visible context and a position to score.
+    Deterministic for fixed (segment, scenario, seed).
     """
     rng = np.random.default_rng(seed)
     obs = segment.obs_mask.copy()
@@ -92,18 +87,18 @@ def apply_scenario(segment: Segment, scenario: Scenario, seed: int) -> Segment:
     visible = np.flatnonzero(obs)
 
     if scenario.kind == POINTWISE:
-        chosen = _pick_pointwise(rng, visible, scenario.param)
+        chosen = rng.choice(visible, size=round_half_up(scenario.param * len(visible)), replace=False)
     else:
         steps = segment.freq.steps_per_day
         k = int(scenario.param)
-        if k * steps >= segment.length:
-            raise InfeasibleScenario("infeasible block scenario")
-        n_days = segment.length // steps
-        feasible = [d for d in range(n_days) if obs[d * steps : (d + 1) * steps].all()]
+        feasible = [d for d in range(segment.length // steps) if obs[d * steps : (d + 1) * steps].all()]
         if len(feasible) < k:
             raise InfeasibleScenario("infeasible block scenario")
         days = _pick_block_days(rng, feasible, k)
         chosen = np.concatenate([np.arange(d * steps, (d + 1) * steps) for d in days])
+    if not 0 < len(chosen) < len(visible):
+        what = "hides no position" if len(chosen) == 0 else f"would hide all {len(visible)} visible positions"
+        raise InfeasibleScenario(f"{scenario.kind} draw of {len(chosen)} {what}")
 
     obs[chosen] = False
     evl[chosen] = True

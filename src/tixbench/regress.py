@@ -66,11 +66,11 @@ def _rows(X) -> np.ndarray:
     return rows
 
 
-def _inputs(X, y, lam: float, min_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The feature rows and target of a fit, checked along with its penalty."""
+def _inputs(X, y, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The feature rows and target of a fit, checked along with its penalty; one row is enough."""
     X, y = _rows(X), np.asarray(y, dtype=float)
-    if X.shape[0] < min_rows:
-        raise ValueError(f"empty context: fewer than {min_rows} rows")
+    if not X.shape[0]:
+        raise ValueError("empty context: no rows")
     if X.shape[0] != len(y):
         raise ValueError("X and y must have matching row counts")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
@@ -103,7 +103,7 @@ def ridge_fit(X, y, lam: float = DEFAULT_LAMBDA) -> LinearModel:
     large (lam = 0 on rank-deficient contexts), the exact minimum-norm
     least-squares solution replaces it.
     """
-    X, y = _inputs(X, y, lam, min_rows=1)
+    X, y = _inputs(X, y, lam)
     Xs, ys, to_original = _standardize(X, y)
     A = Xs.T @ Xs + lam * np.eye(X.shape[1])
     rhs = Xs.T @ ys
@@ -159,7 +159,7 @@ def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel | list[
     levels = np.atleast_1d(np.asarray(alpha, dtype=float))
     if levels.ndim != 1 or not len(levels) or not np.all((levels > 0.0) & (levels < 1.0)):
         raise ValueError("alpha must be one level or a sequence of levels, each strictly in (0, 1)")
-    X, y = _inputs(X, y, lam, min_rows=2)
+    X, y = _inputs(X, y, lam)
     Xs, ys, to_original = _standardize(X, y)
     U, S, Vt = np.linalg.svd(Xs, full_matrices=False)
     r = int(np.sum(S > 1e-12 * S.max(initial=0.0)))

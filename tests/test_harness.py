@@ -301,6 +301,49 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"^dataset 'x': '{key}' applies only to CSV datasets"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            pytest.param({"splits": [0.5, 0.5, 0.5]}, "splits", id="splits_sum"),
+            pytest.param({"segment": {"len_days": 0}}, "segment.len_days", id="len_days"),
+            pytest.param({"segment": {"len_days": 1.5}}, "segment.len_days", id="len_days_fraction"),
+            pytest.param({"segment": {"stride": [2, 0.5]}}, "segment.stride", id="stride_order"),
+            pytest.param({"segment": {"stride": [0, 1]}}, "segment.stride", id="stride_zero"),
+            pytest.param({"csv": {"seasonal_period": -5}}, "seasonal_period", id="csv_seasonal_period"),
+            pytest.param({"csv": {"seasonal_period": 12.5}}, "seasonal_period", id="csv_fractional_period"),
+            pytest.param({"csv": {"steps_per_day": 24.5}}, "steps_per_day", id="csv_fractional_steps"),
+            pytest.param({"synth": {"steps_per_day": 24.5}}, "steps_per_day", id="synth_fractional_steps"),
+            pytest.param({"synth": {"seasonal_period": 2.5}}, "seasonal_period", id="synth_fractional_period"),
+        ],
+    )
+    def test_bad_protocol_value_rejected_at_load(self, tmp_path, change, key):
+        # No CSV exists at the dataset path: the error must come before any
+        # dataset is read.
+        change = dict(change)
+        csv_entry = {"id": "c", "path": "absent.csv", "steps_per_day": 24, **change.pop("csv", {})}
+        synth_entry = {"id": "s", "synth": {**SYNTH_DICT, **change.pop("synth", {})}}
+        raw = {"datasets": [csv_entry, synth_entry], "imputers": [{"id": "linear"}], **change}
+        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(raw))
+        with pytest.raises(ValueError, match=key):
+            load_config(tmp_path / "cfg.yaml")
+
+    def test_integral_floats_digest_as_ints(self):
+        def config(steps_per_day, seasonal_period, len_days):
+            synth = {**SYNTH_DICT, "steps_per_day": steps_per_day, "seasonal_period": seasonal_period}
+            return config_from_dict(
+                {
+                    "segment": {"len_days": len_days},
+                    "datasets": [{"id": "d", "synth": synth}],
+                    "imputers": [{"id": "linear"}],
+                }
+            )
+
+        from_floats = config(24.0, 12.0, 28.0)
+        assert config_digest(from_floats) == config_digest(config(24, 12, 28))
+        freq = from_floats.datasets[0].synth.freq
+        counts = (freq.steps_per_day, freq.steps_per_week, freq.seasonal_period, from_floats.segment_len_days)
+        assert [type(v) for v in counts] == [int] * 4
+
     def test_dataset_needs_source(self):
         with pytest.raises(ValueError, match="exactly one of path or synth"):
             DatasetSpec(id="x")
@@ -431,6 +474,34 @@ class TestRun:
         records = run(config).records
         assert len(records) == 3 * 4 * 2
         assert {r.n_points for r in records if r.scenario_label == "pointwise1"} == {84}
+
+    @pytest.mark.parametrize(
+        "observed, pointwise1_points",
+        [
+            # Two values: pointwise1 hides one and fits the heads on the other.
+            pytest.param([2700, 2710], 1, id="two_values"),
+            # Two full days: blocks1 would hide both, blocks2 lacks four days.
+            pytest.param([*range(2712, 2736), *range(2784, 2808)], 24, id="two_full_days"),
+        ],
+    )
+    def test_window_with_two_visible_values_or_days_runs(self, tmp_path, observed, pointwise1_points):
+        # As above, but the first window holds only ``observed``: its two
+        # pointwise tasks are scored and its two block tasks are skipped.
+        sparse = set(range(2688, 2856)) - set(observed)
+        rows = [[t, "" if t in sparse else np.sin(2 * np.pi * t / 24)] for t in range(3360)]
+        write_csv(tmp_path / "sparse.csv", rows)
+        config = config_from_dict(
+            {
+                "segment": {"len_days": 7, "stride": [7, 7]},
+                "datasets": [{"id": "sparse", "path": str(tmp_path / "sparse.csv"), "steps_per_day": 24}],
+                "imputers": [{"id": "linear"}, {"id": "tix_fourier"}],
+            }
+        )
+        records = run(config).records
+        assert len(records) == 3 * 4 * 2 + 2 * 2
+        counts = {label: sum(r.scenario_label == label for r in records) for label in ("pointwise1", "blocks1")}
+        assert counts == {"pointwise1": 8, "blocks1": 6}
+        assert {r.n_points for r in records if r.scenario_label == "pointwise1"} == {pointwise1_points, 84}
 
     def test_min_std_filter_drops_flat_segments(self, tmp_path):
         flat_synth = {

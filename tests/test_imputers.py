@@ -179,10 +179,17 @@ class TestTimeIndexed:
         assert np.all(out.quantiles[0.1] <= out.quantiles[0.5])
         assert np.all(out.quantiles[0.5] <= out.quantiles[0.9])
 
-    def test_requires_two_visible_points(self):
-        seg = seg_with_evals([1.0, 0.0, 0.0], obs=[0], evals=[1])
-        with pytest.raises(ValueError, match="empty context"):
-            impute_time_indexed(seg)
+    @pytest.mark.parametrize("imputer_id", ["tix_fourier_q", "tix_random_basis_q"])
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 10.0])
+    def test_one_visible_value_is_every_prediction(self, imputer_id, lam):
+        # A single visible value is a usable context: the point and every
+        # quantile head predict that value.
+        seg = seg_with_evals([-4.0, 9.0, 1.5, 7.0], obs=[2], evals=[0, 1, 3])
+        out = make_imputer(imputer_id, lam=lam)(seg)
+        np.testing.assert_allclose(out.point, 1.5, rtol=0, atol=1e-12)
+        assert len(out.quantiles) == 9
+        for predictions in out.quantiles.values():
+            np.testing.assert_allclose(predictions, 1.5, rtol=0, atol=1e-12)
 
     def test_random_basis_variant(self):
         t = np.arange(672)

@@ -151,6 +151,27 @@ def test_norm_uses_remaining_context_only():
     assert znorm_stats(masked).std == pytest.approx(vis.std(), abs=1e-12)
 
 
+def test_block_draw_that_would_hide_every_visible_point_is_infeasible():
+    # A 7-day window whose only visible values are two full days: blocks of
+    # two days would hide both, leaving no context.
+    obs = np.zeros(7 * 24, dtype=bool)
+    obs[2 * 24 : 3 * 24] = obs[5 * 24 : 6 * 24] = True
+    seg = make_segment(np.arange(7 * 24.0), obs)
+    with pytest.raises(InfeasibleScenario, match="blocks draw of 48 would hide all 48 visible"):
+        apply_scenario(seg, Scenario("blocks", 2, "blocks1"), seed=0)
+    obs[0] = True
+    masked = apply_scenario(make_segment(np.arange(7 * 24.0), obs), Scenario("blocks", 2, "blocks1"), seed=0)
+    assert np.flatnonzero(masked.obs_mask).tolist() == [0]
+
+
+def test_pointwise_draw_that_hides_nothing_is_infeasible():
+    # round(0.3 * 1) = 0: the draw leaves nothing to score.
+    obs = np.zeros(48, dtype=bool)
+    obs[10] = True
+    with pytest.raises(InfeasibleScenario, match="pointwise draw of 0 hides no position"):
+        apply_scenario(make_segment(np.zeros(48), obs), Scenario("pointwise", 0.3, "p"), seed=0)
+
+
 def test_pointwise_draw_that_would_hide_every_visible_point_is_infeasible():
     # round(0.5 * 1) = 1: the only visible position would go.
     obs = np.zeros(48, dtype=bool)

@@ -27,6 +27,18 @@ def random_instance(rng, n=20, d=4):
     return X, y
 
 
+@pytest.mark.parametrize("d", [1, 5, 129])
+@pytest.mark.parametrize("lam", [0.0, 1e-3, 10.0])
+def test_both_heads_fit_one_row(d, lam):
+    # One context row: its standardized columns are all zero, so each head
+    # keeps only its intercept and predicts the one target value anywhere.
+    rng = np.random.default_rng(d)
+    X, y, X_new = rng.normal(size=(1, d)), np.array([-2.75]), rng.normal(size=(6, d))
+    np.testing.assert_allclose(predict(ridge_fit(X, y, lam=lam), X_new), -2.75, rtol=0, atol=1e-12)
+    for model in pinball_fit(X, y, alpha=[0.1, 0.5, 0.9], lam=lam):
+        np.testing.assert_allclose(predict(model, X_new), -2.75, rtol=0, atol=1e-12)
+
+
 class TestRidge:
     def test_exact_interpolation(self):
         rng = np.random.default_rng(1)
