@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
+import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
@@ -81,9 +81,12 @@ class DatasetSpec:
             raise ValueError(f"dataset {self.id!r} needs exactly one of path or synth")
         if self.path is not None:
             try:
-                FrequencySpec(self.steps_per_day, seasonal_period=self.seasonal_period)
+                freq = FrequencySpec(self.steps_per_day, seasonal_period=self.seasonal_period)
             except ValueError as err:
                 raise ValueError(f"dataset {self.id!r}: {err}") from None
+            # The coerced counts, so that 24.0 and 24 digest alike.
+            object.__setattr__(self, "steps_per_day", freq.steps_per_day)
+            object.__setattr__(self, "seasonal_period", freq.seasonal_period)
 
 
 @dataclass(frozen=True)
@@ -457,8 +460,15 @@ def _one_blas_thread():
             setter(count)
 
 
-def _pin_worker() -> None:
-    """Pool initializer: one BLAS thread per worker process, for its life."""
+def _pin_worker(imputers: tuple[ImputerSpec, ...] = ()) -> None:
+    """Pool initializer: one BLAS thread per worker process, for its life.
+
+    The ``imputers`` are built first. A worker that was not forked from the
+    run has not loaded what they load (scipy for a quantile head), and an
+    OpenBLAS copy loaded after the pin would keep one thread per CPU.
+    """
+    for spec in imputers:
+        make_imputer(spec.id, **spec.params)
     for _, setter in _openblas_thread_api():
         setter(1)
 
@@ -514,8 +524,13 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
 
     with _one_blas_thread():
         if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs, initializer=_pin_worker) as pool:
-                chunks = list(pool.map(_score_task, tasks))
+            # Imported here: a serial run never loads multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
+
+            # About four chunks per worker: fewer round trips, still balanced.
+            chunksize = max(1, math.ceil(len(tasks) / (4 * jobs)))
+            with ProcessPoolExecutor(max_workers=jobs, initializer=_pin_worker, initargs=(config.imputers,)) as pool:
+                chunks = list(pool.map(_score_task, tasks, chunksize=chunksize))
         else:
             chunks = [_score_task(t) for t in tasks]
     records = sorted((r for chunk in chunks for r in chunk), key=_record_sort_key)

@@ -6,16 +6,17 @@ coefficients of that standardized problem, with the intercept free. Mapped
 back to original units, predictions are invariant to affine rescaling of any
 feature column, and a fit on k * y + m predicts k times the fit on y, plus m.
 
-The ridge head solves the regularized normal equations with one LAPACK
-Cholesky solve. The quantile head is the linear program of Koenker
-& Bassett (1978) plus a ridge term, solved to a tolerance by a primal-dual
-predictor-corrector interior-point method (Mehrotra 1992), the Frisch-Newton
-method of Portnoy & Koenker (1997), on the rank-r column space of the
-standardized rows (r <= d): 10-20 Newton steps, each one Cholesky
+The ridge head solves the regularized normal equations with numpy's LU
+solve, so it needs no scipy. The quantile head is the linear program of
+Koenker & Bassett (1978) plus a ridge term, solved to a tolerance by a
+primal-dual predictor-corrector interior-point method (Mehrotra 1992), the
+Frisch-Newton method of Portnoy & Koenker (1997), on the rank-r column space
+of the standardized rows (r <= d): 10-20 Newton steps, each one Cholesky
 factorization of an (r+1)x(r+1) matrix per level. One call fits a sequence of
 levels on a shared design: every level that has not yet converged takes its
 Newton step in the same vectorized pass, and a level leaves the active set at
-its own stopping test.
+its own stopping test. It factors and solves with scipy's LAPACK wrappers,
+which ``pinball_fit`` imports when it runs: numpy has no triangular solve.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import STD_FLOOR
 
@@ -98,19 +98,22 @@ def ridge_fit(X, y, lam: float = DEFAULT_LAMBDA) -> LinearModel:
     """Ridge regression with unpenalized intercept via normal equations.
 
     Minimizes ||ys - Xs c||^2 + lam * ||c||^2 on the standardized problem,
-    whose centring makes the intercept 0. One Cholesky solve (``dposv``)
-    gives c; when the system is not positive definite or its residual is too
-    large (lam = 0 on rank-deficient contexts), the exact minimum-norm
-    least-squares solution replaces it.
+    whose centring makes the intercept 0. One LU solve (``np.linalg.solve``)
+    gives c; when the system is singular or its residual is too large (lam = 0
+    on rank-deficient contexts), the exact minimum-norm least-squares
+    solution replaces it.
     """
     X, y = _inputs(X, y, lam)
     Xs, ys, to_original = _standardize(X, y)
     A = Xs.T @ Xs + lam * np.eye(X.shape[1])
     rhs = Xs.T @ ys
     tol = 1e-8 * max(np.linalg.norm(rhs), 1.0)
-    _, ws, info = scipy.linalg.lapack.dposv(A, rhs)
+    try:
+        ws = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError:
+        ws = None
     # "not <=" also sends a NaN residual to the fallback.
-    if info or not np.linalg.norm(A @ ws - rhs) <= tol:
+    if ws is None or not np.linalg.norm(A @ ws - rhs) <= tol:
         ws = np.linalg.lstsq(A, rhs, rcond=None)[0]
         if not np.linalg.norm(A @ ws - rhs) <= tol:
             raise ArithmeticError("normal equations solve did not converge")
@@ -156,6 +159,10 @@ def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel | list[
     the unjittered matrix, for the round-off that singular values near the
     rank cut leave in it.
     """
+    # Imported here, not at module level: a run with no quantile head never
+    # loads scipy (see ``imputers.make_imputer``).
+    import scipy.linalg
+
     levels = np.atleast_1d(np.asarray(alpha, dtype=float))
     if levels.ndim != 1 or not len(levels) or not np.all((levels > 0.0) & (levels < 1.0)):
         raise ValueError("alpha must be one level or a sequence of levels, each strictly in (0, 1)")

@@ -3,6 +3,10 @@ from __future__ import annotations
 import copy
 import csv
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -260,6 +264,18 @@ class TestRunConfig:
         rows[5][1] = 99.0
         write_csv(tmp_path / "b" / "c.csv", rows)
         assert config_digest(load_config(tmp_path / "b" / "cfg.yaml")) != digests[0]
+
+    def test_csv_dataset_integral_floats_digest_as_ints(self, tmp_path):
+        write_csv(tmp_path / "c.csv", [[t, float(t % 24)] for t in range(96)])
+
+        def config(steps_per_day, seasonal_period):
+            entry = {"id": "c", "path": "c.csv", "steps_per_day": steps_per_day, "seasonal_period": seasonal_period}
+            return config_from_dict({"datasets": [entry], "imputers": [{"id": "linear"}]}, base_dir=tmp_path)
+
+        from_floats = config(24.0, 12.0)
+        assert config_digest(from_floats) == config_digest(config(24, 12))
+        ds = from_floats.datasets[0]
+        assert [type(v) for v in (ds.steps_per_day, ds.seasonal_period)] == [int, int]
 
     def test_integer_and_float_values_digest_alike(self):
         def with_numbers(period, stride):
@@ -564,6 +580,49 @@ def blas_threads() -> list[int]:
     return [getter() for getter, _ in harness._openblas_thread_api()]
 
 
+def blas_threads_after_quantile_import() -> list[int]:
+    """The thread counts a quantile fit reads, once it has imported scipy.linalg."""
+    import scipy.linalg  # noqa: F401
+
+    return blas_threads()
+
+
+# Run in a fresh interpreter with argv = config JSON, jobs, log path: loads
+# the config, sets every loaded OpenBLAS copy to two threads so that a pin to
+# one shows, runs, and logs the thread counts each task reads. Prints the
+# OpenBLAS copies mapped with the config, after it and after the run.
+PINNED_QUANTILE_RUN = """
+import json, sys
+from tixbench import harness
+
+def openblas():
+    with open("/proc/self/maps") as fh:
+        return sorted({line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line.lower()})
+
+before = openblas()
+config = harness.config_from_dict(json.loads(sys.argv[1]))
+after_config = openblas()
+for _, setter in harness._openblas_thread_api():
+    setter(2)
+make_imputer = harness.make_imputer
+
+def spied(imputer_id, **params):
+    fit = make_imputer(imputer_id, **params)
+
+    def logged(segment):
+        with open(sys.argv[3], "a") as fh:
+            fh.write(json.dumps([getter() for getter, _ in harness._openblas_thread_api()]) + "\\n")
+        return fit(segment)
+
+    return logged
+
+harness.make_imputer = spied
+harness.run(config, jobs=int(sys.argv[2]))
+with_config = sorted(set(after_config) - set(before))
+print(json.dumps({"with_config": with_config, "after_config": after_config, "after_run": openblas()}))
+"""
+
+
 @pytest.fixture
 def two_blas_threads():
     """Every loaded OpenBLAS copy at two threads, so that a pin to one shows."""
@@ -601,11 +660,52 @@ class TestBlasThreads:
             run(demo_config(tmp_path))
         assert blas_threads() == two_blas_threads
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_quantile_run_pins_the_copy_it_loads(self, tmp_path, jobs):
+        # A fresh interpreter: this one has long since loaded scipy.
+        if not harness._openblas_thread_api():
+            pytest.skip("no OpenBLAS copy is loaded")
+        synth = {**SYNTH_DICT, "components": [*SYNTH_DICT["components"], {"kind": "covariate_linear", "covariate_gain": 0.8}]}
+        config = {
+            "segment": {"len_days": 28, "stride": [14, 14]},
+            "datasets": [{"id": "cov", "synth": synth}],
+            "scenarios": [{"kind": "pointwise", "param": 0.5, "label": "p"}],
+            "imputers": [{"id": "tix_fourier_q", "params": {"use_covariates": True}}],
+        }
+        src = str(Path(harness.__file__).resolve().parents[1])
+        log = tmp_path / "threads.jsonl"
+        out = subprocess.run(
+            [sys.executable, "-c", PINNED_QUANTILE_RUN, json.dumps(config), str(jobs), str(log)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        copies = json.loads(out.stdout)
+        in_tasks = [json.loads(line) for line in log.read_text().splitlines()]
+        # scipy's copy came with the config, before the pin; none came later.
+        assert copies["with_config"]
+        assert copies["after_run"] == copies["after_config"]
+        assert len(in_tasks) >= 2
+        assert all(counts == [1] * len(copies["after_config"]) for counts in in_tasks)
+
     def test_pool_initializer_pins_the_worker(self, two_blas_threads):
         with ProcessPoolExecutor(max_workers=1, initializer=harness._pin_worker) as pool:
             in_worker = pool.submit(blas_threads).result(timeout=60)
         assert in_worker == [1] * len(two_blas_threads)
         assert blas_threads() == two_blas_threads
+
+    def test_spawned_worker_pins_what_its_imputers_load(self):
+        # A spawned worker starts without scipy; the initializer must load it
+        # with the quantile imputer before the pin, not leave it to a task.
+        if not harness._openblas_thread_api():
+            pytest.skip("no OpenBLAS copy is loaded")
+        spawn = multiprocessing.get_context("spawn")
+        initargs = ((ImputerSpec("tix_fourier_q"),),)
+        with ProcessPoolExecutor(1, spawn, initializer=harness._pin_worker, initargs=initargs) as pool:
+            in_worker = pool.submit(blas_threads_after_quantile_import).result(timeout=60)
+        assert set(in_worker) == {1}
 
 
 class TestReport:

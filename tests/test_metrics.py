@@ -230,16 +230,42 @@ class TestAverageRanks:
         np.testing.assert_array_equal(_mid_ranks(values), rankdata(values, method="average"))
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes most of a second to import and nothing in a run needs it.
+def fresh_python(code: str, *args: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports this tixbench."""
     src = str(Path(tixbench.__file__).resolve().parents[1])
-    code = "import sys, tixbench; print('scipy.stats' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         check=True,
         timeout=120,
     )
-    assert out.stdout == "False\n"
+    return out.stdout
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a second to import and nothing in a run needs it.
+    assert fresh_python("import sys, tixbench; print('scipy.stats' in sys.modules)") == "False\n"
+
+
+def test_point_only_config_leaves_scipy_and_the_pool_unloaded():
+    # scipy is most of the import time and only the quantile heads need it;
+    # a serial run needs no process pool.
+    demo = Path(__file__).resolve().parents[1] / "configs" / "demo.yaml"
+    code = (
+        "import sys, tixbench; from tixbench.harness import load_config; load_config(sys.argv[1]); "
+        "print([m for m in ('scipy', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    assert fresh_python(code, str(demo)) == "[]\n"
+
+
+def test_quantile_config_loads_scipy_linalg():
+    # Loaded with the config, before a run pins the BLAS threads of every loaded copy.
+    code = (
+        "import sys; from tixbench.harness import config_from_dict; before = 'scipy.linalg' in sys.modules; "
+        "config_from_dict({'datasets': [{'id': 'd', 'path': 'd.csv', 'steps_per_day': 24}], "
+        "'imputers': [{'id': 'linear'}, {'id': 'tix_fourier_q'}]}); "
+        "print(before, 'scipy.linalg' in sys.modules)"
+    )
+    assert fresh_python(code) == "False True\n"

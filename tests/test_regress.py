@@ -109,6 +109,31 @@ class TestRidge:
         model = ridge_fit(X, y, lam=0.0)
         np.testing.assert_allclose(predict(model, X), y, atol=1e-9)
 
+    @pytest.mark.parametrize("d, lam", [(5, 1e-3), (129, 10.0)])
+    def test_singular_solve_falls_back_to_lstsq(self, d, lam, monkeypatch):
+        # A solve that reports a singular matrix sends the fit down the
+        # lstsq path, which still matches the oracle at benchmark sizes.
+        rng = np.random.default_rng(d)
+        X, y = context_rows("fourier", d, rng) if d == 5 else random_basis_rows(rng, size=400)
+        lstsq_calls = []
+        lstsq = np.linalg.lstsq
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        def counted_lstsq(*args, **kwargs):
+            lstsq_calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        model = ridge_fit(X, y, lam=lam)
+        monkeypatch.undo()
+        assert len(lstsq_calls) == 1
+        w, b = ridge_oracle(X, y, lam)
+        assert np.linalg.norm(model.weights - w) <= 1e-8 * max(np.linalg.norm(w), 1.0)
+        assert model.intercept == pytest.approx(b, rel=1e-8, abs=1e-8)
+
 
 class TestPinball:
     def test_median_intercept(self):
