@@ -29,7 +29,7 @@ from .features import (
     random_fourier_basis,
     stack_covariates,
 )
-from .regress import DEFAULT_LAMBDA, enforce_noncrossing, pinball_fit, predict, ridge_fit
+from .regress import DEFAULT_LAMBDA, centred_gram, enforce_noncrossing, pinball_fit, predict, ridge_fit
 
 DEFAULT_QUANTILE_LEVELS: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -126,34 +126,35 @@ def impute_seasonal_naive(segment: Segment, season: int | None = None) -> Imputa
 # A run needs one entry per (segment length, frequency, feature spec); the
 # bound keeps a long-lived process from holding every length it has seen.
 @functools.lru_cache(maxsize=16)
-def _time_basis(length: int, freq: FrequencySpec, fspec: FeatureSpec) -> np.ndarray:
-    """The time-only feature rows of a segment, built once and shared read-only."""
+def _time_basis(length: int, freq: FrequencySpec, fspec: FeatureSpec) -> tuple[np.ndarray, tuple]:
+    """The time-only feature rows of a segment and their ``centred_gram``,
+    built once and shared read-only by every segment and scenario."""
     ticks = np.arange(length)
     if fspec.kind == HANDCRAFTED_FOURIER:
         X = handcrafted_features(ticks, freq, fspec.periods or None)
     else:
         X = random_fourier_basis(ticks, fspec)
     X.flags.writeable = False
-    return X
+    return X, centred_gram(X)
 
 
 def _fit_heads(
-    segment: Segment, X: np.ndarray, lam: float, quantile_levels: tuple[float, ...] | None = None
+    segment: Segment, X: np.ndarray, lam: float, quantile_levels: tuple[float, ...] | None = None, gram=None
 ) -> Imputation:
     """Fit heads on the visible rows of ``X`` and predict its evaluated rows.
 
     The heads fit the visible values as they are; the fits scale the target
-    themselves. A ridge head gives the point estimate; with
-    ``quantile_levels`` given, one batched pinball fit gives a head per level,
-    and the predictions pass through the non-crossing rearrangement. One
-    visible value is enough context: every head then predicts that value.
+    themselves. A ridge head, from the ``centred_gram`` of ``X`` if given,
+    gives the point estimate; with ``quantile_levels`` given, one batched
+    pinball fit gives a head per level, and the predictions pass through the
+    non-crossing rearrangement. One visible value is enough context.
     """
-    vis = np.flatnonzero(segment.obs_mask)
-    y, X_vis, X_eval = segment.values[vis], X[vis], X[np.flatnonzero(segment.eval_mask)]
-    point = predict(ridge_fit(X_vis, y, lam), X_eval)
+    mask = segment.obs_mask
+    y, X_eval = segment.values[mask], X[segment.eval_mask]
+    point = predict(ridge_fit(X, y, lam, mask=mask, gram=gram), X_eval)
     quantiles = None
     if quantile_levels:
-        heads = pinball_fit(X_vis, y, alpha=quantile_levels, lam=lam)
+        heads = pinball_fit(X[mask], y, alpha=quantile_levels, lam=lam)
         quantiles = enforce_noncrossing({m.quantile: predict(m, X_eval) for m in heads})
     return Imputation(point=point, quantiles=quantiles)
 
@@ -171,10 +172,10 @@ def impute_time_indexed(
     The fit uses all observed points of the segment as context; with
     ``quantile_levels`` given, it adds non-crossing quantile heads.
     """
-    X = _time_basis(segment.length, segment.freq, fspec or FeatureSpec())
-    if use_covariates:
-        X = stack_covariates(X, segment.covariates)
-    return _fit_heads(segment, X, lam, quantile_levels)
+    X, gram = _time_basis(segment.length, segment.freq, fspec or FeatureSpec())
+    if use_covariates and segment.covariates:
+        X, gram = stack_covariates(X, segment.covariates), None
+    return _fit_heads(segment, X, lam, quantile_levels, gram)
 
 
 def impute_covariate_ridge(segment: Segment, lam: float = DEFAULT_LAMBDA) -> Imputation:

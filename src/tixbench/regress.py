@@ -6,8 +6,10 @@ coefficients of that standardized problem, with the intercept free. Mapped
 back to original units, predictions are invariant to affine rescaling of any
 feature column, and a fit on k * y + m predicts k times the fit on y, plus m.
 
-The ridge head solves the regularized normal equations with numpy's LU
-solve, so it needs no scipy. The quantile head is the linear program of
+The ridge head solves the regularized normal equations from the moments of
+its context (Golub & Van Loan, ch. 4 and 6.5; ESL 3.4.1), downdating the
+Gram of a whole basis when few rows are hidden; one numpy LU solve serves
+both. The quantile head is the linear program of
 Koenker & Bassett (1978) plus a ridge term, solved to a tolerance by a
 primal-dual predictor-corrector interior-point method (Mehrotra 1992), the
 Frisch-Newton method of Portnoy & Koenker (1997), on the rank-r column space
@@ -66,18 +68,25 @@ def _rows(X) -> np.ndarray:
     return rows
 
 
-def _inputs(X, y, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """The feature rows and target of a fit, checked along with its penalty; one row is enough."""
-    X, y = _rows(X), np.asarray(y, dtype=float)
-    if not X.shape[0]:
+def _target(y, rows: int, lam: float) -> np.ndarray:
+    """The target of a fit on ``rows`` rows, checked along with its penalty; one row is enough."""
+    y = np.asarray(y, dtype=float)
+    if not rows:
         raise ValueError("empty context: no rows")
-    if X.shape[0] != len(y):
+    if rows != len(y):
         raise ValueError("X and y must have matching row counts")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+    if not np.all(np.isfinite(y)):
         raise ValueError("non-finite inputs")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    return X, y
+    return y
+
+
+def _inputs(X, y, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The feature rows and target of a fit, checked along with its penalty."""
+    if not np.all(np.isfinite(X := _rows(X))):
+        raise ValueError("non-finite inputs")
+    return X, _target(y, len(X), lam)
 
 
 def _standardize(X: np.ndarray, y: np.ndarray):
@@ -94,19 +103,59 @@ def _standardize(X: np.ndarray, y: np.ndarray):
     return (X - mx) / sx, (y - my) / sy, to_original
 
 
-def ridge_fit(X, y, lam: float = DEFAULT_LAMBDA) -> LinearModel:
+def centred_gram(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The column means c of all rows of ``X``, the centred rows X - c and their Gram (X - c)'(X - c), read-only."""
+    centre = _rows(X).mean(axis=0)
+    centred = _rows(X) - centre
+    for a in (moments := (centre, centred, centred.T @ centred)):
+        a.flags.writeable = False
+    return moments
+
+
+def _downdated(gram, mask, yc):
+    """Column means, scatter and cross moments with ``yc`` of the rows ``mask``, from a ``centred_gram``."""
+    centre, centred, G = gram
+    n, nv = len(centred), len(yc)
+    if n - nv >= nv:
+        return None
+    # Not m = -sum(Xh) / nv: the columns of Xc sum to 0 only up to the rounding of c.
+    weights = np.zeros((2, n))
+    weights[0, mask], weights[1, mask] = 1.0 / nv, yc
+    (m, cross), hidden = weights @ centred, centred[~mask]
+    scatter = G - hidden.T @ hidden - nv * np.outer(m, m)
+    if np.any(np.diag(scatter) / nv < 1e-6 * np.diag(G) / n):
+        return None
+    return centre + m, scatter, cross
+
+
+def ridge_fit(X, y, lam: float = DEFAULT_LAMBDA, *, mask=None, gram=None) -> LinearModel:
     """Ridge regression with unpenalized intercept via normal equations.
 
     Minimizes ||ys - Xs c||^2 + lam * ||c||^2 on the standardized problem,
-    whose centring makes the intercept 0. One LU solve (``np.linalg.solve``)
-    gives c; when the system is singular or its residual is too large (lam = 0
-    on rank-deficient contexts), the exact minimum-norm least-squares
-    solution replaces it.
+    whose centring makes the intercept 0, from the column means, scatter
+    and cross moments of the centred context rows. With a boolean ``mask``
+    the context is ``X[mask]``, with targets ``y``. Given also ``gram``, the
+    ``centred_gram`` of all rows of ``X``, a context that hides fewer rows
+    Xh (centred) than it shows takes the scatter G - Xh'Xh - nv m m', m its
+    centred column means, unless a column's visible variance is below 1e-6
+    times its variance over all rows, where that form loses its digits.
+    One LU solve gives c; when the system is singular or its residual is
+    too large (lam = 0 on rank-deficient contexts), the exact minimum-norm
+    least-squares solution replaces it.
     """
-    X, y = _inputs(X, y, lam)
-    Xs, ys, to_original = _standardize(X, y)
-    A = Xs.T @ Xs + lam * np.eye(X.shape[1])
-    rhs = Xs.T @ ys
+    moments = None
+    if gram is not None and mask is not None:
+        y = _target(y, np.count_nonzero(mask), lam)
+        moments = _downdated(gram, mask, y - np.mean(y))
+    if moments is None:
+        X, y = _inputs(_rows(X) if mask is None else _rows(X)[mask], y, lam)
+        Xc = X - (mx := X.mean(axis=0))
+        moments = mx, Xc.T @ Xc, (y - np.mean(y)) @ Xc
+    mx, scatter, cross = moments
+    my, sy = float(np.mean(y)), max(float(np.std(y)), STD_FLOOR)
+    sx = np.maximum(np.sqrt(np.diag(scatter) / len(y)), STD_FLOOR)
+    A = scatter / np.outer(sx, sx) + lam * np.eye(len(sx))
+    rhs = cross / (sx * sy)
     tol = 1e-8 * max(np.linalg.norm(rhs), 1.0)
     try:
         ws = np.linalg.solve(A, rhs)
@@ -116,10 +165,10 @@ def ridge_fit(X, y, lam: float = DEFAULT_LAMBDA) -> LinearModel:
     if ws is None or not np.linalg.norm(A @ ws - rhs) <= tol:
         ws = np.linalg.lstsq(A, rhs, rcond=None)[0]
         if not np.linalg.norm(A @ ws - rhs) <= tol:
-            raise ArithmeticError("normal equations solve did not converge")
+            raise np.linalg.LinAlgError("normal equations solve did not converge")
 
-    w, b = to_original(ws, 0.0)
-    return LinearModel(weights=w, intercept=float(b))
+    w = ws * sy / sx
+    return LinearModel(weights=w, intercept=float(my - w @ mx))
 
 
 def predict(model: LinearModel, X) -> np.ndarray:

@@ -850,6 +850,30 @@ class TestCli:
         assert cli_main(["run", str(cfg_path)]) == 1
         assert "unknown param 'lamda'" in capsys.readouterr().err
 
+    def test_failed_ridge_solve_names_its_window(self, tmp_path, capsys, monkeypatch):
+        # A solve that fails and a least-squares fallback that misses the
+        # residual check: the fit raises LinAlgError, a ValueError, so the
+        # run names the window and the CLI exits 1 without a traceback.
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(np.linalg, "lstsq", lambda A, b, rcond=None: (np.zeros_like(b), None, 0, None))
+        cfg = {
+            "datasets": [{"id": "demo", "synth": SYNTH_DICT}],
+            "imputers": [{"id": "tix_fourier"}],
+            "scenarios": [{"kind": "blocks", "param": 2, "label": "b2"}],
+            "output_dir": str(tmp_path / "out"),
+        }
+        with pytest.raises(ValueError, match=r"^dataset 'demo', ticks \d+-\d+, scenario 'b2', imputer 'tix_fourier': ") as err:
+            run(config_from_dict(cfg))
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+        assert str(err.value).endswith(": normal equations solve did not converge")
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        assert cli_main(["run", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+
     def test_score_with_quantile_columns(self, tmp_path, capsys):
         truth = write_csv(tmp_path / "t.csv", [[0, 2.0], [1, 4.0]])
         pred = write_csv(

@@ -208,23 +208,30 @@ class TestTimeBasisCache:
     def test_rows_equal_a_fresh_build(self):
         ticks = np.arange(672)
         np.testing.assert_array_equal(
-            _time_basis(672, self.HOURLY, FeatureSpec()), handcrafted_features(ticks, self.HOURLY)
+            _time_basis(672, self.HOURLY, FeatureSpec())[0], handcrafted_features(ticks, self.HOURLY)
         )
         np.testing.assert_array_equal(
-            _time_basis(672, self.HOURLY, self.RANDOM), random_fourier_basis(ticks, self.RANDOM)
+            _time_basis(672, self.HOURLY, self.RANDOM)[0], random_fourier_basis(ticks, self.RANDOM)
         )
 
+    def test_gram_is_that_of_the_rows(self):
+        X, (centre, centred, G) = _time_basis(672, self.HOURLY, self.RANDOM)
+        np.testing.assert_array_equal(centre, X.mean(axis=0))
+        np.testing.assert_array_equal(centred, X - X.mean(axis=0))
+        np.testing.assert_allclose(G, centred.T @ centred, rtol=1e-13, atol=1e-13 * np.abs(G).max())
+
     def test_rows_are_read_only(self):
-        X = _time_basis(672, self.HOURLY, FeatureSpec())
-        with pytest.raises(ValueError, match="read-only"):
-            X[0, 0] = 1.0
+        X, gram = _time_basis(672, self.HOURLY, FeatureSpec())
+        for array in (X, *gram):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
     def test_one_entry_per_length_and_spec(self):
         built = _time_basis(672, self.HOURLY, FeatureSpec())
         assert _time_basis(672, self.HOURLY, FeatureSpec()) is built
-        assert _time_basis(336, self.HOURLY, FeatureSpec()).shape == (336, 5)
+        assert _time_basis(336, self.HOURLY, FeatureSpec())[0].shape == (336, 5)
         assert _time_basis(672, self.HOURLY, FeatureSpec(periods=[12.0])) is not built
-        assert _time_basis(672, self.HOURLY, self.RANDOM).shape == (672, 17)
+        assert _time_basis(672, self.HOURLY, self.RANDOM)[0].shape == (672, 17)
 
 
 class TestCovariateRidge:

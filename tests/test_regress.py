@@ -7,8 +7,11 @@ from scipy.optimize import lsq_linear
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import HOURLY
+from conftest import HOURLY, make_segment
 from oracles import grid_quantile_intercept, pinball_lp_oracle, pinball_objective, ridge_oracle
+from tixbench import regress
+from tixbench.masking import DEFAULT_SCENARIOS, apply_scenario
+from tixbench.regress import centred_gram
 from tixbench import (
     FeatureSpec,
     LinearModel,
@@ -133,6 +136,98 @@ class TestRidge:
         w, b = ridge_oracle(X, y, lam)
         assert np.linalg.norm(model.weights - w) <= 1e-8 * max(np.linalg.norm(w), 1.0)
         assert model.intercept == pytest.approx(b, rel=1e-8, abs=1e-8)
+
+
+def segment_basis(d, rng):
+    """A 28-day hourly basis at a benchmark size (d = 5, 6 stacked or 129)
+    and a segment whose values follow a daily cycle with heavy-tailed noise."""
+    ticks = np.arange(28 * 24)
+    if d == 129:
+        X = random_fourier_basis(ticks, FeatureSpec(kind="random_fourier", n_random=64, freq_range=(0.5, 60.0), seed=0))
+    else:
+        X = handcrafted_features(ticks, HOURLY)
+        if d == 6:
+            X = np.column_stack([X, np.cumsum(rng.normal(size=len(ticks)))])
+    values = np.sin(2 * np.pi * ticks / 24) + 0.3 * rng.standard_t(3, size=len(ticks))
+    return X, make_segment(values, np.ones(len(ticks), dtype=bool))
+
+
+def gram_fit(X, segment, lam, monkeypatch):
+    """The ridge head on the visible rows through the Gram of all rows, and
+    whether it took the downdate."""
+    downdates, downdated = [], regress._downdated
+
+    def spied(*args):
+        downdates.append(downdated(*args))
+        return downdates[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(regress, "_downdated", spied)
+        y = segment.values[segment.obs_mask]
+        model = ridge_fit(X, y, lam, mask=segment.obs_mask, gram=centred_gram(X))
+    return model, downdates[0] is not None
+
+
+class TestRidgeGram:
+    @pytest.mark.parametrize("d", [5, 6, 129])
+    @pytest.mark.parametrize("scenario", DEFAULT_SCENARIOS, ids=lambda s: s.label)
+    @pytest.mark.parametrize("lam", [1e-3, 10.0])
+    def test_matches_oracle_under_every_default_scenario(self, d, scenario, lam, monkeypatch):
+        rng = np.random.default_rng(d)
+        X, segment = segment_basis(d, rng)
+        masked = apply_scenario(segment, scenario, seed=d)
+        model, downdated = gram_fit(X, masked, lam, monkeypatch)
+        # Block scenarios hide fewer rows than they leave visible.
+        assert downdated == (scenario.kind == "blocks")
+        mask = masked.obs_mask
+        w, b = ridge_oracle(X[mask], masked.values[mask], lam)
+        np.testing.assert_allclose(predict(model, X), X @ w + b, rtol=0, atol=1e-8)
+
+    def test_rank_deficient_basis_at_lam_zero_takes_lstsq_under_the_downdate(self, monkeypatch):
+        # periods [24, 24] duplicates two columns, so lam = 0 leaves the
+        # normal equations singular.
+        ticks = np.arange(28 * 24)
+        X = handcrafted_features(ticks, HOURLY, [24.0, 24.0])
+        values = np.sin(2 * np.pi * ticks / 24) + 0.3 * np.random.default_rng(3).normal(size=len(ticks))
+        masked = apply_scenario(make_segment(values, np.ones(len(ticks), dtype=bool)), DEFAULT_SCENARIOS[2], seed=3)
+        lstsq_calls = []
+        lstsq = np.linalg.lstsq
+
+        def counted_lstsq(*args, **kwargs):
+            lstsq_calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        model, downdated = gram_fit(X, masked, 0.0, monkeypatch)
+        monkeypatch.undo()
+        assert downdated and len(lstsq_calls) == 1
+        mask = masked.obs_mask
+        w, b = ridge_oracle(X[mask], masked.values[mask], 0.0)
+        np.testing.assert_allclose(predict(model, X), X @ w + b, rtol=0, atol=1e-8)
+
+    def test_gram_without_mask_fits_every_row(self):
+        X, segment = segment_basis(129, np.random.default_rng(2))
+        with_gram = ridge_fit(X, segment.values, 10.0, gram=centred_gram(X))
+        np.testing.assert_array_equal(with_gram.weights, ridge_fit(X, segment.values, 10.0).weights)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("lam", [1e-3, 10.0])
+    def test_column_constant_on_the_visible_rows_gets_weight_zero(self, offset, lam, monkeypatch):
+        # An indicator of one day that the blocks hide: constant on the
+        # visible rows, so its visible variance is 0, but not on all rows.
+        rng = np.random.default_rng(11)
+        X, segment = segment_basis(5, rng)
+        day = np.zeros(len(X), dtype=bool)
+        day[240:264] = True
+        X = np.column_stack([X, day + offset])
+        mask = ~day
+        mask[480:504] = False
+        masked = make_segment(segment.values, mask)
+        model, downdated = gram_fit(X, masked, lam, monkeypatch)
+        assert not downdated
+        assert model.weights[-1] == 0.0
+        direct = ridge_fit(X[mask], segment.values[mask], lam)
+        np.testing.assert_allclose(predict(model, X), predict(direct, X), rtol=1e-12, atol=0)
 
 
 class TestPinball:
