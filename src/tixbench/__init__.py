@@ -3,15 +3,7 @@ reproducible benchmark harness for missing-data scenarios."""
 
 __version__ = "0.1.0"
 
-from .core import (
-    FrequencySpec,
-    NormStats,
-    Segment,
-    TimeSeries,
-    chrono_split,
-    extract_segments,
-    znorm_stats,
-)
+from .core import FrequencySpec, Segment, TimeSeries, chrono_split, extract_segments, floored_std
 from .features import FeatureSpec, handcrafted_features, random_fourier_basis, stack_covariates
 from .imputers import (
     DEFAULT_QUANTILE_LEVELS,
@@ -30,12 +22,11 @@ from .synth import Component, SynthSpec, generate
 
 __all__ = [
     "FrequencySpec",
-    "NormStats",
     "Segment",
     "TimeSeries",
     "chrono_split",
     "extract_segments",
-    "znorm_stats",
+    "floored_std",
     "FeatureSpec",
     "handcrafted_features",
     "random_fourier_basis",

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .core import masked_norm_stats
+from .core import floored_std
 from .harness import DatasetSpec, IngestionError, load_config, parse_timestamp, run_and_report, synth_from_dict
 from .metrics import wql as wql_metric, znorm_mae
 from .synth import generate
@@ -95,18 +95,18 @@ def _cmd_score(args) -> int:
         return 1
     t = np.array([truth[k] for k in keys])
     p = np.array([pred[k] for k in keys])
-    norm = masked_norm_stats(t, np.ones_like(t, dtype=bool))
+    std = floored_std(t)
     result = {
         "n_points": len(keys),
         "mae": float(np.mean(np.abs(t - p))),
-        "znorm_mae": znorm_mae(t, p, norm),
-        "truth_std": norm.std,
+        "znorm_mae": znorm_mae(t, p, std),
+        "truth_std": std,
     }
     complete_levels = sorted(a for a, m in quants.items() if all(k in m for k in keys))
     if complete_levels:
         preds = {a: np.array([quants[a][k] for k in keys]) for a in complete_levels}
         try:
-            result["wql"] = wql_metric(preds, t, complete_levels)
+            result["wql"] = wql_metric(preds, t)
             result["wql_levels"] = complete_levels
         except ValueError:
             pass

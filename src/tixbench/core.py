@@ -24,6 +24,12 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def floored_std(values) -> float:
+    """The population std of ``values``, floored at ``STD_FLOOR``: the scale
+    of z-normalized scores and of the heads' standardized targets."""
+    return max(float(np.std(values)), STD_FLOOR)
+
+
 @dataclass(frozen=True)
 class FrequencySpec:
     """Sampling-rate metadata: ticks per day/week and the seasonal period.
@@ -52,18 +58,6 @@ class FrequencySpec:
             object.__setattr__(self, "seasonal_period", self.steps_per_day)
         if self.seasonal_period < 1:
             raise ValueError("seasonal_period must be >= 1")
-
-
-@dataclass(frozen=True)
-class NormStats:
-    """Mean and (floored) standard deviation of a visible context."""
-
-    mean: float
-    std: float
-
-    def __post_init__(self) -> None:
-        if not (self.std > 0.0):
-            raise ValueError("std must be positive (floor it before construction)")
 
 
 def _as_float_array(x, name: str) -> np.ndarray:
@@ -126,8 +120,8 @@ class Segment:
     positions that will be scored. The two masks are disjoint, and callers
     must only ever move parent-observed positions into ``eval_mask``. One
     visible position is all an imputer needs; whether a task has a position
-    to score is ``apply_scenario``'s call. ``znorm_stats`` gives the
-    statistics of the visible context.
+    to score is ``apply_scenario``'s call. Scores are normalized by the
+    ``floored_std`` of ``values[obs_mask]``, so held-out values never enter it.
     """
 
     start: int
@@ -245,21 +239,3 @@ def extract_segments(
         u = rng.uniform(stride_min_days, stride_max_days)
         pos += max(1, round_half_up(u * steps))
     return segments
-
-
-def masked_norm_stats(values: np.ndarray, mask: np.ndarray) -> NormStats:
-    """Mean/std over masked-in positions, std floored; population std."""
-    if not np.any(mask):
-        raise ValueError("empty context")
-    vis = np.asarray(values, dtype=float)[np.asarray(mask, dtype=bool)]
-    return NormStats(mean=float(np.mean(vis)), std=float(max(np.std(vis), STD_FLOOR)))
-
-
-def znorm_stats(segment: Segment) -> NormStats:
-    """Normalization statistics over the segment's visible context only.
-
-    Values at positions with ``obs_mask`` false never enter the computation,
-    so held-out ground truth cannot leak into the normalization.
-    """
-    return masked_norm_stats(segment.values, segment.obs_mask)
-

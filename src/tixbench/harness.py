@@ -26,7 +26,7 @@ import yaml
 
 from . import __version__
 from .core import FrequencySpec, TimeSeries, _check_window, _split_fractions, chrono_split, extract_segments
-from .core import znorm_stats
+from .core import floored_std
 from .imputers import make_imputer
 from .masking import DEFAULT_SCENARIOS, InfeasibleScenario, Scenario, apply_scenario
 from .metrics import ScoreRecord, aggregate, average_ranks, wql, znorm_mae
@@ -252,7 +252,8 @@ def ingest_csv(
     ISO-8601 datetimes, whose grid step is inferred as the smallest positive
     spacing; every other spacing must be a whole multiple of it. Skipped
     ticks are materialized as unobserved. Empty cells mean missing: in the
-    target they clear the observation mask, in covariates they stay NaN.
+    target they clear the observation mask, in covariates they stay NaN. A
+    cell that is not a finite number (``nan`` and ``inf`` included) is an error.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -302,9 +303,12 @@ def ingest_csv(
         if not text:
             return None
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise ValueError(f"{path}: non-numeric cell {text!r} in column {col!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: non-finite cell {text!r} in column {col!r}")
+        return value
 
     for tick, row in zip(ticks, rows):
         v = _cell(row, value_column)
@@ -357,7 +361,7 @@ def _score_task(args) -> list[ScoreRecord]:
         masked = apply_scenario(segment, scenario, mask_seed)
     except InfeasibleScenario:
         return []
-    truth, norm = masked.values[masked.eval_mask], znorm_stats(masked)
+    truth, std = masked.values[masked.eval_mask], floored_std(masked.values[masked.obs_mask])
     records = []
     for spec in imputer_specs:
         try:
@@ -367,11 +371,11 @@ def _score_task(args) -> list[ScoreRecord]:
             ticks = f"{first}-{first + segment.length - 1}"
             where = f"dataset {ds_id!r}, ticks {ticks}, scenario {scenario.label!r}, imputer {spec.name!r}"
             raise ValueError(f"{where}: {err}") from err
-        mae = znorm_mae(truth, imputation.point, norm)
+        mae = znorm_mae(truth, imputation.point, std)
         wql_value = None
         if imputation.quantiles is not None:
             try:
-                wql_value = wql(imputation.quantiles, truth, sorted(imputation.quantiles))
+                wql_value = wql(imputation.quantiles, truth)
             except ValueError:
                 wql_value = None
         records.append(
@@ -517,7 +521,7 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
                 f" {window}-tick ({config.segment_len_days}-day) window with an observed value"
             )
         if ds.min_std_filter > 0:
-            segments = [s for s in segments if znorm_stats(s).std >= ds.min_std_filter]
+            segments = [s for s in segments if floored_std(s.values[s.obs_mask]) >= ds.min_std_filter]
         for segment in segments:
             for scenario in config.scenarios:
                 tasks.append((ds.id, segment, scenario, config.seed, config.imputers, int(test.timestamps[0])))

@@ -131,7 +131,7 @@ def _time_basis(length: int, freq: FrequencySpec, fspec: FeatureSpec) -> tuple[n
     built once and shared read-only by every segment and scenario."""
     ticks = np.arange(length)
     if fspec.kind == HANDCRAFTED_FOURIER:
-        X = handcrafted_features(ticks, freq, fspec.periods or None)
+        X = handcrafted_features(ticks, freq, fspec.periods)
     else:
         X = random_fourier_basis(ticks, fspec)
     X.flags.writeable = False
@@ -145,17 +145,17 @@ def _fit_heads(
 
     The heads fit the visible values as they are; the fits scale the target
     themselves. A ridge head, from the ``centred_gram`` of ``X`` if given,
-    gives the point estimate; with ``quantile_levels`` given, one batched
-    pinball fit gives a head per level, and the predictions pass through the
-    non-crossing rearrangement. One visible value is enough context.
+    gives the point estimate; with ``quantile_levels`` given, one pinball fit
+    gives a multi-level head, whose predictions at every level pass through
+    the non-crossing rearrangement. One visible value is enough context.
     """
     mask = segment.obs_mask
     y, X_eval = segment.values[mask], X[segment.eval_mask]
     point = predict(ridge_fit(X, y, lam, mask=mask, gram=gram), X_eval)
     quantiles = None
     if quantile_levels:
-        heads = pinball_fit(X[mask], y, alpha=quantile_levels, lam=lam)
-        quantiles = enforce_noncrossing({m.quantile: predict(m, X_eval) for m in heads})
+        P = predict(pinball_fit(X[mask], y, alpha=quantile_levels, lam=lam), X_eval)
+        quantiles = enforce_noncrossing(dict(zip(quantile_levels, P.T)))
     return Imputation(point=point, quantiles=quantiles)
 
 

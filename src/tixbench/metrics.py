@@ -14,9 +14,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import NormStats
-from .imputers import DEFAULT_QUANTILE_LEVELS
-
 
 @dataclass(frozen=True)
 class ScoreRecord:
@@ -39,15 +36,15 @@ class ScoreRecord:
         return asdict(self)
 
 
-def znorm_mae(truth, pred, norm: NormStats) -> float:
-    """Mean absolute error divided by the context standard deviation."""
+def znorm_mae(truth, pred, std: float) -> float:
+    """Mean absolute error divided by ``std``, the ``floored_std`` of the visible context."""
     t = np.asarray(truth, dtype=float)
     p = np.asarray(pred, dtype=float)
     if t.shape != p.shape:
         raise ValueError("length mismatch")
     if t.size < 1:
         raise ValueError("nothing to score")
-    return float(np.mean(np.abs(t - p)) / norm.std)
+    return float(np.mean(np.abs(t - p)) / std)
 
 
 def quantile_loss(q, x, alpha: float):
@@ -63,18 +60,20 @@ def quantile_loss(q, x, alpha: float):
     return float(out) if out.ndim == 0 else out
 
 
-def wql(quantile_preds: Mapping[float, np.ndarray], truth, alphas: Sequence[float] = DEFAULT_QUANTILE_LEVELS) -> float:
+def wql(quantile_preds: Mapping[float, np.ndarray], truth, alphas: Sequence[float] | None = None) -> float:
     """Weighted quantile loss averaged over levels.
 
     Per level: 2 * sum(QL_alpha) / sum(|truth|), sums taken over every scored
-    point; the result is the unweighted mean across levels.
+    point; the result is the unweighted mean across levels. The levels are
+    ``alphas`` when given, each of which ``quantile_preds`` must hold, and
+    otherwise every level it holds, in ascending order.
     """
     t = np.asarray(truth, dtype=float)
     scale = float(np.sum(np.abs(t)))
     if scale == 0.0:
         raise ValueError("undefined scale")
     per_level = []
-    for alpha in alphas:
+    for alpha in sorted(quantile_preds) if alphas is None else alphas:
         if alpha not in quantile_preds:
             raise ValueError(f"missing quantile level {alpha}")
         q = np.asarray(quantile_preds[alpha], dtype=float)

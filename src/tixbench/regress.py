@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STD_FLOOR
+from .core import STD_FLOOR, floored_std
 
 DEFAULT_LAMBDA = 1e-3
 
@@ -45,20 +45,19 @@ _IPM_JITTER = 1e-12
 class LinearModel:
     """Fitted coefficients of a ridge or pinball linear head.
 
-    ``quantile`` is set for pinball models and None for ridge.
+    One head has (d,) ``weights`` and a float ``intercept``. A multi-level
+    head, which ``pinball_fit`` returns for a sequence of levels, has
+    (levels, d) weights and (levels,) intercepts, row i the head of level i.
     """
 
     weights: np.ndarray
-    intercept: float
-    quantile: float | None = None
+    intercept: float | np.ndarray
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
-        if not np.all(np.isfinite(w)) or not np.isfinite(self.intercept):
+        if not np.all(np.isfinite(w)) or not np.all(np.isfinite(self.intercept)):
             raise ValueError("model coefficients must be finite")
-        if self.quantile is not None and not (0.0 < self.quantile < 1.0):
-            raise ValueError("quantile must lie strictly in (0, 1)")
 
 
 def _rows(X) -> np.ndarray:
@@ -94,7 +93,7 @@ def _standardize(X: np.ndarray, y: np.ndarray):
     floored), and the map from coefficients and intercepts on them back to
     original units."""
     mx, my = X.mean(axis=0), float(np.mean(y))
-    sx, sy = np.maximum(X.std(axis=0), STD_FLOOR), max(float(np.std(y)), STD_FLOOR)
+    sx, sy = np.maximum(X.std(axis=0), STD_FLOOR), floored_std(y)
 
     def to_original(c: np.ndarray, b):
         w = c * sy / sx
@@ -105,8 +104,8 @@ def _standardize(X: np.ndarray, y: np.ndarray):
 
 def centred_gram(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The column means c of all rows of ``X``, the centred rows X - c and their Gram (X - c)'(X - c), read-only."""
-    centre = _rows(X).mean(axis=0)
-    centred = _rows(X) - centre
+    centre = (X := _rows(X)).mean(axis=0)
+    centred = X - centre
     for a in (moments := (centre, centred, centred.T @ centred)):
         a.flags.writeable = False
     return moments
@@ -148,11 +147,11 @@ def ridge_fit(X, y, lam: float = DEFAULT_LAMBDA, *, mask=None, gram=None) -> Lin
         y = _target(y, np.count_nonzero(mask), lam)
         moments = _downdated(gram, mask, y - np.mean(y))
     if moments is None:
-        X, y = _inputs(_rows(X) if mask is None else _rows(X)[mask], y, lam)
+        X, y = _inputs(X if mask is None else np.asarray(X)[mask], y, lam)
         Xc = X - (mx := X.mean(axis=0))
         moments = mx, Xc.T @ Xc, (y - np.mean(y)) @ Xc
     mx, scatter, cross = moments
-    my, sy = float(np.mean(y)), max(float(np.std(y)), STD_FLOOR)
+    my, sy = float(np.mean(y)), floored_std(y)
     sx = np.maximum(np.sqrt(np.diag(scatter) / len(y)), STD_FLOOR)
     A = scatter / np.outer(sx, sx) + lam * np.eye(len(sx))
     rhs = cross / (sx * sy)
@@ -172,11 +171,12 @@ def ridge_fit(X, y, lam: float = DEFAULT_LAMBDA, *, mask=None, gram=None) -> Lin
 
 
 def predict(model: LinearModel, X) -> np.ndarray:
-    """Apply a fitted linear head: X @ w + b."""
+    """Apply a fitted linear head: X @ W' + b, (n,) for one head and
+    (n, levels) for a multi-level head, column i from row i of W."""
     rows = _rows(X)
-    if rows.shape[1] != len(model.weights):
+    if rows.shape[1] != model.weights.shape[-1]:
         raise ValueError("feature dimension mismatch")
-    return rows @ model.weights + model.intercept
+    return rows @ model.weights.T + model.intercept
 
 
 def _step_to_boundary(pairs) -> np.ndarray:
@@ -184,11 +184,11 @@ def _step_to_boundary(pairs) -> np.ndarray:
     return np.min([np.divide(-x, dx, out=np.ones_like(x), where=dx < 0) for x, dx in pairs], axis=(0, 2), initial=1.0)
 
 
-def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel | list[LinearModel]:
+def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel:
     """Quantile linear heads: minimize sum pinball_alpha(y - Xw - b) + penalty.
 
-    One level ``alpha`` gives one LinearModel; a sequence gives a list in the
-    same order. With Xs and ys the standardized columns and target, the
+    One level ``alpha`` gives one head; a sequence of levels gives one
+    multi-level head, its row i fitted at the i-th level given. With Xs and ys the standardized columns and target, the
     thin SVD Xs = U S V' and r the number of singular values above 1e-12
     times the largest, the fit runs on Z = [U_r S_r, 1]: each level solves
     min alpha 1'u + (1 - alpha) 1'v + lam ||g||^2 subject to
@@ -283,9 +283,8 @@ def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel | list[
         z += t * da
     solved[active] = beta
 
-    w_orig, b_orig = to_original(solved[:, :-1] @ Vt[:r], solved[:, -1])
-    models = [LinearModel(w, float(b), quantile=float(q)) for w, b, q in zip(w_orig, b_orig, levels)]
-    return models[0] if np.ndim(alpha) == 0 else models
+    w, b = to_original(solved[:, :-1] @ Vt[:r], solved[:, -1])
+    return LinearModel(w[0], float(b[0])) if np.ndim(alpha) == 0 else LinearModel(w, b)
 
 
 def enforce_noncrossing(quantile_predictions: dict[float, np.ndarray]) -> dict[float, np.ndarray]:

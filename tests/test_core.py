@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import two_pass_mean_std
-from tixbench import FrequencySpec, TimeSeries, chrono_split, extract_segments, znorm_stats
+from tixbench import FrequencySpec, TimeSeries, chrono_split, extract_segments, floored_std
 from conftest import HOURLY, make_segment
 
 
@@ -140,37 +140,16 @@ class TestExtractSegments:
 
 class TestZnormStats:
     def test_constant_series_floored(self):
-        seg = make_segment([1.0, 1.0, 1.0], [True] * 3)
-        stats = znorm_stats(seg)
-        assert stats.mean == 1.0
-        assert stats.std == 1e-8
+        assert floored_std([1.0, 1.0, 1.0]) == 1e-8
 
     def test_two_points(self):
-        stats = znorm_stats(make_segment([0.0, 2.0], [True, True]))
-        assert stats.mean == 1.0
-        assert stats.std == 1.0
+        assert floored_std([0.0, 2.0]) == 1.0
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(3)
         values = rng.uniform(size=100)
-        stats = znorm_stats(make_segment(values, np.ones(100, dtype=bool)))
-        mean, std = two_pass_mean_std(values)
-        assert stats.mean == pytest.approx(mean, abs=1e-12)
-        assert stats.std == pytest.approx(std, abs=1e-12)
-
-    def test_ignores_hidden_values(self):
-        obs = np.array([True, False, True, False, True])
-        a = make_segment([1.0, 99.0, 2.0, -99.0, 3.0], obs)
-        b = make_segment([1.0, 0.0, 2.0, 0.0, 3.0], obs)
-        assert znorm_stats(a) == znorm_stats(b)
-
-def test_empty_context_message():
-    # A Segment always retains at least one visible point, so the error is
-    # only reachable through the raw stats helper.
-    from tixbench.core import masked_norm_stats
-
-    with pytest.raises(ValueError, match="empty context"):
-        masked_norm_stats(np.array([1.0]), np.array([False]))
+        _, std = two_pass_mean_std(values)
+        assert floored_std(values) == pytest.approx(std, abs=1e-12)
 
 
 def test_segment_requires_visible_point():

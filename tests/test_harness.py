@@ -5,16 +5,31 @@ import csv
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from tixbench import Component, FrequencySpec, InfeasibleScenario, ScoreRecord, SynthSpec, harness, impute_linear
+from conftest import make_segment
+from tixbench import (
+    DEFAULT_SCENARIOS,
+    Component,
+    FrequencySpec,
+    InfeasibleScenario,
+    ScoreRecord,
+    SynthSpec,
+    apply_scenario,
+    floored_std,
+    harness,
+    impute_linear,
+    make_imputer,
+)
 from tixbench.cli import main as cli_main
 from tixbench.harness import (
     DatasetSpec,
@@ -95,6 +110,16 @@ class TestIngest:
         path = write_csv(tmp_path / "a.csv", [[0, 1.0], [1, ""], [2, 3.0]])
         series = ingest_csv(path, HOURLY)
         np.testing.assert_array_equal(series.obs_mask, [True, False, True])
+
+    @pytest.mark.parametrize("column", ["value", "temp"])
+    @pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf"])
+    def test_non_finite_cell_rejected(self, tmp_path, text, column):
+        # Only an empty cell marks a missing value.
+        rows = [[0, 1.0, 5.0], [1, 2.0, 6.0]]
+        rows[1][1 if column == "value" else 2] = text
+        path = write_csv(tmp_path / "a.csv", rows, header=("timestamp", "value", "temp"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: non-finite cell {text!r} in column {column!r}")):
+            ingest_csv(path, HOURLY, covariate_columns=("temp",))
 
     def test_iso_datetimes(self, tmp_path):
         rows = [
@@ -414,6 +439,25 @@ class TestRun:
         with pytest.raises(IngestionError) as err:
             run(config)
         assert set(err.value.failures) == {"missing1", "missing2"}
+
+    @pytest.mark.parametrize("scenario", DEFAULT_SCENARIOS, ids=lambda s: s.label)
+    def test_scores_are_normalized_by_the_visible_values_only(self, scenario):
+        # The held-out values spread 1e6 times wider than the visible ones, so
+        # a scale that read them would move every mae by orders of magnitude.
+        rng = np.random.default_rng(8)
+        seg = make_segment(rng.normal(size=672), np.ones(672, dtype=bool))
+        seed = stable_seed(0, "d", seg.start, scenario.label)
+        hidden = apply_scenario(seg, scenario, seed).eval_mask
+        seg = replace(seg, values=np.where(hidden, 1e6 * seg.values, seg.values))
+        masked = apply_scenario(seg, scenario, seed)
+        assert np.array_equal(masked.eval_mask, hidden)
+        specs = (ImputerSpec("linear"), ImputerSpec("tix_fourier"))
+        records = harness._score_task(("d", seg, scenario, 0, specs, 0))
+        visible, truth = masked.values[masked.obs_mask], masked.values[masked.eval_mask]
+        assert len(records) == len(specs)
+        for spec, record in zip(specs, records):
+            point = make_imputer(spec.id)(masked).point
+            assert record.mae == pytest.approx(np.mean(np.abs(truth - point)) / floored_std(visible), rel=1e-12)
 
     def test_seed_derivation_is_stable(self):
         assert stable_seed(1, "a", 0, "x") == stable_seed(1, "a", 0, "x")

@@ -13,7 +13,7 @@ from scipy.stats import rankdata
 
 from oracles import ranks_oracle, wql_oracle
 import tixbench
-from tixbench import NormStats, ScoreRecord, aggregate, average_ranks, quantile_loss, wql, znorm_mae
+from tixbench import ScoreRecord, aggregate, average_ranks, quantile_loss, wql, znorm_mae
 from tixbench.metrics import _mid_ranks
 
 
@@ -31,29 +31,29 @@ def rec(dataset, imputer, scenario, mae, wql_value=None, n=10):
 class TestZnormMae:
     def test_identity_is_zero(self):
         v = np.array([1.0, 2.0, 3.0])
-        assert znorm_mae(v, v, NormStats(0.0, 1.0)) == 0.0
+        assert znorm_mae(v, v, 1.0) == 0.0
 
     def test_simple_case(self):
-        assert znorm_mae([0.0, 2.0], [1.0, 1.0], NormStats(1.0, 1.0)) == 1.0
+        assert znorm_mae([0.0, 2.0], [1.0, 1.0], 1.0) == 1.0
 
     def test_scaling_law(self):
         rng = np.random.default_rng(0)
         t, p = rng.normal(size=50), rng.normal(size=50)
-        plain = znorm_mae(t, p, NormStats(0.0, 1.0))
-        halved = znorm_mae(t, p, NormStats(0.0, 2.0))
+        plain = znorm_mae(t, p, 1.0)
+        halved = znorm_mae(t, p, 2.0)
         assert halved == pytest.approx(plain / 2.0, abs=1e-12)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(1)
         t, p = rng.normal(size=30), rng.normal(size=30)
         a, b = -2.5, 7.0
-        base = znorm_mae(t, p, NormStats(0.0, 1.3))
-        moved = znorm_mae(a * t + b, a * p + b, NormStats(0.0, 1.3 * abs(a)))
+        base = znorm_mae(t, p, 1.3)
+        moved = znorm_mae(a * t + b, a * p + b, 1.3 * abs(a))
         assert moved == pytest.approx(base, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            znorm_mae([1.0], [1.0, 2.0], NormStats(0.0, 1.0))
+            znorm_mae([1.0], [1.0, 2.0], 1.0)
 
 
 class TestQuantileLoss:
@@ -98,6 +98,8 @@ class TestWql:
             assert wql(preds, truth, alphas) == pytest.approx(
                 wql_oracle(preds, truth, alphas), abs=1e-12
             )
+            # Without alphas, every level the mapping holds is scored.
+            assert wql(dict(reversed(preds.items())), truth) == wql(preds, truth, alphas)
 
     def test_undefined_scale(self):
         with pytest.raises(ValueError, match="undefined scale"):

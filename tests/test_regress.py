@@ -30,6 +30,11 @@ def random_instance(rng, n=20, d=4):
     return X, y
 
 
+def level_heads(model):
+    """The one-level heads in the rows of a multi-level head, in its level order."""
+    return [LinearModel(w, float(b)) for w, b in zip(model.weights, model.intercept)]
+
+
 @pytest.mark.parametrize("d", [1, 5, 129])
 @pytest.mark.parametrize("lam", [0.0, 1e-3, 10.0])
 def test_both_heads_fit_one_row(d, lam):
@@ -38,7 +43,7 @@ def test_both_heads_fit_one_row(d, lam):
     rng = np.random.default_rng(d)
     X, y, X_new = rng.normal(size=(1, d)), np.array([-2.75]), rng.normal(size=(6, d))
     np.testing.assert_allclose(predict(ridge_fit(X, y, lam=lam), X_new), -2.75, rtol=0, atol=1e-12)
-    for model in pinball_fit(X, y, alpha=[0.1, 0.5, 0.9], lam=lam):
+    for model in level_heads(pinball_fit(X, y, alpha=[0.1, 0.5, 0.9], lam=lam)):
         np.testing.assert_allclose(predict(model, X_new), -2.75, rtol=0, atol=1e-12)
 
 
@@ -377,7 +382,7 @@ class TestPinballLP:
         rng = np.random.default_rng([129, n])
         X, y = random_basis_rows(rng, n)
         lam = 10.0
-        for alpha, model in zip(NINE_LEVELS, pinball_fit(X, y, alpha=NINE_LEVELS, lam=lam)):
+        for alpha, model in zip(NINE_LEVELS, level_heads(pinball_fit(X, y, alpha=NINE_LEVELS, lam=lam))):
             primal = penalized_objective(X, y, alpha, lam, model.weights, model.intercept)
             assert primal - dual_bound(X, y, alpha, lam, model) <= 1e-6 * primal
 
@@ -399,8 +404,9 @@ class TestPinballLP:
         X, y = context_rows("fourier", 6, rng)
         y = 3.0 * y + 1.0
         c, levels = 12.0, (0.2, 0.7)
-        for base, scaled in zip(pinball_fit(X, y, alpha=levels, lam=2.0), pinball_fit(X, c * y, alpha=levels, lam=2.0)):
-            gap = np.abs(predict(scaled, X) - c * predict(base, X))
+        base, scaled = pinball_fit(X, y, alpha=levels, lam=2.0), pinball_fit(X, c * y, alpha=levels, lam=2.0)
+        for base_head, scaled_head in zip(level_heads(base), level_heads(scaled)):
+            gap = np.abs(predict(scaled_head, X) - c * predict(base_head, X))
             assert gap.max() <= 1e-9 * c * y.std()
 
     def test_random_basis_ridge_penalty_is_optimal(self):
@@ -438,7 +444,7 @@ class TestPinballLevels:
     def test_every_level_matches_lp_optimum(self, d):
         rng = np.random.default_rng([d, 600])
         X, y = context_rows("fourier", d, rng, size=600)
-        models = pinball_fit(X, y, alpha=NINE_LEVELS, lam=0.0)
+        models = level_heads(pinball_fit(X, y, alpha=NINE_LEVELS, lam=0.0))
         for alpha, model in zip(NINE_LEVELS, models):
             best = pinball_lp_oracle(X, y, alpha)
             assert abs(pinball_objective(predict(model, X), y, alpha) - best) / best < 1e-6
@@ -447,7 +453,7 @@ class TestPinballLevels:
         rng = np.random.default_rng(600)
         X, y = random_basis_rows(rng, 600)
         lam = 10.0
-        for alpha, model in zip(NINE_LEVELS, pinball_fit(X, y, alpha=NINE_LEVELS, lam=lam)):
+        for alpha, model in zip(NINE_LEVELS, level_heads(pinball_fit(X, y, alpha=NINE_LEVELS, lam=lam))):
             single = pinball_fit(X, y, alpha=alpha, lam=lam)
             ours = penalized_objective(X, y, alpha, lam, model.weights, model.intercept)
             alone = penalized_objective(X, y, alpha, lam, single.weights, single.intercept)
@@ -457,14 +463,14 @@ class TestPinballLevels:
         rng = np.random.default_rng(3)
         X, y = context_rows("fourier", 5, rng)
         levels = (0.9, 0.1, 0.5)
-        models = pinball_fit(X, y, alpha=levels, lam=1.0)
-        assert [m.quantile for m in models] == list(levels)
-        for alpha, model in zip(levels, models):
+        model = pinball_fit(X, y, alpha=levels, lam=1.0)
+        assert model.weights.shape == (3, X.shape[1]) and model.intercept.shape == (3,)
+        for alpha, row in zip(levels, level_heads(model)):
             single = pinball_fit(X, y, alpha=alpha, lam=1.0)
-            np.testing.assert_allclose(predict(model, X), predict(single, X), atol=1e-6)
-        assert isinstance(pinball_fit(X, y, alpha=0.5), LinearModel)
-        (one,) = pinball_fit(X, y, alpha=[0.5])
-        assert one.quantile == 0.5
+            np.testing.assert_allclose(predict(row, X), predict(single, X), atol=1e-6)
+        single = pinball_fit(X, y, alpha=0.5)
+        assert single.weights.shape == (X.shape[1],) and isinstance(single.intercept, float)
+        assert pinball_fit(X, y, alpha=[0.5]).weights.shape == (1, X.shape[1])
 
     def test_level_validation(self):
         X, y = np.ones((5, 1)), np.arange(5.0)
@@ -501,6 +507,15 @@ class TestPredict:
         a = predict(model, X)
         b = predict(model, X)
         assert np.array_equal(a, b)
+
+    def test_multi_level_head_predicts_a_column_per_row(self):
+        rng = np.random.default_rng(11)
+        model = LinearModel(weights=rng.normal(size=(2, 3)), intercept=np.array([0.5, -1.0]))
+        X = rng.normal(size=(7, 3))
+        out = predict(model, X)
+        assert out.shape == (7, 2)
+        for i, head in enumerate(level_heads(model)):
+            np.testing.assert_allclose(out[:, i], predict(head, X), rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         model = LinearModel(weights=np.zeros(3), intercept=0.0)
