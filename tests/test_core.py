@@ -151,6 +151,12 @@ class TestZnormStats:
         _, std = two_pass_mean_std(values)
         assert floored_std(values) == pytest.approx(std, abs=1e-12)
 
+    def test_ignores_hidden_values(self):
+        obs = np.array([True, False, True, False, True])
+        a = make_segment([1.0, 99.0, 2.0, -99.0, 3.0], obs)
+        b = make_segment([1.0, 0.0, 2.0, 0.0, 3.0], obs)
+        assert floored_std(a.values[a.obs_mask]) == floored_std(b.values[b.obs_mask])
+
 
 def test_segment_requires_visible_point():
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tixbench import DEFAULT_SCENARIOS, InfeasibleScenario, Scenario, apply_scenario
+from tixbench import DEFAULT_SCENARIOS, InfeasibleScenario, Scenario, apply_scenario, floored_std
 from conftest import make_segment
 
 POINTWISE_HALF = Scenario("pointwise", 0.5, "pointwise1")
@@ -141,6 +141,15 @@ def test_mask_bookkeeping(seed, frac):
     assert not np.any(masked.obs_mask & masked.eval_mask)
     assert masked.obs_mask.sum() + masked.eval_mask.sum() == before
     assert np.array_equal(masked.values, seg.values)
+
+
+def test_norm_uses_remaining_context_only():
+    seg = full_segment(n=400, seed=4)
+    masked = apply_scenario(seg, POINTWISE_HALF, seed=11)
+    vis = masked.values[masked.obs_mask]
+    assert len(vis) < len(masked.values)
+    assert floored_std(vis) == pytest.approx(vis.std(), abs=1e-12)
+    assert floored_std(vis) != pytest.approx(masked.values.std(), abs=1e-12)
 
 
 def test_block_draw_that_would_hide_every_visible_point_is_infeasible():
