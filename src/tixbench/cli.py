@@ -13,7 +13,7 @@ import numpy as np
 import yaml
 
 from .core import floored_std
-from .harness import DatasetSpec, IngestionError, load_config, parse_timestamp, run_and_report, synth_from_dict
+from .harness import DatasetSpec, IngestionError, load_config, read_csv_columns, run_and_report, synth_from_dict
 from .metrics import wql as wql_metric, znorm_mae
 from .synth import generate
 
@@ -64,53 +64,40 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _read_value_csv(path, timestamp_column: str, value_column: str):
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for col in (timestamp_column, value_column):
-            if reader.fieldnames is None or col not in reader.fieldnames:
-                raise ValueError(f"{path}: missing column {col!r}")
-        quantile_cols = [c for c in reader.fieldnames if c.startswith("q0.")]
-        out: dict = {}
-        quants: dict = {}
-        for row in reader:
-            key = str(parse_timestamp(row[timestamp_column].strip()))
-            text = (row.get(value_column) or "").strip()
-            if not text:
-                continue
-            out[key] = float(text)
-            for c in quantile_cols:
-                qtext = (row.get(c) or "").strip()
-                if qtext:
-                    quants.setdefault(float(c[1:]), {})[key] = float(qtext)
-    return out, quants
-
-
+# An overflow shows as a non-finite score, which the JSON dump below rejects.
+@np.errstate(all="ignore")
 def _cmd_score(args) -> int:
-    truth, _ = _read_value_csv(args.truth, args.timestamp_column, args.value_column)
-    pred, quants = _read_value_csv(args.pred, args.timestamp_column, args.value_column)
-    keys = sorted(set(truth) & set(pred))
-    if not keys:
+    truth_stamps, truth = read_csv_columns(args.truth, args.timestamp_column, (args.value_column,))
+    pred_stamps, pred = read_csv_columns(args.pred, args.timestamp_column, (args.value_column,), prefix="q0.")
+    # Rows pair by equal parsed timestamps; a pair is scored when both values are present.
+    pred_row = {s: i for i, s in enumerate(pred_stamps)}
+    pairs = [(i, pred_row[s]) for i, s in enumerate(truth_stamps) if s in pred_row]
+    ti, pi = np.array(pairs, dtype=int).reshape(-1, 2).T
+    t, p = truth[args.value_column][ti], pred.pop(args.value_column)[pi]
+    scored = ~np.isnan(t) & ~np.isnan(p)
+    if not scored.any():
         print("error: no overlapping scored timestamps", file=sys.stderr)
         return 1
-    t = np.array([truth[k] for k in keys])
-    p = np.array([pred[k] for k in keys])
+    t, p, pi = t[scored], p[scored], pi[scored]
     std = floored_std(t)
     result = {
-        "n_points": len(keys),
+        "n_points": len(t),
         "mae": float(np.mean(np.abs(t - p))),
         "znorm_mae": znorm_mae(t, p, std),
         "truth_std": std,
     }
-    complete_levels = sorted(a for a, m in quants.items() if all(k in m for k in keys))
-    if complete_levels:
-        preds = {a: np.array([quants[a][k] for k in keys]) for a in complete_levels}
+    levels = {float(c[1:]): q[pi] for c, q in pred.items() if not np.isnan(q[pi]).any()}
+    if levels:
         try:
-            result["wql"] = wql_metric(preds, t)
-            result["wql_levels"] = complete_levels
+            result["wql"] = wql_metric(levels, t)
+            result["wql_levels"] = sorted(levels)
         except ValueError:
             pass
-    print(json.dumps(result, indent=2, sort_keys=True))
+    try:
+        text = json.dumps(result, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ValueError(f"{args.pred}: scores against {args.truth} are not finite") from None
+    print(text)
     return 0
 
 

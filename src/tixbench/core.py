@@ -150,9 +150,6 @@ class Segment:
                 raise ValueError(f"covariate {k!r} must have length `length`")
         object.__setattr__(self, "covariates", covs)
 
-    def __len__(self) -> int:
-        return self.length
-
 
 def _split_fractions(fractions) -> tuple[float, float, float]:
     """The split fractions as floats; there must be three, each positive, summing to 1."""

@@ -238,6 +238,56 @@ def parse_timestamp(text: str):
         return datetime.fromisoformat(text)
 
 
+def read_csv_columns(path, timestamp_column: str, columns: tuple[str, ...], prefix: str | None = None):
+    """The sorted timestamps of a comma-separated file, and one float array per column in their order.
+
+    The header must name ``timestamp_column`` and each of ``columns``; header
+    columns that start with ``prefix``, when given, are read too. Timestamps
+    are integers or ISO-8601 datetimes, all of one kind (naive and aware
+    datetimes are two), and no two equal. An empty cell is missing (NaN); a
+    cell that is not a finite number (``nan`` and ``inf`` included) is an error.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ValueError(f"{path}: empty file (header row required)")
+        for col in (timestamp_column, *columns):
+            if col not in reader.fieldnames:
+                raise ValueError(f"{path}: missing column {col!r}")
+        if prefix is not None:
+            columns = (*columns, *(c for c in reader.fieldnames if c.startswith(prefix) and c not in columns))
+        rows = list(reader)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+
+    def _stamp(row):
+        text = (row.get(timestamp_column) or "").strip()
+        try:
+            return parse_timestamp(text)
+        except ValueError:
+            raise ValueError(f"{path}: non-timestamp cell {text!r} in column {timestamp_column!r}") from None
+
+    def _cell(row, col):
+        text = (row.get(col) or "").strip()
+        if not text:
+            return math.nan
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"{path}: non-numeric cell {text!r} in column {col!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: non-finite cell {text!r} in column {col!r}")
+        return value
+
+    stamps = [_stamp(r) for r in rows]
+    if len({(type(s), getattr(s, "tzinfo", None) is None) for s in stamps}) > 1:
+        raise ValueError(f"{path}: mixed timestamp formats")
+    if len(set(stamps)) != len(stamps):
+        raise ValueError(f"{path}: duplicate timestamps")
+    stamps, rows = zip(*sorted(zip(stamps, rows), key=lambda pair: pair[0]))
+    return stamps, {c: np.array([_cell(r, c) for r in rows]) for c in columns}
+
+
 def ingest_csv(
     path,
     freq: FrequencySpec,
@@ -256,26 +306,7 @@ def ingest_csv(
     cell that is not a finite number (``nan`` and ``inf`` included) is an error.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty file (header row required)")
-        for col in (timestamp_column, value_column, *covariate_columns):
-            if col not in reader.fieldnames:
-                raise ValueError(f"{path}: missing column {col!r}")
-        rows = list(reader)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-
-    stamps = [parse_timestamp(r[timestamp_column]) for r in rows]
-    kinds = {type(s) for s in stamps}
-    if len(kinds) > 1:
-        raise ValueError(f"{path}: mixed timestamp formats")
-    order = np.argsort(np.array(stamps, dtype=object), kind="stable")
-    stamps = [stamps[i] for i in order]
-    rows = [rows[i] for i in order]
-    if len(set(stamps)) != len(stamps):
-        raise ValueError(f"{path}: duplicate timestamps")
+    stamps, columns = read_csv_columns(path, timestamp_column, (value_column, *covariate_columns))
 
     if isinstance(stamps[0], datetime):
         # Infer the grid step as the smallest positive spacing; every other
@@ -294,39 +325,16 @@ def ingest_csv(
         ticks = np.array(stamps, dtype=np.int64) - int(stamps[0])
 
     n = int(ticks[-1]) + 1
-    values = np.full(n, np.nan)
-    obs = np.zeros(n, dtype=bool)
-    covs = {c: np.full(n, np.nan) for c in covariate_columns}
-
-    def _cell(row, col):
-        text = (row.get(col) or "").strip()
-        if not text:
-            return None
-        try:
-            value = float(text)
-        except ValueError:
-            raise ValueError(f"{path}: non-numeric cell {text!r} in column {col!r}") from None
-        if not math.isfinite(value):
-            raise ValueError(f"{path}: non-finite cell {text!r} in column {col!r}")
-        return value
-
-    for tick, row in zip(ticks, rows):
-        v = _cell(row, value_column)
-        if v is not None:
-            values[tick] = v
-            obs[tick] = True
-        for c in covariate_columns:
-            cv = _cell(row, c)
-            if cv is not None:
-                covs[c][tick] = cv
-
+    grid = {c: np.full(n, np.nan) for c in columns}
+    for c, column in columns.items():
+        grid[c][ticks] = column
     return TimeSeries(
         id=series_id or path.stem,
         timestamps=np.arange(n, dtype=np.int64),
-        values=values,
-        obs_mask=obs,
+        values=grid[value_column],
+        obs_mask=~np.isnan(grid[value_column]),
         freq=freq,
-        covariates=covs,
+        covariates={c: grid[c] for c in covariate_columns},
     )
 
 
@@ -587,7 +595,7 @@ def report(records, aggregates, ranks, output_dir, meta: dict | None = None) -> 
     meta = dict(meta or {})
     payload = {
         "meta": meta,
-        "records": [r.as_dict() for r in records],
+        "records": [asdict(r) for r in records],
         "aggregates": [dict(a) for a in aggregates],
         "ranks": {k: float(v) for k, v in sorted(ranks.items())},
     }

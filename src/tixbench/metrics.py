@@ -9,7 +9,7 @@ mid-rank ties, and averages ranks per imputer across tasks.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -31,9 +31,6 @@ class ScoreRecord:
             raise ValueError("n_points must be >= 1")
         if self.mae < 0 or (self.wql is not None and self.wql < 0):
             raise ValueError("scores must be nonnegative")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def znorm_mae(truth, pred, std: float) -> float:

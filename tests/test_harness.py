@@ -26,6 +26,7 @@ from tixbench import (
     SynthSpec,
     apply_scenario,
     floored_std,
+    generate,
     harness,
     impute_linear,
     make_imputer,
@@ -44,9 +45,11 @@ from tixbench.harness import (
     run,
     run_and_report,
     stable_seed,
+    synth_from_dict,
 )
 
 HOURLY = FrequencySpec(24)
+NON_FINITE = ("nan", "NaN", "inf", "-inf")
 
 
 def write_csv(path, rows, header=("timestamp", "value")):
@@ -805,13 +808,18 @@ class TestReport:
 
 class TestCli:
     def test_synth_roundtrip(self, tmp_path, capsys):
+        # The path of the quantile bench workload: synth -> CSV -> ingest_csv.
+        spec = {**SYNTH_DICT, "components": [{"kind": "covariate_linear", "covariate_gain": 0.8}, *SYNTH_DICT["components"]]}
         spec_path = tmp_path / "spec.yaml"
-        spec_path.write_text(yaml.safe_dump(SYNTH_DICT))
+        spec_path.write_text(yaml.safe_dump(spec))
         out_csv = tmp_path / "series.csv"
         assert cli_main(["synth", str(spec_path), "-o", str(out_csv)]) == 0
-        series = ingest_csv(out_csv, HOURLY)
+        series = ingest_csv(out_csv, HOURLY, covariate_columns=("cov1",))
         assert len(series) == 280 * 24
         assert series.obs_mask.all()
+        expected = generate(synth_from_dict(spec))
+        assert series.values.tobytes() == expected.values.tobytes()
+        assert series.covariates["cov1"].tobytes() == expected.covariates["cov1"].tobytes()
 
     def test_run_and_score(self, tmp_path, capsys):
         cfg = {
@@ -929,6 +937,84 @@ class TestCli:
         scored = json.loads(capsys.readouterr().out)
         assert "wql" in scored
         assert scored["wql_levels"] == [0.1, 0.9]
+
+    @pytest.mark.parametrize(
+        "file, column, text",
+        [(f, "value", t) for f in ("truth", "pred") for t in NON_FINITE]
+        + [("pred", "q0.9", t) for t in NON_FINITE]
+        + [("truth", "timestamp", "0"), ("pred", "timestamp", "0")],
+    )
+    def test_score_rejects_bad_cells(self, tmp_path, capsys, file, column, text):
+        # Both files follow the ingestion rules: only an empty cell is
+        # missing, and a repeated timestamp is an error.
+        header = ("timestamp", "value", "q0.9")
+        good = [[0, 2.0, 3.0], [1, 4.0, 5.0], [2, 3.0, 4.0]]
+        bad = copy.deepcopy(good)
+        bad[1][header.index(column)] = text
+        truth = write_csv(tmp_path / "t.csv", [r[:2] for r in (bad if file == "truth" else good)], header[:2])
+        pred = write_csv(tmp_path / "p.csv", bad if file == "pred" else good, header)
+        message = "duplicate timestamps" if column == "timestamp" else f"non-finite cell {text!r} in column {column!r}"
+        assert cli_main(["score", str(truth), str(pred)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {truth if file == 'truth' else pred}: {message}\n")
+
+    def test_score_rejects_a_non_finite_score(self, tmp_path, capsys):
+        # Finite cells whose errors overflow: the score must not print
+        # Infinity or NaN, which are not JSON.
+        truth = write_csv(tmp_path / "t.csv", [[0, 1e308], [1, -1e308]])
+        pred = write_csv(tmp_path / "p.csv", [[0, -1e308], [1, 1e308]])
+        assert cli_main(["score", str(truth), str(pred)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {pred}: scores against {truth} are not finite\n")
+
+    def test_score_pairs_rows_by_parsed_timestamp(self, tmp_path, capsys):
+        # Rows pair by the instant they name, whatever their order or UTC
+        # offset; an empty value on either side leaves its row unscored, and
+        # a quantile column with an empty cell in a scored row is left out.
+        truth = write_csv(
+            tmp_path / "t.csv",
+            [
+                ["2024-01-01T02:00:00+00:00", 5.0],
+                ["2024-01-01T00:00:00+00:00", 1.0],
+                ["2024-01-01T01:00:00+00:00", ""],
+            ],
+        )
+        pred = write_csv(
+            tmp_path / "p.csv",
+            [
+                ["2024-01-01T01:00:00+01:00", 1.5, 1.0, 2.0],
+                ["2024-01-01T03:00:00+01:00", 4.0, 4.0, ""],
+                ["2024-01-01T03:00:00+02:00", 9.0, "", 9.0],
+            ],
+            header=("timestamp", "value", "q0.5", "q0.9"),
+        )
+        assert cli_main(["score", str(truth), str(pred)]) == 0
+        scored = json.loads(capsys.readouterr().out)
+        # Scored: 00:00 (1.0 against 1.5) and 02:00 (5.0 against 4.0).
+        assert scored["n_points"] == 2
+        assert scored["mae"] == 0.75
+        assert scored["wql_levels"] == [0.5]
+        assert scored["wql"] == pytest.approx(2 * 0.5 / 6, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0, 1.0], [None, 2.0]], "non-timestamp cell '' in column 'timestamp'"),
+            ([[0, 1.0], ["yesterday", 2.0]], "non-timestamp cell 'yesterday' in column 'timestamp'"),
+            ([["2024-01-01T00:00:00", 1.0], ["2024-01-01T01:00:00+00:00", 2.0]], "mixed timestamp formats"),
+        ],
+        ids=["missing", "unparseable", "naive_and_aware"],
+    )
+    def test_bad_timestamp_cell_names_file_and_column(self, tmp_path, capsys, rows, message):
+        # A row too short to reach the timestamp column has no timestamp cell.
+        path = tmp_path / "a.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write("value,timestamp\n")
+            fh.writelines(f"{v}\n" if t is None else f"{v},{t}\n" for t, v in rows)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            ingest_csv(path, HOURLY)
+        assert cli_main(["score", str(path), str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
 def test_demo_matches_committed_results(tmp_path):
