@@ -133,8 +133,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:
-        # A bad config, spec or input file, or a run that cannot go on.
+    except (ValueError, OSError) as err:
+        # A bad config, spec or input file, one that cannot be read or written, or a run that cannot go on.
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -243,7 +243,7 @@ def read_csv_columns(path, timestamp_column: str, columns: tuple[str, ...], pref
 
     The header must name ``timestamp_column`` and each of ``columns``; header
     columns that start with ``prefix``, when given, are read too. Timestamps
-    are integers or ISO-8601 datetimes, all of one kind (naive and aware
+    are integers within int64 or ISO-8601 datetimes, all of one kind (naive and aware
     datetimes are two), and no two equal. An empty cell is missing (NaN); a
     cell that is not a finite number (``nan`` and ``inf`` included) is an error.
     """
@@ -263,9 +263,12 @@ def read_csv_columns(path, timestamp_column: str, columns: tuple[str, ...], pref
     def _stamp(row):
         text = (row.get(timestamp_column) or "").strip()
         try:
-            return parse_timestamp(text)
+            stamp = parse_timestamp(text)
         except ValueError:
             raise ValueError(f"{path}: non-timestamp cell {text!r} in column {timestamp_column!r}") from None
+        if isinstance(stamp, int) and not -(2**63) <= stamp < 2**63:
+            raise ValueError(f"{path}: timestamp cell {text!r} in column {timestamp_column!r} is beyond int64")
+        return stamp
 
     def _cell(row, col):
         text = (row.get(col) or "").strip()

@@ -14,11 +14,13 @@ Koenker & Bassett (1978) plus a ridge term, solved to a tolerance by a
 primal-dual predictor-corrector interior-point method (Mehrotra 1992), the
 Frisch-Newton method of Portnoy & Koenker (1997), on the rank-r column space
 of the standardized rows (r <= d): 10-20 Newton steps, each one Cholesky
-factorization of an (r+1)x(r+1) matrix per level. One call fits a sequence of
-levels on a shared design: every level that has not yet converged takes its
-Newton step in the same vectorized pass, and a level leaves the active set at
-its own stopping test. It factors and solves with scipy's LAPACK wrappers,
-which ``pinball_fit`` imports when it runs: numpy has no triangular solve.
+factorization of an (r+1)x(r+1) matrix W'W per level, W the scaled rows. One
+call fits a sequence of levels on a shared design: every level that has not
+yet converged takes its Newton step in the same vectorized pass, on its row
+of the stacked primal (u, v) and dual (s, z) variables, and a level leaves
+the active set at its own stopping test. It factors and solves with scipy's
+LAPACK wrappers, which ``pinball_fit`` imports when it runs: numpy has no
+triangular solve.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ DEFAULT_LAMBDA = 1e-3
 
 # pinball_fit's interior-point constants. Fits take 10-20 Newton steps; the
 # cap ends one whose residuals stall (lam = 0 on a rank-deficient basis) while
-# no iterate can have shrunk below 1e-215, so u/s and v/z stay finite.
+# no iterate can have shrunk below 1e-215, so u/s, v/z and the step length's
+# -dx/x stay finite.
 _IPM_TOL = 1e-9
 _IPM_MAX_STEPS = 50
 _IPM_STEP_FRACTION = 0.99995
@@ -180,8 +183,8 @@ def predict(model: LinearModel, X) -> np.ndarray:
 
 
 def _step_to_boundary(pairs) -> np.ndarray:
-    """Per row, the largest t <= 1 that keeps every x + t * dx nonnegative."""
-    return np.min([np.divide(-x, dx, out=np.ones_like(x), where=dx < 0) for x, dx in pairs], axis=(0, 2), initial=1.0)
+    """Per row, the largest t <= 1 that keeps every x + t * dx nonnegative, for x > 0: 1 / max(1, max(-dx / x))."""
+    return 1.0 / np.max([np.max(-dx / x, axis=1) for x, dx in pairs], axis=0, initial=1.0)
 
 
 def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel:
@@ -195,10 +198,11 @@ def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel:
     Z (g, b) + u - v = ys and u, v >= 0, and c = V_r g. Since
     ||V_r g|| = ||g|| and a null-space part of c changes no fit but adds
     to the penalty, this is the fit on [Xs, 1] with penalty lam ||c||^2, as
-    in ``ridge_fit``. The levels share Z and step together; each step
-    factors, per level, Z' diag(1/theta) Z + 2 lam diag(1, .., 1, 0),
-    theta = u/s + v/z with s, z the dual slacks, once for both predictor
-    and corrector.
+    in ``ridge_fit``. The levels share Z and step together, each on one row
+    of x = (u, v) and of w = (s, z), s and z the dual slacks; each step
+    factors, per level, W'W + 2 lam diag(1, .., 1, 0), W = diag(theta)^-1/2 Z
+    and theta = u/s + v/z, once for both predictor and corrector. The step
+    length keeps every entry of x and w positive.
 
     A level leaves the active set when its gap u's + v'z and its primal and
     dual residuals are each below 1e-9 relative to their scale, or at a step
@@ -223,32 +227,34 @@ def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel:
     Z = np.column_stack([U[:, :r] * S[:r], np.ones(n)])
     z_norm, ys_norm = np.linalg.norm(Z), np.linalg.norm(ys)
     pen = np.append(np.full(r, 2.0 * lam), 0.0)
-    # Row i is level active[i]: beta = 0, u - v = ys (primal feasible), a = alpha - s = z - (1 - alpha) = 0
-    # (dual feasible at lam = 0). s and z are updated apart, so neither is lost to cancellation near 0.
+    # Row i is level active[i], with x = (u, v) and w = (s, z): beta = 0, u - v = ys (primal feasible),
+    # a = alpha - s = z - (1 - alpha) = 0 (dual feasible at lam = 0). s and z stay separate entries of w,
+    # so neither is lost to cancellation near 0.
     active, al, beta = np.arange(len(levels)), levels, np.zeros((len(levels), r + 1))
-    u = np.tile(np.maximum(ys, 0.0) + 1.0, (len(levels), 1))
-    v = np.tile(np.maximum(-ys, 0.0) + 1.0, (len(levels), 1))
-    s, z = np.repeat(al[:, None], n, axis=1), np.repeat(1.0 - al[:, None], n, axis=1)
-    solved, normal, weighted = np.empty_like(beta), np.empty((len(levels), r + 1, r + 1)), np.empty((r + 1, n))
+    x = np.tile(np.append(np.maximum(ys, 0.0), np.maximum(-ys, 0.0)) + 1.0, (len(levels), 1))
+    w = np.repeat(np.column_stack([al, 1.0 - al]), n, axis=1)
+    solved, normal, scaled = np.empty_like(beta), np.empty((len(levels), r + 1, r + 1)), np.empty((n, r + 1))
     diag = np.arange(r + 1)
 
     for _ in range(_IPM_MAX_STEPS):
-        rp = ys - beta @ Z.T - u + v
-        a = al[:, None] - s
+        rp = ys - beta @ Z.T - x[:, :n] + x[:, n:]
+        a = al[:, None] - w[:, :n]
         rd = a @ Z - pen * beta
-        gap = np.sum(u * s, axis=1) + np.sum(v * z, axis=1)
-        obj = al * u.sum(axis=1) + (1.0 - al) * v.sum(axis=1) + lam * np.sum(beta[:, :-1] ** 2, axis=1)
+        gap = np.sum(x * w, axis=1)
+        obj = al * x[:, :n].sum(axis=1) + (1.0 - al) * x[:, n:].sum(axis=1) + lam * np.sum(beta[:, :-1] ** 2, axis=1)
         done = (gap <= _IPM_TOL * (1.0 + obj)) & (np.linalg.norm(rp, axis=1) <= _IPM_TOL * (1.0 + ys_norm))
         done &= np.linalg.norm(rd, axis=1) <= _IPM_TOL * (1.0 + z_norm * np.linalg.norm(a, axis=1))
         if done.any():
             solved[active[done]] = beta[done]
-            active, al, beta, u, v, s, z, rp, rd, gap = (x[~done] for x in (active, al, beta, u, v, s, z, rp, rd, gap))
+            active, al, beta, x, w, rp, rd, gap = (e[~done] for e in (active, al, beta, x, w, rp, rd, gap))
             if not len(active):
                 break
-        theta = np.maximum(u / s + v / z, _IPM_THETA_MIN)
+        xw = x / w
+        theta = np.maximum(xw[:, :n] + xw[:, n:], _IPM_THETA_MIN)
         N = normal[: len(active)]
-        for Ni, th in zip(N, theta):
-            np.matmul(np.divide(Z.T, th, out=weighted), Z, out=Ni)
+        # W' W with W = Z / sqrt(theta): numpy sends the product of a matrix with its own transpose to syrk.
+        for Ni, root in zip(N, np.sqrt(theta)):
+            np.matmul(np.divide(Z, root[:, None], out=scaled).T, scaled, out=Ni)
         N[:, diag, diag] += pen + _IPM_JITTER * (N[:, diag, diag] + pen).max(axis=1, keepdims=True)
         # Each Ni is symmetric, so Ni.T is Ni in the Fortran order LAPACK factors in place.
         factors = [scipy.linalg.lapack.dpotrf(Ni.T, overwrite_a=1, clean=0) for Ni in N]
@@ -258,29 +264,27 @@ def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel:
         def solve(rhs: np.ndarray) -> np.ndarray:
             return np.array([scipy.linalg.lapack.dpotrs(fac, r)[0] for (fac, _), r in zip(factors, rhs)])
 
-        def newton(cu: np.ndarray, cv: np.ndarray):
-            # The Newton step in which u*s changes by s*cu and v*z by z*cv.
-            q = rp - cu + cv
+        def newton(c: np.ndarray):
+            # The Newton step in which x*w changes by w*c: dx = c - (x/w) dw, with dw = (-da, da).
+            q = rp - c[:, :n] + c[:, n:]
             rhs = rd + (q / theta) @ Z
             db = solve(rhs)
             db += solve(rhs - ((db @ Z.T) / theta @ Z + pen * db))
-            da = (q - db @ Z.T) / theta
-            return db, da, cu + u / s * da, cv - v / z * da
+            dw = np.concatenate((-(da := (q - db @ Z.T) / theta), da), axis=1)
+            return db, c - xw * dw, dw
 
-        # Predictor: the affine-scaling direction, aiming at u*s = v*z = 0.
-        db, da, du, dv = newton(-u, -v)
-        t = _step_to_boundary(((u, du), (v, dv), (s, -da), (z, da)))[:, None]
+        # Predictor: the affine-scaling direction, aiming at x*w = 0.
+        db, dx, dw = newton(-x)
+        t = _step_to_boundary(((x, dx), (w, dw)))[:, None]
         mu = gap / (2 * n)
-        mu_aff = (np.sum((u + t * du) * (s - t * da), axis=1) + np.sum((v + t * dv) * (z + t * da), axis=1)) / (2 * n)
+        mu_aff = np.sum((x + t * dx) * (w + t * dw), axis=1) / (2 * n)
         sigma_mu = ((mu_aff / mu) ** 3 * mu)[:, None]
         # Corrector: centre at sigma * mu, with Mehrotra's second-order term.
-        db, da, du, dv = newton((sigma_mu + du * da) / s - u, (sigma_mu - dv * da) / z - v)
-        t = _IPM_STEP_FRACTION * _step_to_boundary(((u, du), (v, dv), (s, -da), (z, da)))[:, None]
+        db, dx, dw = newton((sigma_mu - dx * dw) / w - x)
+        t = _IPM_STEP_FRACTION * _step_to_boundary(((x, dx), (w, dw)))[:, None]
         beta += t * db
-        u += t * du
-        v += t * dv
-        s -= t * da
-        z += t * da
+        x += t * dx
+        w += t * dw
     solved[active] = beta
 
     w, b = to_original(solved[:, :-1] @ Vt[:r], solved[:, -1])

@@ -859,6 +859,15 @@ class TestCli:
         assert a["meta"]["seed"] == 3 and b["meta"]["seed"] == 4
         assert a["meta"]["content_digest"] != b["meta"]["content_digest"]
 
+    @pytest.mark.parametrize("command", ["score", "synth"])
+    def test_missing_input_file_is_an_error_line(self, tmp_path, capsys, command):
+        missing = tmp_path / "nosuch.csv"
+        pred = write_csv(tmp_path / "pred.csv", [[0, 1.0]])
+        argv = ["score", str(missing), str(pred)] if command == "score" else ["synth", str(missing), "-o", str(pred)]
+        assert cli_main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
+
     def test_run_reports_ingestion_failures(self, tmp_path, capsys):
         cfg = {
             "datasets": [{"id": "ghost", "path": str(tmp_path / "ghost.csv"), "steps_per_day": 24}],
@@ -1002,8 +1011,10 @@ class TestCli:
             ([[0, 1.0], [None, 2.0]], "non-timestamp cell '' in column 'timestamp'"),
             ([[0, 1.0], ["yesterday", 2.0]], "non-timestamp cell 'yesterday' in column 'timestamp'"),
             ([["2024-01-01T00:00:00", 1.0], ["2024-01-01T01:00:00+00:00", 2.0]], "mixed timestamp formats"),
+            ([[0, 1.0], [2**63, 2.0]], f"timestamp cell '{2**63}' in column 'timestamp' is beyond int64"),
+            ([[-(2**63) - 1, 1.0], [0, 2.0]], f"timestamp cell '{-(2**63) - 1}' in column 'timestamp' is beyond int64"),
         ],
-        ids=["missing", "unparseable", "naive_and_aware"],
+        ids=["missing", "unparseable", "naive_and_aware", "above_int64", "below_int64"],
     )
     def test_bad_timestamp_cell_names_file_and_column(self, tmp_path, capsys, rows, message):
         # A row too short to reach the timestamp column has no timestamp cell.

@@ -489,6 +489,38 @@ class TestPinballLevels:
             pinball_fit(X, y, alpha=NINE_LEVELS, lam=0.0)
 
 
+class TestPinballSteps:
+    """The interior-point step length, and the positive iterates it relies on."""
+
+    def test_step_to_boundary_matches_masked_reference(self):
+        # Reference: min(1, min over dx < 0 of -x / dx). Rows 0-5 have no
+        # negative dx, row 6 is all zeros; about a fifth of the rest is 0.
+        rng = np.random.default_rng(12)
+        scale = 10.0 ** rng.integers(-200, 200, size=(60, 1))
+        x = rng.uniform(0.01, 1.0, size=(60, 80)) * scale
+        dx = rng.normal(size=x.shape) * scale * 10.0 ** rng.integers(-3, 4, size=(60, 1))
+        dx[rng.random(x.shape) < 0.2] = 0.0
+        dx[:6], dx[6] = np.abs(dx[:6]), 0.0
+        pairs = ((x[:, :40], dx[:, :40]), (x[:, 40:], dx[:, 40:]))
+        t = regress._step_to_boundary(pairs)
+        masked = [np.divide(-a, da, out=np.ones_like(a), where=da < 0) for a, da in pairs]
+        ref = np.min(masked, axis=(0, 2), initial=1.0)
+        assert np.all(t[:7] == 1.0) and np.any(ref < 1e-3) and np.any((ref > 0.1) & (ref < 1.0))
+        assert np.all(np.abs(t - ref) <= 2 * np.spacing(ref))
+
+    @pytest.mark.parametrize("size", [202, 400, 624])
+    def test_fit_on_the_step_cap_keeps_iterates_positive(self, size, monkeypatch):
+        # lam = 0 on the d=129 random basis stalls until the cap. An iterate
+        # at 0 would divide by 0 in theta or in the step length.
+        steps, step = [], regress._step_to_boundary
+        monkeypatch.setattr(regress, "_step_to_boundary", lambda pairs: steps.append(None) or step(pairs))
+        X, y = random_basis_rows(np.random.default_rng(size), size)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            model = pinball_fit(X, y, alpha=NINE_LEVELS, lam=0.0)
+        assert len(steps) == 2 * regress._IPM_MAX_STEPS
+        assert np.all(np.isfinite(model.weights)) and np.all(np.isfinite(model.intercept))
+
+
 class TestPredict:
     def test_constant_model(self):
         model = LinearModel(weights=np.zeros(3), intercept=2.5)
