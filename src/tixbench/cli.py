@@ -56,9 +56,9 @@ def _cmd_synth(args) -> int:
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([DatasetSpec.timestamp_column, DatasetSpec.value_column, *cov_names])
-        for i, ts in enumerate(series.timestamps):
+        for i in range(len(series)):
             writer.writerow(
-                [int(ts), repr(float(series.values[i])), *(repr(float(series.covariates[c][i])) for c in cov_names)]
+                [i, repr(float(series.values[i])), *(repr(float(series.covariates[c][i])) for c in cov_names)]
             )
     print(f"wrote {len(series)} rows to {out}")
     return 0

@@ -4,9 +4,10 @@ All containers are frozen dataclasses holding numpy arrays and are treated as
 immutable after construction; every operation in this module is a pure
 function, safe to call from any number of workers.
 
-Timestamps live on a regular integer grid with step 1 (one sampling step per
-tick). Irregular sampling is expressed through the observation mask, never
-through the timestamps themselves.
+A series lives on a regular integer grid with step 1: position i is tick
+``start + i`` of the series it was cut from, so no timestamps are stored.
+Irregular sampling is expressed through the observation mask, never through
+the grid itself.
 """
 
 from __future__ import annotations
@@ -32,45 +33,40 @@ def floored_std(values) -> float:
 
 @dataclass(frozen=True)
 class FrequencySpec:
-    """Sampling-rate metadata: ticks per day/week and the seasonal period.
+    """Sampling-rate metadata: ticks per day and the seasonal period.
 
-    Counts are whole numbers (24.0 is stored as 24). ``steps_per_week`` is 7 *
-    ``steps_per_day`` (pass 0 to derive it); ``seasonal_period`` defaults to one day.
+    Counts are whole numbers (24.0 is stored as 24). A week is 7 days;
+    ``seasonal_period`` defaults to one day.
     """
 
     steps_per_day: int
-    steps_per_week: int = 0
     seasonal_period: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("steps_per_day", "steps_per_week", "seasonal_period"):
+        for name in ("steps_per_day", "seasonal_period"):
             value = getattr(self, name)
             if not float(value).is_integer():
                 raise ValueError(f"{name} must be a whole number, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.steps_per_day < 1:
             raise ValueError("steps_per_day must be a positive integer")
-        if self.steps_per_week == 0:
-            object.__setattr__(self, "steps_per_week", 7 * self.steps_per_day)
-        if self.steps_per_week != 7 * self.steps_per_day:
-            raise ValueError("steps_per_week must equal 7 * steps_per_day")
         if self.seasonal_period == 0:
             object.__setattr__(self, "seasonal_period", self.steps_per_day)
         if self.seasonal_period < 1:
             raise ValueError("seasonal_period must be >= 1")
 
+    @property
+    def steps_per_week(self) -> int:
+        return 7 * self.steps_per_day
 
-def _as_float_array(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
+
+def _vector(x, dtype, name: str, n: int | None = None) -> np.ndarray:
+    """``x`` as a one-dimensional ``dtype`` array, of length ``n`` if given."""
+    arr = np.asarray(x, dtype=dtype)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    return arr
-
-
-def _as_bool_array(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=bool)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
+    if n is not None and len(arr) != n:
+        raise ValueError(f"{name} must match values in length")
     return arr
 
 
@@ -80,75 +76,61 @@ class TimeSeries:
 
     ``values`` at positions where ``obs_mask`` is false are undefined and must
     never be read by consumers. Covariate channels are aligned to the same
-    grid; NaN marks a missing covariate cell.
+    grid; NaN marks a missing covariate cell. ``start`` is the offset of the
+    first tick in the series this one was cut from (0 for a whole series).
     """
 
     id: str
-    timestamps: np.ndarray
     values: np.ndarray
     obs_mask: np.ndarray
     freq: FrequencySpec
     covariates: dict[str, np.ndarray] = field(default_factory=dict)
+    start: int = 0
 
     def __post_init__(self) -> None:
-        ts = np.asarray(self.timestamps, dtype=np.int64)
-        if ts.ndim != 1:
-            raise ValueError("timestamps must be one-dimensional")
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "values", _as_float_array(self.values, "values"))
-        object.__setattr__(self, "obs_mask", _as_bool_array(self.obs_mask, "obs_mask"))
-        n = len(ts)
-        if len(self.values) != n or len(self.obs_mask) != n:
-            raise ValueError("values and obs_mask must match timestamps in length")
-        if n > 1 and not np.all(np.diff(ts) == 1):
-            raise ValueError("timestamps must be strictly increasing with step 1")
-        covs = {k: _as_float_array(v, f"covariate {k!r}") for k, v in self.covariates.items()}
-        for k, v in covs.items():
-            if len(v) != n:
-                raise ValueError(f"covariate {k!r} must match timestamps in length")
+        values = _vector(self.values, float, "values")
+        n = len(values)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "obs_mask", _vector(self.obs_mask, bool, "obs_mask", n))
+        covs = {k: _vector(v, float, f"covariate {k!r}", n) for k, v in self.covariates.items()}
         object.__setattr__(self, "covariates", covs)
 
     def __len__(self) -> int:
-        return len(self.timestamps)
+        return len(self.values)
+
+    def window(self, lo: int, hi: int) -> TimeSeries:
+        """Positions ``lo`` to ``hi - 1`` as a series whose ``start`` is ``lo``.
+
+        The window shares this series' arrays; nothing writes to them.
+        """
+        covs = {k: v[lo:hi] for k, v in self.covariates.items()}
+        return TimeSeries(self.id, self.values[lo:hi], self.obs_mask[lo:hi], self.freq, covs, lo)
 
 
 @dataclass(frozen=True)
-class Segment:
-    """A contiguous evaluation window extracted from a parent series.
+class Segment(TimeSeries):
+    """A contiguous evaluation window of a parent series, with a held-out mask.
 
-    ``obs_mask`` marks what an imputer may see; ``eval_mask`` marks held-out
-    positions that will be scored. The two masks are disjoint, and callers
-    must only ever move parent-observed positions into ``eval_mask``. One
-    visible position is all an imputer needs; whether a task has a position
-    to score is ``apply_scenario``'s call. Scores are normalized by the
-    ``floored_std`` of ``values[obs_mask]``, so held-out values never enter it.
+    ``obs_mask`` marks what an imputer may see; ``eval_mask`` (all false by
+    default) marks held-out positions that will be scored. The two masks are
+    disjoint, and callers must only ever move parent-observed positions into
+    ``eval_mask``. One visible position is all an imputer needs; whether a
+    task has a position to score is ``apply_scenario``'s call. Scores are
+    normalized by the ``floored_std`` of ``values[obs_mask]``, so held-out
+    values never enter it.
     """
 
-    start: int
-    length: int
-    values: np.ndarray
-    obs_mask: np.ndarray
-    eval_mask: np.ndarray
-    freq: FrequencySpec
-    covariates: dict[str, np.ndarray] = field(default_factory=dict)
+    eval_mask: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError("segment length must be positive")
-        object.__setattr__(self, "values", _as_float_array(self.values, "values"))
-        object.__setattr__(self, "obs_mask", _as_bool_array(self.obs_mask, "obs_mask"))
-        object.__setattr__(self, "eval_mask", _as_bool_array(self.eval_mask, "eval_mask"))
-        if not (len(self.values) == len(self.obs_mask) == len(self.eval_mask) == self.length):
-            raise ValueError("values, obs_mask and eval_mask must all have length `length`")
-        if np.any(self.obs_mask & self.eval_mask):
+        super().__post_init__()
+        n = len(self)
+        evl = np.zeros(n, dtype=bool) if self.eval_mask is None else _vector(self.eval_mask, bool, "eval_mask", n)
+        object.__setattr__(self, "eval_mask", evl)
+        if np.any(self.obs_mask & evl):
             raise ValueError("obs_mask and eval_mask must be disjoint")
         if not np.any(self.obs_mask):
             raise ValueError("segment has no observed positions")
-        covs = {k: _as_float_array(v, f"covariate {k!r}") for k, v in self.covariates.items()}
-        for k, v in covs.items():
-            if len(v) != self.length:
-                raise ValueError(f"covariate {k!r} must have length `length`")
-        object.__setattr__(self, "covariates", covs)
 
 
 def _split_fractions(fractions) -> tuple[float, float, float]:
@@ -170,10 +152,10 @@ def _check_window(len_days, stride) -> None:
 def chrono_split(
     series: TimeSeries, fractions: tuple[float, float, float]
 ) -> tuple[TimeSeries, TimeSeries, TimeSeries]:
-    """Split a series into three contiguous chronological slices.
+    """Split a series into three contiguous chronological windows.
 
     Boundary indices are floor(n * cumulative fraction); any remainder goes to
-    the last slice, so concatenating the parts reproduces the input exactly.
+    the last window, so concatenating the parts reproduces the input exactly.
     """
     fr = _split_fractions(fractions)
     n = len(series)
@@ -183,19 +165,7 @@ def chrono_split(
     # of their integer boundary through float rounding.
     b1 = int(math.floor(n * fr[0] + 1e-9))
     b2 = int(math.floor(n * (fr[0] + fr[1]) + 1e-9))
-    bounds = [(0, b1), (b1, b2), (b2, n)]
-
-    def _slice(lo: int, hi: int) -> TimeSeries:
-        return TimeSeries(
-            id=series.id,
-            timestamps=series.timestamps[lo:hi],
-            values=series.values[lo:hi],
-            obs_mask=series.obs_mask[lo:hi],
-            freq=series.freq,
-            covariates={k: v[lo:hi] for k, v in series.covariates.items()},
-        )
-
-    return tuple(_slice(lo, hi) for lo, hi in bounds)
+    return series.window(0, b1), series.window(b1, b2), series.window(b2, n)
 
 
 def extract_segments(
@@ -220,19 +190,9 @@ def extract_segments(
     segments: list[Segment] = []
     pos = 0
     while pos + window <= n:
-        obs = series.obs_mask[pos : pos + window]
-        if np.any(obs):
-            segments.append(
-                Segment(
-                    start=pos,
-                    length=window,
-                    values=series.values[pos : pos + window].copy(),
-                    obs_mask=obs.copy(),
-                    eval_mask=np.zeros(window, dtype=bool),
-                    freq=series.freq,
-                    covariates={k: v[pos : pos + window].copy() for k, v in series.covariates.items()},
-                )
-            )
+        part = series.window(pos, pos + window)
+        if np.any(part.obs_mask):
+            segments.append(Segment(**vars(part)))
         u = rng.uniform(stride_min_days, stride_max_days)
         pos += max(1, round_half_up(u * steps))
     return segments

@@ -324,8 +324,12 @@ def ingest_csv(
         else:
             ticks = offsets
     else:
-        # Integer timestamps are raw grid ticks; absent ticks are gaps.
-        ticks = np.array(stamps, dtype=np.int64) - int(stamps[0])
+        # Integer timestamps are raw grid ticks; absent ticks are gaps. The
+        # offsets are taken in Python integers, which cannot wrap.
+        span = stamps[-1] - stamps[0]
+        if span >= 2**63:
+            raise ValueError(f"{path}: integer timestamps span {span} ticks, beyond int64")
+        ticks = np.array([s - stamps[0] for s in stamps], dtype=np.int64)
 
     n = int(ticks[-1]) + 1
     grid = {c: np.full(n, np.nan) for c in columns}
@@ -333,7 +337,6 @@ def ingest_csv(
         grid[c][ticks] = column
     return TimeSeries(
         id=series_id or path.stem,
-        timestamps=np.arange(n, dtype=np.int64),
         values=grid[value_column],
         obs_mask=~np.isnan(grid[value_column]),
         freq=freq,
@@ -379,7 +382,7 @@ def _score_task(args) -> list[ScoreRecord]:
             imputation = make_imputer(spec.id, **spec.params)(masked)
         except ValueError as err:
             first = test_start + segment.start
-            ticks = f"{first}-{first + segment.length - 1}"
+            ticks = f"{first}-{first + len(segment) - 1}"
             where = f"dataset {ds_id!r}, ticks {ticks}, scenario {scenario.label!r}, imputer {spec.name!r}"
             raise ValueError(f"{where}: {err}") from err
         mae = znorm_mae(truth, imputation.point, std)
@@ -535,7 +538,7 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
             segments = [s for s in segments if floored_std(s.values[s.obs_mask]) >= ds.min_std_filter]
         for segment in segments:
             for scenario in config.scenarios:
-                tasks.append((ds.id, segment, scenario, config.seed, config.imputers, int(test.timestamps[0])))
+                tasks.append((ds.id, segment, scenario, config.seed, config.imputers, test.start))
 
     with _one_blas_thread():
         if jobs > 1:

@@ -103,7 +103,7 @@ def impute_seasonal_naive(segment: Segment, season: int | None = None) -> Imputa
         raise ValueError("seasonal period must be >= 1")
     vis = np.flatnonzero(segment.obs_mask)
     evals = np.flatnonzero(segment.eval_mask)
-    n = segment.length
+    n = len(segment)
     # The probe order finds the nearest visible position of t's residue class
     # mod S, the earlier one on a tie. Keying each position by
     # (residue, position) puts every class in one sorted run, in which a
@@ -172,7 +172,7 @@ def impute_time_indexed(
     The fit uses all observed points of the segment as context; with
     ``quantile_levels`` given, it adds non-crossing quantile heads.
     """
-    X, gram = _time_basis(segment.length, segment.freq, fspec or FeatureSpec())
+    X, gram = _time_basis(len(segment), segment.freq, fspec or FeatureSpec())
     if use_covariates and segment.covariates:
         X, gram = stack_covariates(X, segment.covariates), None
     return _fit_heads(segment, X, lam, quantile_levels, gram)
@@ -182,7 +182,7 @@ def impute_covariate_ridge(segment: Segment, lam: float = DEFAULT_LAMBDA) -> Imp
     """Ridge fit of the target on the covariate channels only (plus intercept)."""
     if not segment.covariates:
         raise ValueError("covariate required")
-    return _fit_heads(segment, stack_covariates(np.empty((segment.length, 0)), segment.covariates), lam)
+    return _fit_heads(segment, stack_covariates(np.empty((len(segment), 0)), segment.covariates), lam)
 
 
 # Registry ids: each local id names its imputer function, whose keyword

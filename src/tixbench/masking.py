@@ -91,7 +91,7 @@ def apply_scenario(segment: Segment, scenario: Scenario, seed: int) -> Segment:
     else:
         steps = segment.freq.steps_per_day
         k = int(scenario.param)
-        feasible = [d for d in range(segment.length // steps) if obs[d * steps : (d + 1) * steps].all()]
+        feasible = [d for d in range(len(segment) // steps) if obs[d * steps : (d + 1) * steps].all()]
         if len(feasible) < k:
             raise InfeasibleScenario("infeasible block scenario")
         days = _pick_block_days(rng, feasible, k)

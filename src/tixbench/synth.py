@@ -103,7 +103,6 @@ def generate(spec: SynthSpec, series_id: str = "synth") -> TimeSeries:
             values += comp.covariate_gain * path
     return TimeSeries(
         id=series_id,
-        timestamps=np.arange(n, dtype=np.int64),
         values=values,
         obs_mask=np.ones(n, dtype=bool),
         freq=spec.freq,

@@ -23,16 +23,11 @@ def hourly():
 
 
 def make_segment(values, obs_mask, eval_mask=None, freq=HOURLY, covariates=None):
-    values = np.asarray(values, dtype=float)
-    n = len(values)
-    if eval_mask is None:
-        eval_mask = np.zeros(n, dtype=bool)
     return Segment(
-        start=0,
-        length=n,
+        id="seg",
         values=values,
-        obs_mask=np.asarray(obs_mask, dtype=bool),
-        eval_mask=np.asarray(eval_mask, dtype=bool),
+        obs_mask=obs_mask,
+        eval_mask=eval_mask,
         freq=freq,
         covariates=covariates or {},
     )

@@ -55,7 +55,7 @@ def test_c1_exact_recovery_under_all_scenarios():
         + 0.2 * t_norm
         + 3.0
     )
-    series = TimeSeries("analytic", t, values, np.ones(n, dtype=bool), HOURLY)
+    series = TimeSeries("analytic", values, np.ones(n, dtype=bool), HOURLY)
     segments = extract_segments(series, 28, 28.0, 28.0, seed=0)
     assert len(segments) == 2
     worst = 0.0
@@ -179,7 +179,7 @@ def test_c5_quantile_coverage():
     n = 120 * 24
     t = np.arange(n)
     values = np.sin(2 * np.pi * t / 24) + rng.normal(0.0, 0.5, size=n)
-    series = TimeSeries("gauss", t, values, np.ones(n, dtype=bool), HOURLY)
+    series = TimeSeries("gauss", values, np.ones(n, dtype=bool), HOURLY)
     segments = extract_segments(series, 28, 7.0, 7.0, seed=3)
     covered = 0
     total = 0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import two_pass_mean_std
-from tixbench import FrequencySpec, TimeSeries, chrono_split, extract_segments, floored_std
+from tixbench import FrequencySpec, Segment, TimeSeries, chrono_split, extract_segments, floored_std
 from conftest import HOURLY, make_segment
 
 
@@ -14,7 +14,6 @@ def make_series(n, freq=HOURLY, obs=None, covariates=None, seed=0):
     rng = np.random.default_rng(seed)
     return TimeSeries(
         id="s",
-        timestamps=np.arange(n),
         values=rng.normal(size=n),
         obs_mask=np.ones(n, dtype=bool) if obs is None else np.asarray(obs, dtype=bool),
         freq=freq,
@@ -27,26 +26,40 @@ class TestFrequencySpec:
         assert FrequencySpec(24).steps_per_week == 168
         assert FrequencySpec(48).steps_per_week == 7 * 48
 
-    def test_weekly_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            FrequencySpec(24, steps_per_week=100)
-
     def test_seasonal_default_is_daily(self):
         assert FrequencySpec(96).seasonal_period == 96
 
 
 class TestTimeSeries:
-    def test_irregular_timestamps_rejected(self):
-        with pytest.raises(ValueError):
-            TimeSeries("x", [0, 1, 3], [0.0, 0.0, 0.0], [True] * 3, HOURLY)
-
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            TimeSeries("x", [0, 1, 2], [0.0, 0.0], [True] * 3, HOURLY)
+        with pytest.raises(ValueError, match="obs_mask must match values in length"):
+            TimeSeries("x", [0.0, 0.0], [True] * 3, HOURLY)
 
     def test_covariate_length_checked(self):
         with pytest.raises(ValueError):
             make_series(5, covariates={"c": np.zeros(4)})
+
+    def test_window_shares_arrays_and_records_its_offset(self):
+        series = make_series(10, covariates={"c": np.arange(10.0)})
+        part = series.window(3, 7)
+        assert (part.id, part.start, len(part)) == ("s", 3, 4)
+        assert np.shares_memory(part.values, series.values)
+        assert np.array_equal(part.covariates["c"], [3.0, 4.0, 5.0, 6.0])
+
+
+class TestSegment:
+    def test_eval_mask_defaults_to_all_false(self):
+        segment = Segment("x", [1.0, 2.0], [True, True], HOURLY)
+        assert segment.eval_mask.tolist() == [False, False]
+        assert segment.start == 0 and len(segment) == 2
+
+    def test_overlapping_masks_rejected(self):
+        with pytest.raises(ValueError, match="disjoint"):
+            make_segment([1.0, 2.0], [True, True], eval_mask=[False, True])
+
+    def test_eval_mask_length_checked(self):
+        with pytest.raises(ValueError, match="eval_mask must match values in length"):
+            make_segment([1.0, 2.0], [True, False], eval_mask=[False, True, False])
 
 
 class TestChronoSplit:
@@ -86,13 +99,11 @@ class TestChronoSplit:
         series = make_series(n, covariates={"c": np.arange(float(n))})
         obs = np.random.default_rng(n).random(n) < 0.8
         obs[0] = True
-        series = TimeSeries("s", series.timestamps, series.values, obs, HOURLY, series.covariates)
+        series = TimeSeries("s", series.values, obs, HOURLY, series.covariates)
         a, b, c = chrono_split(series, fractions)
         assert np.array_equal(np.concatenate([a.values, b.values, c.values]), series.values)
         assert np.array_equal(np.concatenate([a.obs_mask, b.obs_mask, c.obs_mask]), series.obs_mask)
-        assert np.array_equal(
-            np.concatenate([a.timestamps, b.timestamps, c.timestamps]), series.timestamps
-        )
+        assert (a.start, b.start, c.start) == (0, len(a), len(a) + len(b))
         assert np.array_equal(
             np.concatenate([a.covariates["c"], b.covariates["c"], c.covariates["c"]]),
             series.covariates["c"],
@@ -103,12 +114,17 @@ class TestExtractSegments:
     def test_single_window(self):
         segs = extract_segments(make_series(672), seg_len_days=28)
         assert [s.start for s in segs] == [0]
-        assert segs[0].length == 672
+        assert len(segs[0]) == 672
 
     def test_fixed_stride(self):
-        segs = extract_segments(make_series(1344), 28, 2.0, 2.0, seed=0)
+        series = make_series(1344)
+        segs = extract_segments(series, 28, 2.0, 2.0, seed=0)
         starts = [s.start for s in segs]
         assert starts == [s for s in range(0, 1344, 48) if s + 672 <= 1344]
+        # Each segment carries its offset in the series and the series id.
+        for segment in segs:
+            assert segment.id == series.id
+            assert np.array_equal(segment.values, series.values[segment.start : segment.start + 672])
 
     def test_seeded_reproducibility(self):
         series = make_series(2000)
@@ -159,5 +175,5 @@ class TestZnormStats:
 
 
 def test_segment_requires_visible_point():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no observed positions"):
         make_segment([1.0, 2.0], [False, False])

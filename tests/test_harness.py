@@ -164,6 +164,27 @@ class TestIngest:
         assert len(series) == 28
         assert series.obs_mask.sum() == 4
 
+    def test_integer_offsets_near_int64_bounds(self, tmp_path):
+        # Each stamp is within int64 and so is the span: the offsets do not wrap.
+        path = write_csv(tmp_path / "a.csv", [[-(2**63), 1.0], [-(2**63) + 2, 3.0]])
+        assert ingest_csv(path, HOURLY).obs_mask.tolist() == [True, False, True]
+
+    @pytest.mark.parametrize("first, last", [(-(2**63), 2**63 - 1), (-1, 2**63 - 1)], ids=["full", "2**63"])
+    def test_integer_span_beyond_int64_names_file(self, tmp_path, capsys, first, last):
+        path = write_csv(tmp_path / "wide.csv", [[first, 1.0], [last, 2.0]])
+        message = f"{path}: integer timestamps span {last - first} ticks, beyond int64"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ingest_csv(path, HOURLY)
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg = {
+            "datasets": [{"id": "wide", "path": str(path), "steps_per_day": 24}],
+            "imputers": [{"id": "linear"}],
+            "output_dir": str(tmp_path / "out"),
+        }
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        assert cli_main(["run", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: dataset ingestion failed\n  wide: {message}\n"
+
     def test_missing_column(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", [[0, 1.0]], header=("timestamp", "wrong"))
         with pytest.raises(ValueError, match="missing column"):

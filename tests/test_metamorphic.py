@@ -71,7 +71,7 @@ def _run_csv(tmp_path, value_map=(1.0, 0.0), covariate_map=(1.0, 0.0)):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("timestamp", "value", "cov1"))
-        writer.writerows(zip(COVARIATE_SERIES.timestamps.tolist(), map(repr, values.tolist()), map(repr, covariate.tolist())))
+        writer.writerows(zip(range(len(COVARIATE_SERIES)), map(repr, values.tolist()), map(repr, covariate.tolist())))
     config = config_from_dict(
         {
             "seed": 0,
