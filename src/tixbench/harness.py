@@ -19,6 +19,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,15 +42,9 @@ NORMALIZATION_NOTE = (
     "z-normalization uses per-segment visible-context statistics (held-out values never enter)."
 )
 CONTEXT_NOTE = "regression context = all observed points of the segment being imputed."
-
-
-class IngestionError(RuntimeError):
-    """Raised when one or more datasets fail to load; carries a per-dataset summary."""
-
-    def __init__(self, failures: dict[str, str]):
-        self.failures = dict(failures)
-        lines = "; ".join(f"{k}: {v}" for k, v in sorted(failures.items()))
-        super().__init__(f"dataset ingestion failed ({lines})")
+# A CSV whose grid is longer than this many ticks per row is refused: such a
+# gap is almost surely a unit mistake, such as epoch seconds read as ticks.
+MAX_TICKS_PER_ROW = 100
 
 
 def stable_seed(*parts) -> int:
@@ -332,6 +327,8 @@ def ingest_csv(
         ticks = np.array([s - stamps[0] for s in stamps], dtype=np.int64)
 
     n = int(ticks[-1]) + 1
+    if n > MAX_TICKS_PER_ROW * len(ticks):
+        raise ValueError(f"{path}: {len(ticks)} rows span a grid of {n} ticks, over {MAX_TICKS_PER_ROW} a row")
     grid = {c: np.full(n, np.nan) for c in columns}
     for c, column in columns.items():
         grid[c][ticks] = column
@@ -369,7 +366,8 @@ class BenchReport:
 def _score_task(args) -> list[ScoreRecord]:
     # test_start is the grid tick of the test slice's first row: an error names
     # the window by its grid ticks, while the mask seed hashes segment.start.
-    ds_id, segment, scenario, run_seed, imputer_specs, test_start = args
+    # imputers holds a (name, built imputer) pair per configured imputer.
+    ds_id, segment, scenario, test_start, run_seed, imputers = args
     mask_seed = stable_seed(run_seed, ds_id, segment.start, scenario.label)
     try:
         masked = apply_scenario(segment, scenario, mask_seed)
@@ -377,13 +375,13 @@ def _score_task(args) -> list[ScoreRecord]:
         return []
     truth, std = masked.values[masked.eval_mask], floored_std(masked.values[masked.obs_mask])
     records = []
-    for spec in imputer_specs:
+    for name, imputer in imputers:
         try:
-            imputation = make_imputer(spec.id, **spec.params)(masked)
+            imputation = imputer(masked)
         except ValueError as err:
             first = test_start + segment.start
             ticks = f"{first}-{first + len(segment) - 1}"
-            where = f"dataset {ds_id!r}, ticks {ticks}, scenario {scenario.label!r}, imputer {spec.name!r}"
+            where = f"dataset {ds_id!r}, ticks {ticks}, scenario {scenario.label!r}, imputer {name!r}"
             raise ValueError(f"{where}: {err}") from err
         mae = znorm_mae(truth, imputation.point, std)
         wql_value = None
@@ -395,7 +393,7 @@ def _score_task(args) -> list[ScoreRecord]:
         records.append(
             ScoreRecord(
                 dataset=ds_id,
-                imputer_id=spec.name,
+                imputer_id=name,
                 scenario_label=scenario.label,
                 n_points=len(truth),
                 mae=mae,
@@ -478,17 +476,12 @@ def _one_blas_thread():
             setter(count)
 
 
-def _pin_worker(imputers: tuple[ImputerSpec, ...] = ()) -> None:
-    """Pool initializer: one BLAS thread per worker process, for its life.
-
-    The ``imputers`` are built first. A worker that was not forked from the
-    run has not loaded what they load (scipy for a quantile head), and an
-    OpenBLAS copy loaded after the pin would keep one thread per CPU.
-    """
-    for spec in imputers:
-        make_imputer(spec.id, **spec.params)
-    for _, setter in _openblas_thread_api():
-        setter(1)
+def _score_tasks(run_seed: int, specs: tuple[ImputerSpec, ...], tasks: list[tuple]) -> list[ScoreRecord]:
+    """Score (dataset id, segment, scenario, test start) tasks with the imputers of ``specs``, each built once."""
+    # Built before the pin, so that it covers the OpenBLAS copy they load: scipy's, for a quantile head.
+    imputers = [(spec.name, make_imputer(spec.id, **spec.params)) for spec in specs]
+    with _one_blas_thread():
+        return [r for task in tasks for r in _score_task((*task, run_seed, imputers))]
 
 
 def run(config: RunConfig, jobs: int = 1) -> BenchReport:
@@ -499,10 +492,11 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
     before reporting, so any degree of parallelism reproduces the serial
     output byte for byte.
 
-    Each OpenBLAS copy that numpy and scipy loaded runs on one thread while
-    the tasks run, in this process and in each of the ``jobs`` pool workers;
-    the old thread counts come back when the loop ends, also on an error.
-    Parallelism comes from ``jobs`` alone.
+    The tasks run in batches: all in this process at ``jobs`` 1, else about
+    four per pool worker. A batch builds each imputer once, then runs its
+    tasks with every loaded OpenBLAS copy on one thread; the old counts come
+    back when the batch ends, also on an error. Parallelism comes from
+    ``jobs`` alone. A ``ValueError`` names every dataset that fails to load.
     """
     failures: dict[str, str] = {}
     loaded: list[tuple[DatasetSpec, TimeSeries]] = []
@@ -512,7 +506,7 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
         except Exception as err:
             failures[ds.id] = str(err)
     if failures:
-        raise IngestionError(failures)
+        raise ValueError("dataset ingestion failed" + "".join(f"\n  {k}: {v}" for k, v in sorted(failures.items())))
     for ds, series in loaded:
         for spec in config.imputers:
             if spec.id == "covar_ridge" and not series.covariates:
@@ -538,20 +532,20 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
             segments = [s for s in segments if floored_std(s.values[s.obs_mask]) >= ds.min_std_filter]
         for segment in segments:
             for scenario in config.scenarios:
-                tasks.append((ds.id, segment, scenario, config.seed, config.imputers, test.start))
+                tasks.append((ds.id, segment, scenario, test.start))
 
-    with _one_blas_thread():
-        if jobs > 1:
-            # Imported here: a serial run never loads multiprocessing.
-            from concurrent.futures import ProcessPoolExecutor
+    if jobs > 1:
+        # Imported here: a serial run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
 
-            # About four chunks per worker: fewer round trips, still balanced.
-            chunksize = max(1, math.ceil(len(tasks) / (4 * jobs)))
-            with ProcessPoolExecutor(max_workers=jobs, initializer=_pin_worker, initargs=(config.imputers,)) as pool:
-                chunks = list(pool.map(_score_task, tasks, chunksize=chunksize))
-        else:
-            chunks = [_score_task(t) for t in tasks]
-    records = sorted((r for chunk in chunks for r in chunk), key=_record_sort_key)
+        # About four batches per worker: fewer round trips, still balanced.
+        size = max(1, math.ceil(len(tasks) / (4 * jobs)))
+        chunks = [tasks[i : i + size] for i in range(0, len(tasks), size)]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            batches = list(pool.map(partial(_score_tasks, config.seed, config.imputers), chunks))
+    else:
+        batches = [_score_tasks(config.seed, config.imputers, tasks)]
+    records = sorted((r for batch in batches for r in batch), key=_record_sort_key)
 
     by_scenario = aggregate(records, ("dataset", "imputer_id", "scenario_label"))
     by_dataset = aggregate(by_scenario, ("dataset", "imputer_id"))
@@ -567,7 +561,7 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
     if any(im.id.startswith("tix_random_basis") for im in config.imputers):
         caveats.append(RANDOM_BASIS_CAVEAT)
     try:
-        ranks = average_ranks(records, metric=config.rank_metric)
+        ranks = average_ranks(by_scenario, metric=config.rank_metric)
     except ValueError as err:
         ranks = {}
         notes.append(f"ranks unavailable: {err}")

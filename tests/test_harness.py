@@ -35,7 +35,6 @@ from tixbench.cli import main as cli_main
 from tixbench.harness import (
     DatasetSpec,
     ImputerSpec,
-    IngestionError,
     RunConfig,
     config_digest,
     config_from_dict,
@@ -185,6 +184,44 @@ class TestIngest:
         assert cli_main(["run", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"error: dataset ingestion failed\n  wide: {message}\n"
 
+    @pytest.mark.parametrize(
+        "stamps, grid",
+        [
+            pytest.param([0, 100_000_000], 100_000_001, id="ticks"),
+            # The step is the smallest spacing, one microsecond; the last row is 100 s on.
+            pytest.param(["2024-01-01T00:00:00", "2024-01-01T00:00:00.000001", "2024-01-01T00:01:40"], 100_000_001, id="datetime"),
+        ],
+    )
+    def test_grid_far_longer_than_its_rows_names_file(self, tmp_path, capsys, monkeypatch, stamps, grid):
+        path = write_csv(tmp_path / "sparse.csv", [[s, 1.0] for s in stamps])
+        message = f"{path}: {len(stamps)} rows span a grid of {grid} ticks, over 100 a row"
+        full = np.full
+
+        def small_full(shape, *args, **kwargs):
+            # The grid must be refused before an array of its length is made.
+            assert np.prod(shape) < 1_000_000, shape
+            return full(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "full", small_full)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ingest_csv(path, HOURLY)
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg = {
+            "datasets": [{"id": "sparse", "path": str(path), "steps_per_day": 24}],
+            "imputers": [{"id": "linear"}],
+            "output_dir": str(tmp_path / "out"),
+        }
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        assert cli_main(["run", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: dataset ingestion failed\n  sparse: {message}\n"
+
+    def test_grid_of_100_ticks_a_row_loads(self, tmp_path):
+        path = write_csv(tmp_path / "a.csv", [[0, 1.0], [199, 2.0]])
+        assert len(ingest_csv(path, HOURLY)) == 200
+        path = write_csv(tmp_path / "a.csv", [[0, 1.0], [200, 2.0]])
+        with pytest.raises(ValueError, match="2 rows span a grid of 201 ticks, over 100 a row$"):
+            ingest_csv(path, HOURLY)
+
     def test_missing_column(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", [[0, 1.0]], header=("timestamp", "wrong"))
         with pytest.raises(ValueError, match="missing column"):
@@ -196,10 +233,12 @@ class TestIngest:
         series = ingest_csv(path, HOURLY, covariate_columns=("temp",))
         np.testing.assert_array_equal(series.covariates["temp"], [5.0, 6.0])
 
-    def test_covariate_gap_surfaces_at_imputation(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_covariate_gap_surfaces_at_imputation(self, tmp_path, jobs):
         # An empty covariate cell loads as NaN and only errors when a
         # covariate-consuming imputer runs. The gap at tick 150 falls inside
-        # the first test-slice window (test starts at tick 134).
+        # the first test-slice window (test starts at tick 134); a pooled run
+        # names the same window as a serial one.
         rows = [[t, float(t), "" if t == 150 else 1.0] for t in range(1344)]
         path = write_csv(tmp_path / "a.csv", rows, header=("timestamp", "value", "temp"))
         config = config_from_dict(
@@ -218,8 +257,9 @@ class TestIngest:
         )
         series = ingest_csv(path, HOURLY, covariate_columns=("temp",))
         assert np.isnan(series.covariates["temp"][150])
-        with pytest.raises(ValueError, match="covariate not fully observed"):
-            run(config)
+        message = "dataset 'gap', ticks 134-805, scenario 'pointwise1', imputer 'covar_ridge': covariate not fully observed"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(config, jobs=jobs)
 
 
 class TestRunConfig:
@@ -460,9 +500,8 @@ class TestRun:
                 "imputers": [{"id": "linear"}],
             }
         )
-        with pytest.raises(IngestionError) as err:
+        with pytest.raises(ValueError, match="^dataset ingestion failed\n  missing1: .*no1.csv'\n  missing2: .*no2.csv'$"):
             run(config)
-        assert set(err.value.failures) == {"missing1", "missing2"}
 
     @pytest.mark.parametrize("scenario", DEFAULT_SCENARIOS, ids=lambda s: s.label)
     def test_scores_are_normalized_by_the_visible_values_only(self, scenario):
@@ -476,7 +515,8 @@ class TestRun:
         masked = apply_scenario(seg, scenario, seed)
         assert np.array_equal(masked.eval_mask, hidden)
         specs = (ImputerSpec("linear"), ImputerSpec("tix_fourier"))
-        records = harness._score_task(("d", seg, scenario, 0, specs, 0))
+        imputers = [(spec.name, make_imputer(spec.id)) for spec in specs]
+        records = harness._score_task(("d", seg, scenario, 0, 0, imputers))
         visible, truth = masked.values[masked.obs_mask], masked.values[masked.eval_mask]
         assert len(records) == len(specs)
         for spec, record in zip(specs, records):
@@ -648,11 +688,34 @@ def blas_threads() -> list[int]:
     return [getter() for getter, _ in harness._openblas_thread_api()]
 
 
-def blas_threads_after_quantile_import() -> list[int]:
-    """The thread counts a quantile fit reads, once it has imported scipy.linalg."""
-    import scipy.linalg  # noqa: F401
+def score_batch_logging_threads(specs, tasks):
+    """Score one batch through ``harness._score_tasks``, logging the thread counts of the loaded OpenBLAS copies.
 
-    return blas_threads()
+    Returns the number of records and the counts before the batch, as each
+    imputer is built, as each imputer runs, and after the batch. Each build
+    sets every copy loaded by then to two threads, so that a pin to one shows.
+    """
+    before, built, running = blas_threads(), [], []
+    make_imputer = harness.make_imputer
+
+    def spied(imputer_id, **params):
+        fit = make_imputer(imputer_id, **params)
+        for _, setter in harness._openblas_thread_api():
+            setter(2)
+        built.append(blas_threads())
+
+        def logged(segment):
+            running.append(blas_threads())
+            return fit(segment)
+
+        return logged
+
+    harness.make_imputer = spied
+    try:
+        records = harness._score_tasks(0, specs, tasks)
+    finally:
+        harness.make_imputer = make_imputer
+    return len(records), before, built, running, blas_threads()
 
 
 # Run in a fresh interpreter with argv = config JSON, jobs, log path: loads
@@ -758,22 +821,37 @@ class TestBlasThreads:
         assert len(in_tasks) >= 2
         assert all(counts == [1] * len(copies["after_config"]) for counts in in_tasks)
 
-    def test_pool_initializer_pins_the_worker(self, two_blas_threads):
-        with ProcessPoolExecutor(max_workers=1, initializer=harness._pin_worker) as pool:
-            in_worker = pool.submit(blas_threads).result(timeout=60)
-        assert in_worker == [1] * len(two_blas_threads)
-        assert blas_threads() == two_blas_threads
-
-    def test_spawned_worker_pins_what_its_imputers_load(self):
-        # A spawned worker starts without scipy; the initializer must load it
-        # with the quantile imputer before the pin, not leave it to a task.
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_pooled_batch_pins_what_its_imputers_load(self, method):
+        # A spawned worker starts without scipy: the batch loads it with the
+        # quantile imputer, and must pin its OpenBLAS copy too.
         if not harness._openblas_thread_api():
             pytest.skip("no OpenBLAS copy is loaded")
-        spawn = multiprocessing.get_context("spawn")
-        initargs = ((ImputerSpec("tix_fourier_q"),),)
-        with ProcessPoolExecutor(1, spawn, initializer=harness._pin_worker, initargs=initargs) as pool:
-            in_worker = pool.submit(blas_threads_after_quantile_import).result(timeout=60)
-        assert set(in_worker) == {1}
+        rng = np.random.default_rng(4)
+        seg = make_segment(np.sin(2 * np.pi * np.arange(672) / 24) + 0.1 * rng.normal(size=672), np.ones(672, dtype=bool))
+        tasks = [("d", seg, scenario, 0) for scenario in DEFAULT_SCENARIOS[:2]]
+        with ProcessPoolExecutor(1, multiprocessing.get_context(method)) as pool:
+            job = pool.submit(score_batch_logging_threads, (ImputerSpec("tix_fourier_q"),), tasks)
+            n_records, before, built, running, after = job.result(timeout=120)
+        assert n_records == len(tasks)
+        # Built once for the batch, then run once a task, on one thread in every copy.
+        assert len(built) == 1 and len(running) == len(tasks)
+        assert all(counts == [1] * len(after) for counts in running)
+        assert after == built[0] == [2] * len(after)
+        if method == "spawn":
+            assert len(after) > len(before)
+
+    def test_serial_run_builds_each_imputer_once(self, tmp_path, monkeypatch):
+        config = demo_config(tmp_path)
+        built = []
+
+        def counted(imputer_id, **params):
+            built.append(imputer_id)
+            return make_imputer(imputer_id, **params)
+
+        monkeypatch.setattr(harness, "make_imputer", counted)
+        assert len(run(config).records) == 2 * 4 * 3
+        assert built == ["linear", "locf"]
 
 
 class TestReport:
@@ -890,16 +968,23 @@ class TestCli:
         assert out == "" and err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
 
     def test_run_reports_ingestion_failures(self, tmp_path, capsys):
+        # Listed out of order: the error lines follow the sorted dataset ids.
         cfg = {
-            "datasets": [{"id": "ghost", "path": str(tmp_path / "ghost.csv"), "steps_per_day": 24}],
+            "datasets": [
+                {"id": "ghost", "path": str(tmp_path / "ghost.csv"), "steps_per_day": 24},
+                {"id": "absent", "path": str(tmp_path / "absent.csv"), "steps_per_day": 24},
+            ],
             "imputers": [{"id": "linear"}],
             "output_dir": str(tmp_path / "out"),
         }
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(yaml.safe_dump(cfg))
         assert cli_main(["run", str(cfg_path)]) == 1
-        err = capsys.readouterr().err
-        assert "ghost" in err
+        assert capsys.readouterr().err == (
+            "error: dataset ingestion failed\n"
+            f"  absent: [Errno 2] No such file or directory: '{tmp_path / 'absent.csv'}'\n"
+            f"  ghost: [Errno 2] No such file or directory: '{tmp_path / 'ghost.csv'}'\n"
+        )
 
     def test_synth_accepts_id_and_rejects_unknown_keys(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.yaml"
