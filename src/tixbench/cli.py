@@ -10,10 +10,9 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .core import floored_std
-from .harness import DatasetSpec, load_config, read_csv_columns, run_and_report, synth_from_dict
+from .harness import DatasetSpec, load_config, read_csv_columns, read_yaml, run_and_report, synth_from_dict
 from .metrics import wql as wql_metric, znorm_mae
 from .synth import generate
 
@@ -39,8 +38,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    with open(args.spec) as fh:
-        raw = yaml.safe_load(fh) or {}
+    raw = read_yaml(args.spec) or {}
     # The optional ``id`` names the series; it is no field of the spec.
     series_id = raw.pop("id", Path(args.spec).stem) if isinstance(raw, dict) else None
     series = generate(synth_from_dict(raw), series_id=series_id)

@@ -70,7 +70,8 @@ class DatasetSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "id", str(self.id))
-        object.__setattr__(self, "covariate_columns", tuple(self.covariate_columns))
+        columns = _sequence(self.covariate_columns, f"dataset {self.id!r} covariate_columns")
+        object.__setattr__(self, "covariate_columns", tuple(columns))
         object.__setattr__(self, "min_std_filter", float(self.min_std_filter))
         if (self.path is None) == (self.synth is None):
             raise ValueError(f"dataset {self.id!r} needs exactly one of path or synth")
@@ -145,6 +146,13 @@ def _mapping(raw, where: str) -> dict:
     return dict(raw)
 
 
+def _sequence(raw, where: str) -> list:
+    """A list of the items of ``raw``, which must be a list or a tuple; a string is neither."""
+    if not isinstance(raw, (list, tuple)):
+        raise ValueError(f"{where}: expected a list, got {raw!r}")
+    return list(raw)
+
+
 def _strict(cls, raw, where: str, **resolved):
     """Build ``cls`` from the mapping ``raw`` plus the fields in ``resolved``.
 
@@ -169,10 +177,9 @@ def synth_from_dict(raw: dict) -> SynthSpec:
     """Build a synthetic-series spec; ``steps_per_day`` and ``seasonal_period`` form its ``freq``."""
     rest = _mapping(raw, "synth")
     freq = {k: rest.pop(k) for k in ("steps_per_day", "seasonal_period") if k in rest}
-    components = [_strict(Component, c, "synth component") for c in rest.pop("components", None) or ()]
-    return _strict(
-        SynthSpec, rest, "synth", freq=_strict(FrequencySpec, freq, "synth"), components=components
-    )
+    components = _sequence(rest.pop("components", None) or (), "synth components")
+    components = [_strict(Component, c, "synth component") for c in components]
+    return _strict(SynthSpec, rest, "synth", freq=_strict(FrequencySpec, freq, "synth"), components=components)
 
 
 # Dataset keys that only a CSV entry reads; a synth entry sets its frequency inside ``synth``.
@@ -186,7 +193,7 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> RunConfig:
     base = Path(base_dir) if base_dir is not None else Path(".")
     rest = _mapping(raw, "config")
     datasets = []
-    for entry in rest.pop("datasets", None) or ():
+    for entry in _sequence(rest.pop("datasets", None) or (), "datasets"):
         d = _mapping(entry, "dataset")
         if "synth" in d:
             for key in _CSV_KEYS:
@@ -196,8 +203,8 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> RunConfig:
         if d.get("path") is not None:
             d["path"] = str(base / d["path"])
         datasets.append(_strict(DatasetSpec, d, "dataset"))
-    imputers = [_strict(ImputerSpec, i, "imputer") for i in rest.pop("imputers", None) or ()]
-    scenarios = [_strict(Scenario, s, "scenario") for s in rest.pop("scenarios", None) or ()]
+    imputers = [_strict(ImputerSpec, i, "imputer") for i in _sequence(rest.pop("imputers", None) or (), "imputers")]
+    scenarios = [_strict(Scenario, s, "scenario") for s in _sequence(rest.pop("scenarios", None) or (), "scenarios")]
     # A segment key that fills no field keeps a dotted name, which the strict
     # check below rejects.
     segment = _mapping(rest.pop("segment", None) or {}, "segment")
@@ -205,12 +212,21 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> RunConfig:
     return _strict(RunConfig, rest, "config", datasets=datasets, imputers=imputers, scenarios=scenarios)
 
 
+def read_yaml(path):
+    """The document of a YAML file; malformed YAML is a ``ValueError`` naming the file."""
+    try:
+        with open(path) as fh:
+            return yaml.safe_load(fh)
+    except yaml.YAMLError as err:
+        mark = getattr(err, "problem_mark", None)
+        at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        raise ValueError(f"{path}: malformed YAML{at}: {getattr(err, 'problem', err)}") from None
+
+
 def load_config(path) -> RunConfig:
     """Parse a YAML run configuration; omitted keys take the protocol defaults."""
     path = Path(path)
-    with open(path) as fh:
-        raw = yaml.safe_load(fh) or {}
-    return config_from_dict(raw, base_dir=path.parent)
+    return config_from_dict(read_yaml(path) or {}, base_dir=path.parent)
 
 
 def config_digest(config: RunConfig) -> str:
@@ -224,13 +240,6 @@ def config_digest(config: RunConfig) -> str:
             ds["path"] = hashlib.sha256(Path(ds["path"]).read_bytes()).hexdigest()
     text = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def parse_timestamp(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return datetime.fromisoformat(text)
 
 
 def read_csv_columns(path, timestamp_column: str, columns: tuple[str, ...], prefix: str | None = None):
@@ -258,10 +267,13 @@ def read_csv_columns(path, timestamp_column: str, columns: tuple[str, ...], pref
     def _stamp(row):
         text = (row.get(timestamp_column) or "").strip()
         try:
-            stamp = parse_timestamp(text)
+            stamp = int(text)
         except ValueError:
-            raise ValueError(f"{path}: non-timestamp cell {text!r} in column {timestamp_column!r}") from None
-        if isinstance(stamp, int) and not -(2**63) <= stamp < 2**63:
+            try:
+                return datetime.fromisoformat(text)
+            except ValueError:
+                raise ValueError(f"{path}: non-timestamp cell {text!r} in column {timestamp_column!r}") from None
+        if not -(2**63) <= stamp < 2**63:
             raise ValueError(f"{path}: timestamp cell {text!r} in column {timestamp_column!r} is beyond int64")
         return stamp
 
@@ -299,46 +311,34 @@ def ingest_csv(
     The timestamp column may hold integers (taken as raw grid ticks) or
     ISO-8601 datetimes, whose grid step is inferred as the smallest positive
     spacing; every other spacing must be a whole multiple of it. Skipped
-    ticks are materialized as unobserved. Empty cells mean missing: in the
-    target they clear the observation mask, in covariates they stay NaN. A
-    cell that is not a finite number (``nan`` and ``inf`` included) is an error.
+    ticks are materialized as unobserved; a grid of more than
+    ``MAX_TICKS_PER_ROW`` ticks a row is refused before it is built. Empty
+    cells mean missing: in the target they clear the observation mask, in
+    covariates they stay NaN. A cell that is not a finite number (``nan``
+    and ``inf`` included) is an error.
     """
     path = Path(path)
     stamps, columns = read_csv_columns(path, timestamp_column, (value_column, *covariate_columns))
 
+    # Offsets from the first row, in Python integers, which cannot wrap: ticks
+    # for integer timestamps, microseconds for datetimes. The rows are sorted
+    # and distinct, so every spacing is positive.
     if isinstance(stamps[0], datetime):
-        # Infer the grid step as the smallest positive spacing; every other
-        # spacing must be a whole multiple of it (a gap on the same grid).
-        offsets = np.array([(s - stamps[0]) // timedelta(microseconds=1) for s in stamps], dtype=np.int64)
-        if len(offsets) > 1:
-            diffs = np.diff(offsets)
-            step = int(diffs.min())
-            if step <= 0 or np.any(diffs % step != 0):
-                raise ValueError(f"{path}: non-uniform sampling")
-            ticks = offsets // step
-        else:
-            ticks = offsets
+        offsets = [(s - stamps[0]) // timedelta(microseconds=1) for s in stamps]
+        step = min((b - a for a, b in zip(offsets, offsets[1:])), default=1)
     else:
-        # Integer timestamps are raw grid ticks; absent ticks are gaps. The
-        # offsets are taken in Python integers, which cannot wrap.
-        span = stamps[-1] - stamps[0]
-        if span >= 2**63:
-            raise ValueError(f"{path}: integer timestamps span {span} ticks, beyond int64")
-        ticks = np.array([s - stamps[0] for s in stamps], dtype=np.int64)
-
-    n = int(ticks[-1]) + 1
-    if n > MAX_TICKS_PER_ROW * len(ticks):
-        raise ValueError(f"{path}: {len(ticks)} rows span a grid of {n} ticks, over {MAX_TICKS_PER_ROW} a row")
+        offsets, step = [s - stamps[0] for s in stamps], 1
+    if any(o % step for o in offsets):
+        raise ValueError(f"{path}: non-uniform sampling")
+    n = offsets[-1] // step + 1
+    if n > MAX_TICKS_PER_ROW * len(offsets):
+        raise ValueError(f"{path}: {len(offsets)} rows span a grid of {n} ticks, over {MAX_TICKS_PER_ROW} a row")
+    ticks = np.array(offsets, dtype=np.int64) // step
     grid = {c: np.full(n, np.nan) for c in columns}
     for c, column in columns.items():
         grid[c][ticks] = column
-    return TimeSeries(
-        id=series_id or path.stem,
-        values=grid[value_column],
-        obs_mask=~np.isnan(grid[value_column]),
-        freq=freq,
-        covariates={c: grid[c] for c in covariate_columns},
-    )
+    values, covariates = grid[value_column], {c: grid[c] for c in covariate_columns}
+    return TimeSeries(series_id or path.stem, values, ~np.isnan(values), freq, covariates)
 
 
 def load_dataset(spec: DatasetSpec) -> TimeSeries:
@@ -346,12 +346,7 @@ def load_dataset(spec: DatasetSpec) -> TimeSeries:
         return synth_generate(spec.synth, series_id=spec.id)
     freq = FrequencySpec(steps_per_day=spec.steps_per_day, seasonal_period=spec.seasonal_period)
     return ingest_csv(
-        spec.path,
-        freq,
-        timestamp_column=spec.timestamp_column,
-        value_column=spec.value_column,
-        covariate_columns=spec.covariate_columns,
-        series_id=spec.id,
+        spec.path, freq, spec.timestamp_column, spec.value_column, spec.covariate_columns, series_id=spec.id
     )
 
 
@@ -496,7 +491,9 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
     four per pool worker. A batch builds each imputer once, then runs its
     tasks with every loaded OpenBLAS copy on one thread; the old counts come
     back when the batch ends, also on an error. Parallelism comes from
-    ``jobs`` alone. A ``ValueError`` names every dataset that fails to load.
+    ``jobs`` alone. A ``ValueError`` names every dataset that fails to load,
+    and, before any task runs, the grid tick of a missing covariate cell in a
+    scored window under an imputer that reads it.
     """
     failures: dict[str, str] = {}
     loaded: list[tuple[DatasetSpec, TimeSeries]] = []
@@ -507,13 +504,13 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
             failures[ds.id] = str(err)
     if failures:
         raise ValueError("dataset ingestion failed" + "".join(f"\n  {k}: {v}" for k, v in sorted(failures.items())))
-    for ds, series in loaded:
-        for spec in config.imputers:
-            if spec.id == "covar_ridge" and not series.covariates:
-                raise ValueError(f"imputer {spec.name!r} needs a covariate channel, but dataset {ds.id!r} has none")
-
+    # The entries that read every covariate channel of each window they impute.
+    readers = [spec for spec in config.imputers if spec.id == "covar_ridge" or spec.params.get("use_covariates")]
+    ridge = next((spec for spec in readers if spec.id == "covar_ridge"), None)
     tasks = []
     for ds, series in loaded:
+        if ridge and not series.covariates:
+            raise ValueError(f"imputer {ridge.name!r} needs a covariate channel, but dataset {ds.id!r} has none")
         _, _, test = chrono_split(series, config.splits)
         segments = extract_segments(
             test,
@@ -531,6 +528,13 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
         if ds.min_std_filter > 0:
             segments = [s for s in segments if floored_std(s.values[s.obs_mask]) >= ds.min_std_filter]
         for segment in segments:
+            for name in sorted(segment.covariates) if readers else ():
+                gaps = np.flatnonzero(~np.isfinite(segment.covariates[name]))
+                if gaps.size:
+                    raise ValueError(
+                        f"dataset {ds.id!r}: covariate {name!r} has no value at tick"
+                        f" {test.start + segment.start + gaps[0]}, which imputer {readers[0].name!r} reads"
+                    )
             for scenario in config.scenarios:
                 tasks.append((ds.id, segment, scenario, test.start))
 
@@ -574,9 +578,7 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
         "notes": notes,
         "caveats": caveats,
     }
-    return BenchReport(
-        records=tuple(records), aggregates=tuple(aggregates), ranks=ranks, meta=meta
-    )
+    return BenchReport(records=tuple(records), aggregates=tuple(aggregates), ranks=ranks, meta=meta)
 
 
 def _fmt_float(x) -> str:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,10 @@ EVERY_LEVEL = {
 }
 
 
+# A config that runs: one synthetic dataset, one imputer.
+RUN_DICT = {"datasets": [{"id": "d", "synth": SYNTH_DICT}], "imputers": [{"id": "linear"}]}
+
+
 def demo_config(tmp_path, imputers=None, stride=(14.0, 14.0)):
     return config_from_dict(
         {
@@ -92,6 +97,21 @@ def demo_config(tmp_path, imputers=None, stride=(14.0, 14.0)):
             "imputers": imputers or [{"id": "linear"}, {"id": "locf"}],
         }
     )
+
+
+def no_task(*args):
+    raise AssertionError("a task ran")
+
+
+def gap_rows(stamp, gap_tick, n=1344):
+    """Hourly rows of a rising series with a covariate ``temp`` whose cell at ``gap_tick`` is empty."""
+    return [[stamp(t), float(t), "" if t == gap_tick else 1.0 + (t % 24)] for t in range(n)]
+
+
+def gap_config(path, imputers):
+    """A run of ``imputers`` on the CSV at ``path``, whose test slice starts at tick 134 of 1344."""
+    dataset = {"id": "gap", "path": str(path), "steps_per_day": 24, "covariate_columns": ["temp"]}
+    return config_from_dict({"datasets": [dataset], "imputers": imputers, "splits": [0.05, 0.05, 0.9]})
 
 
 class TestIngest:
@@ -170,8 +190,9 @@ class TestIngest:
 
     @pytest.mark.parametrize("first, last", [(-(2**63), 2**63 - 1), (-1, 2**63 - 1)], ids=["full", "2**63"])
     def test_integer_span_beyond_int64_names_file(self, tmp_path, capsys, first, last):
+        # A span the int64 grid cannot hold is far over the ticks-per-row bound.
         path = write_csv(tmp_path / "wide.csv", [[first, 1.0], [last, 2.0]])
-        message = f"{path}: integer timestamps span {last - first} ticks, beyond int64"
+        message = f"{path}: 2 rows span a grid of {last - first + 1} ticks, over 100 a row"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ingest_csv(path, HOURLY)
         cfg_path = tmp_path / "cfg.yaml"
@@ -190,6 +211,8 @@ class TestIngest:
             pytest.param([0, 100_000_000], 100_000_001, id="ticks"),
             # The step is the smallest spacing, one microsecond; the last row is 100 s on.
             pytest.param(["2024-01-01T00:00:00", "2024-01-01T00:00:00.000001", "2024-01-01T00:01:40"], 100_000_001, id="datetime"),
+            # An hourly step, and a last row about 9999 years on.
+            pytest.param(["0001-01-01T00:00:00", "0001-01-01T01:00:00", "9999-12-31T23:00:00"], 87_649_416, id="hours"),
         ],
     )
     def test_grid_far_longer_than_its_rows_names_file(self, tmp_path, capsys, monkeypatch, stamps, grid):
@@ -215,6 +238,23 @@ class TestIngest:
         assert cli_main(["run", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"error: dataset ingestion failed\n  sparse: {message}\n"
 
+    @pytest.mark.parametrize("stamp", [lambda t: t, lambda t: f"2024-01-01T{t:02d}:00:00"], ids=["ticks", "datetime"])
+    def test_gaps_on_either_timestamp_kind(self, tmp_path, stamp):
+        # Hours 0, 1, 3, 4 and 7: the same grid from integers and datetimes,
+        # and an empty covariate cell stays NaN on it.
+        rows = [[stamp(0), 1.0, 5.0], [stamp(1), 2.0, ""], [stamp(3), "", 7.0], [stamp(4), 4.0, 8.0], [stamp(7), 7.0, 9.0]]
+        path = write_csv(tmp_path / "a.csv", rows[::-1], header=("timestamp", "value", "temp"))
+        series = ingest_csv(path, HOURLY, covariate_columns=("temp",))
+        nan = np.nan
+        np.testing.assert_array_equal(series.values, [1.0, 2.0, nan, nan, 4.0, nan, nan, 7.0])
+        np.testing.assert_array_equal(series.obs_mask, [True, True, False, False, True, False, False, True])
+        np.testing.assert_array_equal(series.covariates["temp"], [5.0, nan, nan, 7.0, 8.0, nan, nan, 9.0])
+
+    @pytest.mark.parametrize("stamp", ["2024-01-01T00:00:00", "2024-01-01T00:00:00+02:00", "7"])
+    def test_one_row_loads(self, tmp_path, stamp):
+        series = ingest_csv(write_csv(tmp_path / "a.csv", [[stamp, 3.5]]), HOURLY)
+        assert series.values.tolist() == [3.5] and series.obs_mask.tolist() == [True]
+
     def test_grid_of_100_ticks_a_row_loads(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", [[0, 1.0], [199, 2.0]])
         assert len(ingest_csv(path, HOURLY)) == 200
@@ -234,32 +274,36 @@ class TestIngest:
         np.testing.assert_array_equal(series.covariates["temp"], [5.0, 6.0])
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_covariate_gap_surfaces_at_imputation(self, tmp_path, jobs):
-        # An empty covariate cell loads as NaN and only errors when a
-        # covariate-consuming imputer runs. The gap at tick 150 falls inside
-        # the first test-slice window (test starts at tick 134); a pooled run
-        # names the same window as a serial one.
-        rows = [[t, float(t), "" if t == 150 else 1.0] for t in range(1344)]
-        path = write_csv(tmp_path / "a.csv", rows, header=("timestamp", "value", "temp"))
-        config = config_from_dict(
-            {
-                "datasets": [
-                    {
-                        "id": "gap",
-                        "path": str(path),
-                        "steps_per_day": 24,
-                        "covariate_columns": ["temp"],
-                    }
-                ],
-                "imputers": [{"id": "covar_ridge"}],
-                "splits": [0.05, 0.05, 0.9],
-            }
-        )
+    def test_covariate_gap_surfaces_at_imputation(self, tmp_path, monkeypatch, jobs):
+        # An empty covariate cell loads as NaN. The gap at tick 150 falls
+        # inside the first test-slice window (test starts at tick 134), so a
+        # run with a covariate-consuming imputer fails before any task runs,
+        # naming the cell's own tick, pooled as serial.
+        path = write_csv(tmp_path / "a.csv", gap_rows(lambda t: t, 150), header=("timestamp", "value", "temp"))
         series = ingest_csv(path, HOURLY, covariate_columns=("temp",))
         assert np.isnan(series.covariates["temp"][150])
-        message = "dataset 'gap', ticks 134-805, scenario 'pointwise1', imputer 'covar_ridge': covariate not fully observed"
+        monkeypatch.setattr(harness, "_score_tasks", no_task)
+        message = "dataset 'gap': covariate 'temp' has no value at tick 150, which imputer 'covar_ridge' reads"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            run(config, jobs=jobs)
+            run(gap_config(path, [{"id": "linear"}, {"id": "covar_ridge"}]), jobs=jobs)
+
+    @pytest.mark.parametrize(
+        "stamp", [lambda t: t, lambda t: (datetime(2024, 1, 1) + timedelta(hours=t)).isoformat()], ids=["ticks", "datetime"]
+    )
+    def test_covariate_gap_under_a_covariate_head_fails_before_any_task(self, tmp_path, monkeypatch, stamp):
+        path = write_csv(tmp_path / "a.csv", gap_rows(stamp, 150), header=("timestamp", "value", "temp"))
+        monkeypatch.setattr(harness, "_score_tasks", no_task)
+        imputers = [{"id": "tix_fourier"}, {"id": "tix_fourier", "name": "with_cov", "params": {"use_covariates": True}}]
+        message = "dataset 'gap': covariate 'temp' has no value at tick 150, which imputer 'with_cov' reads"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(gap_config(path, imputers))
+
+    @pytest.mark.parametrize("gap_tick, imputer", [(10, "covar_ridge"), (150, "linear")])
+    def test_covariate_gap_that_no_imputer_reads_runs(self, tmp_path, gap_tick, imputer):
+        # Tick 10 lies in the training slice, which no window reads; linear
+        # reads no covariate at all.
+        path = write_csv(tmp_path / "a.csv", gap_rows(lambda t: t, gap_tick), header=("timestamp", "value", "temp"))
+        assert run(gap_config(path, [{"id": imputer}])).records
 
 
 class TestRunConfig:
@@ -651,9 +695,6 @@ class TestRun:
         assert len(filtered.records) == 0
 
     def test_covariate_imputer_without_covariates_fails_before_any_task(self, monkeypatch):
-        def no_task(args):
-            raise AssertionError("a task ran")
-
         monkeypatch.setattr(harness, "_score_task", no_task)
         synth = {**SYNTH_DICT, "length_days": 200}
         config = config_from_dict(
@@ -666,9 +707,6 @@ class TestRun:
     def test_dataset_without_segments_fails_before_any_task(self, monkeypatch):
         # A 60-day series leaves a test slice too short for one 28-day window;
         # the 200-day one beside it must not let the run pass with its records alone.
-        def no_task(args):
-            raise AssertionError("a task ran")
-
         monkeypatch.setattr(harness, "_score_task", no_task)
         datasets = [
             {"id": "long", "synth": {**SYNTH_DICT, "length_days": 200}},
@@ -996,7 +1034,7 @@ class TestCli:
 
     def test_run_reports_config_and_run_errors(self, tmp_path, capsys):
         # The empty covariate cell at tick 150 falls inside the first window
-        # of the test slice, so covar_ridge fails during the run.
+        # of the test slice, so the run refuses covar_ridge before any task.
         rows = [[t, float(t), "" if t == 150 else 1.0] for t in range(1344)]
         write_csv(tmp_path / "gap.csv", rows, header=("timestamp", "value", "temp"))
         dataset = {"id": "gap", "path": "gap.csv", "steps_per_day": 24, "covariate_columns": ["temp"]}
@@ -1010,8 +1048,7 @@ class TestCli:
         cfg_path.write_text(yaml.safe_dump(cfg))
         assert cli_main(["run", str(cfg_path)]) == 1
         assert capsys.readouterr().err == (
-            "error: dataset 'gap', ticks 134-805, scenario 'pointwise1', imputer 'covar_ridge': "
-            "covariate not fully observed\n"
+            "error: dataset 'gap': covariate 'temp' has no value at tick 150, which imputer 'covar_ridge' reads\n"
         )
         cfg_path.write_text(yaml.safe_dump({**cfg, "imputers": [{"id": "covar_ridge", "params": {"lamda": 1}}]}))
         assert cli_main(["run", str(cfg_path)]) == 1
@@ -1072,6 +1109,56 @@ class TestCli:
         assert cli_main(["score", str(truth), str(pred)]) == 1
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: {truth if file == 'truth' else pred}: {message}\n")
+
+    def test_score_without_a_shared_scored_timestamp_is_an_error_line(self, tmp_path, capsys):
+        # Timestamp 1 is in both files, but its truth is missing.
+        truth = write_csv(tmp_path / "t.csv", [[0, 1.0], [1, ""]])
+        pred = write_csv(tmp_path / "p.csv", [[1, 2.0], [2, 3.0]])
+        assert cli_main(["score", str(truth), str(pred)]) == 1
+        assert capsys.readouterr() == ("", "error: no overlapping scored timestamps\n")
+
+    def test_score_of_an_all_zero_truth_leaves_out_wql(self, tmp_path, capsys):
+        # The weighted quantile loss divides by the truth's absolute sum.
+        truth = write_csv(tmp_path / "t.csv", [[0, 0.0], [1, 0.0]])
+        pred = write_csv(tmp_path / "p.csv", [[0, 1.0, 0.5], [1, -1.0, -1.5]], header=("timestamp", "value", "q0.1"))
+        assert cli_main(["score", str(truth), str(pred)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"mae": 1.0, "n_points": 2, "truth_std": 1e-8, "znorm_mae": 1e8}
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("run", {**RUN_DICT, "datasets": 5}, "could not load config: datasets: expected a list, got 5"),
+            ("run", {**RUN_DICT, "imputers": "linear"}, "could not load config: imputers: expected a list, got 'linear'"),
+            (
+                "run",
+                {**RUN_DICT, "scenarios": {"kind": "blocks"}},
+                "could not load config: scenarios: expected a list, got {'kind': 'blocks'}",
+            ),
+            (
+                "run",
+                {**RUN_DICT, "datasets": [{"id": "d", "path": "d.csv", "steps_per_day": 24, "covariate_columns": "temp"}]},
+                "could not load config: dataset 'd' covariate_columns: expected a list, got 'temp'",
+            ),
+            ("synth", {**SYNTH_DICT, "components": 5}, "synth components: expected a list, got 5"),
+            (
+                "run",
+                "datasets: [{id: d\n",
+                "could not load config: {path}: malformed YAML at line 2, column 1: expected ',' or '}', but got '<stream end>'",
+            ),
+            (
+                "synth",
+                "length_days: 28\n\tseed: 1\n",
+                "{path}: malformed YAML at line 2, column 1: found character '\\t' that cannot start any token",
+            ),
+        ],
+        ids=["datasets", "imputers", "scenarios", "covariate_columns", "components", "run_yaml", "synth_yaml"],
+    )
+    def test_config_of_the_wrong_shape_is_an_error_line(self, tmp_path, capsys, command, doc, message):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(doc if isinstance(doc, str) else yaml.safe_dump(doc))
+        argv = [command, str(path), "-o" if command == "synth" else "--output-dir", str(tmp_path / "out")]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message.replace('{path}', str(path))}\n")
 
     def test_score_rejects_a_non_finite_score(self, tmp_path, capsys):
         # Finite cells whose errors overflow: the score must not print
