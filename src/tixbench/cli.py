@@ -18,11 +18,7 @@ from .synth import generate
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = load_config(args.config)
-    except Exception as err:
-        print(f"error: could not load config: {err}", file=sys.stderr)
-        return 1
+    config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.output_dir is not None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -23,6 +24,15 @@ STD_FLOOR = 1e-8
 def round_half_up(x: float) -> int:
     """Round to the nearest integer, halves away from zero (0.5 -> 1)."""
     return int(math.floor(x + 0.5))
+
+
+def whole_number(value, name: str, least: int | None = None) -> int:
+    """``value``, an integer or an integral float (24.0 is 24) of at least ``least`` if given, as an int;
+    anything else, a bool, NaN or an infinity included, is a ``ValueError`` naming ``name``."""
+    count = int(value) if isinstance(value, float) and value.is_integer() else value
+    if isinstance(count, bool) or not isinstance(count, Integral) or (least is not None and count < least):
+        raise ValueError(f"{name} must be a whole number{'' if least is None else f' >= {least}'}, got {value!r}")
+    return int(count)
 
 
 def floored_std(values) -> float:
@@ -43,17 +53,9 @@ class FrequencySpec:
     seasonal_period: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("steps_per_day", "seasonal_period"):
-            value = getattr(self, name)
-            if not float(value).is_integer():
-                raise ValueError(f"{name} must be a whole number, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.steps_per_day < 1:
-            raise ValueError("steps_per_day must be a positive integer")
-        if self.seasonal_period == 0:
-            object.__setattr__(self, "seasonal_period", self.steps_per_day)
-        if self.seasonal_period < 1:
-            raise ValueError("seasonal_period must be >= 1")
+        object.__setattr__(self, "steps_per_day", whole_number(self.steps_per_day, "steps_per_day", least=1))
+        period = whole_number(self.seasonal_period, "seasonal_period", least=0)
+        object.__setattr__(self, "seasonal_period", period or self.steps_per_day)
 
     @property
     def steps_per_week(self) -> int:
@@ -141,12 +143,12 @@ def _split_fractions(fractions) -> tuple[float, float, float]:
     return fr
 
 
-def _check_window(len_days, stride) -> None:
-    """A window spans a whole number of days, at least one; its stride range, in days, has 0 < min <= max."""
-    if len_days < 1 or not float(len_days).is_integer():
-        raise ValueError(f"len_days must be a whole number >= 1, got {len_days!r}")
+def _check_window(len_days, stride) -> int:
+    """The window's day count, a whole number of at least one; its stride range, in days, has 0 < min <= max."""
+    days = whole_number(len_days, "len_days", least=1)
     if len(stride) != 2 or not 0 < stride[0] <= stride[1]:
         raise ValueError(f"stride needs two day counts with 0 < min <= max, got {list(stride)}")
+    return days
 
 
 def chrono_split(
@@ -182,9 +184,8 @@ def extract_segments(
     generator; iteration stops once a full window no longer fits. Windows
     containing no observed position are skipped. Deterministic per seed.
     """
-    _check_window(seg_len_days, (stride_min_days, stride_max_days))
     steps = series.freq.steps_per_day
-    window = seg_len_days * steps
+    window = _check_window(seg_len_days, (stride_min_days, stride_max_days)) * steps
     n = len(series)
     rng = np.random.default_rng(seed)
     segments: list[Segment] = []

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrequencySpec
+from .core import FrequencySpec, whole_number
 
 HANDCRAFTED_FOURIER = "handcrafted_fourier"
 RANDOM_FOURIER = "random_fourier"
@@ -47,8 +47,8 @@ class FeatureSpec:
         if any(p <= 0 for p in self.periods):
             raise ValueError("periods must be positive")
         if self.kind == RANDOM_FOURIER:
-            if self.n_random < 1:
-                raise ValueError("n_random must be >= 1")
+            object.__setattr__(self, "n_random", whole_number(self.n_random, "n_random", least=1))
+            object.__setattr__(self, "seed", whole_number(self.seed, "seed", least=0))
             lo, hi = self.freq_range
             if not (0 < lo < hi):
                 raise ValueError("freq_range must satisfy 0 < min < max")

@@ -27,7 +27,7 @@ import yaml
 
 from . import __version__
 from .core import FrequencySpec, TimeSeries, _check_window, _split_fractions, chrono_split, extract_segments
-from .core import floored_std
+from .core import floored_std, whole_number
 from .imputers import make_imputer
 from .masking import DEFAULT_SCENARIOS, InfeasibleScenario, Scenario, apply_scenario
 from .metrics import ScoreRecord, aggregate, average_ranks, wql, znorm_mae
@@ -56,33 +56,24 @@ def stable_seed(*parts) -> int:
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """One dataset entry: either a CSV path or an inline synthetic spec."""
+    """One dataset entry: a CSV path and the frequency of its grid, or an inline synthetic spec."""
 
     id: str
     path: str | None = None
     synth: SynthSpec | None = None
+    freq: FrequencySpec | None = None
     timestamp_column: str = "timestamp"
     value_column: str = "value"
     covariate_columns: tuple[str, ...] = ()
-    steps_per_day: int = 0
-    seasonal_period: int = 0
     min_std_filter: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "id", str(self.id))
-        columns = _sequence(self.covariate_columns, f"dataset {self.id!r} covariate_columns")
+        columns = _sequence(self.covariate_columns, "covariate_columns")
         object.__setattr__(self, "covariate_columns", tuple(columns))
         object.__setattr__(self, "min_std_filter", float(self.min_std_filter))
-        if (self.path is None) == (self.synth is None):
-            raise ValueError(f"dataset {self.id!r} needs exactly one of path or synth")
-        if self.path is not None:
-            try:
-                freq = FrequencySpec(self.steps_per_day, seasonal_period=self.seasonal_period)
-            except ValueError as err:
-                raise ValueError(f"dataset {self.id!r}: {err}") from None
-            # The coerced counts, so that 24.0 and 24 digest alike.
-            object.__setattr__(self, "steps_per_day", freq.steps_per_day)
-            object.__setattr__(self, "seasonal_period", freq.seasonal_period)
+        if (self.path is None) == (self.synth is None) or (self.path is None) != (self.freq is None):
+            raise ValueError("needs exactly one of path or synth, and a freq with a path only")
 
 
 @dataclass(frozen=True)
@@ -115,17 +106,19 @@ class RunConfig:
         object.__setattr__(self, "datasets", tuple(self.datasets))
         object.__setattr__(self, "imputers", tuple(self.imputers))
         object.__setattr__(self, "scenarios", tuple(self.scenarios) or DEFAULT_SCENARIOS)
+        object.__setattr__(self, "seed", whole_number(self.seed, "seed"))
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
         object.__setattr__(self, "stride_days", tuple(float(d) for d in self.stride_days))
         object.__setattr__(self, "splits", _split_fractions(self.splits))
         try:
-            _check_window(self.segment_len_days, self.stride_days)
+            object.__setattr__(self, "segment_len_days", _check_window(self.segment_len_days, self.stride_days))
         except ValueError as err:
             raise ValueError(f"segment.{err}") from None
-        object.__setattr__(self, "segment_len_days", int(self.segment_len_days))
         if not self.datasets:
-            raise ValueError("config needs at least one dataset")
+            raise ValueError("datasets must not be empty")
         if not self.imputers:
-            raise ValueError("config needs at least one imputer")
+            raise ValueError("imputers must not be empty")
         labels = [s.label for s in self.scenarios]
         if len(set(labels)) != len(labels):
             raise ValueError("scenario labels must be unique")
@@ -158,8 +151,8 @@ def _strict(cls, raw, where: str, **resolved):
 
     Every key of ``raw`` must name a field of ``cls`` that ``resolved`` does
     not set, and every omitted field takes the default that ``cls`` declares.
-    An unknown key or a missing field is a ``ValueError`` that says where it
-    was.
+    An unknown key, a missing field, or a value that ``cls`` refuses or
+    cannot convert, is a ``ValueError`` that says where it was.
     """
     raw = _mapping(raw, where)
     if "id" in raw:
@@ -169,17 +162,22 @@ def _strict(cls, raw, where: str, **resolved):
         raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
     try:
         return cls(**raw, **resolved)
-    except TypeError as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ValueError(f"{where}: {err}") from None
+
+
+def _freq(raw: dict, where: str) -> FrequencySpec:
+    """The ``FrequencySpec`` of the ``steps_per_day`` and ``seasonal_period`` popped from ``raw``."""
+    return _strict(FrequencySpec, {k: raw.pop(k) for k in ("steps_per_day", "seasonal_period") if k in raw}, where)
 
 
 def synth_from_dict(raw: dict) -> SynthSpec:
     """Build a synthetic-series spec; ``steps_per_day`` and ``seasonal_period`` form its ``freq``."""
     rest = _mapping(raw, "synth")
-    freq = {k: rest.pop(k) for k in ("steps_per_day", "seasonal_period") if k in rest}
+    freq = _freq(rest, "synth")
     components = _sequence(rest.pop("components", None) or (), "synth components")
     components = [_strict(Component, c, "synth component") for c in components]
-    return _strict(SynthSpec, rest, "synth", freq=_strict(FrequencySpec, freq, "synth"), components=components)
+    return _strict(SynthSpec, rest, "synth", freq=freq, components=components)
 
 
 # Dataset keys that only a CSV entry reads; a synth entry sets its frequency inside ``synth``.
@@ -195,14 +193,18 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> RunConfig:
     datasets = []
     for entry in _sequence(rest.pop("datasets", None) or (), "datasets"):
         d = _mapping(entry, "dataset")
+        where = f"dataset {d.get('id')!r}"
         if "synth" in d:
             for key in _CSV_KEYS:
                 if key in d:
-                    raise ValueError(f"dataset {d.get('id')!r}: {key!r} applies only to CSV datasets, not to synth")
+                    raise ValueError(f"{where}: {key!r} applies only to CSV datasets, not to synth")
             d["synth"] = synth_from_dict(d["synth"])
         if d.get("path") is not None:
+            if not isinstance(d["path"], str):
+                raise ValueError(f"{where}: path must be a string, got {d['path']!r}")
             d["path"] = str(base / d["path"])
-        datasets.append(_strict(DatasetSpec, d, "dataset"))
+        freq = _freq(d, where) if "path" in d and "synth" not in d else None
+        datasets.append(_strict(DatasetSpec, d, "dataset", freq=freq))
     imputers = [_strict(ImputerSpec, i, "imputer") for i in _sequence(rest.pop("imputers", None) or (), "imputers")]
     scenarios = [_strict(Scenario, s, "scenario") for s in _sequence(rest.pop("scenarios", None) or (), "scenarios")]
     # A segment key that fills no field keeps a dotted name, which the strict
@@ -344,9 +346,8 @@ def ingest_csv(
 def load_dataset(spec: DatasetSpec) -> TimeSeries:
     if spec.synth is not None:
         return synth_generate(spec.synth, series_id=spec.id)
-    freq = FrequencySpec(steps_per_day=spec.steps_per_day, seasonal_period=spec.seasonal_period)
     return ingest_csv(
-        spec.path, freq, spec.timestamp_column, spec.value_column, spec.covariate_columns, series_id=spec.id
+        spec.path, spec.freq, spec.timestamp_column, spec.value_column, spec.covariate_columns, series_id=spec.id
     )
 
 

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import FrequencySpec, Segment
+from .core import FrequencySpec, Segment, whole_number
 from .features import (
     HANDCRAFTED_FOURIER,
     RANDOM_FOURIER,
@@ -98,9 +98,7 @@ def impute_seasonal_naive(segment: Segment, season: int | None = None) -> Imputa
     the segment bounds; the first visible probe supplies the value. If every
     probe fails, the LOCF value at t is used.
     """
-    S = segment.freq.seasonal_period if season is None else int(season)
-    if S < 1:
-        raise ValueError("seasonal period must be >= 1")
+    S = segment.freq.seasonal_period if season is None else whole_number(season, "season", least=1)
     vis = np.flatnonzero(segment.obs_mask)
     evals = np.flatnonzero(segment.eval_mask)
     n = len(segment)
@@ -216,13 +214,15 @@ for _tix_id, (_, _basis_keys) in _TIX_BASES.items():
 
 # Param value rules: (test, what a value must be). Levels key the quantile fits.
 _VALUE_RULES = {
-    "season": (lambda season: season is None or int(season) >= 1, "must be >= 1"),
     "lam": (lambda lam: lam >= 0, "must be >= 0"),
+    "use_covariates": (lambda flag: isinstance(flag, bool), "must be true or false"),
     "quantile_levels": (
         lambda levels: bool(levels) and all(lo < hi for lo, hi in zip([0.0, *levels], [*levels, 1.0])),
         "must be non-empty, strictly inside (0, 1) and strictly increasing",
     ),
 }
+# Counts that no spec checks under the param's name, by least value; a null season is the series' seasonal period.
+_COUNTS = {"season": 1, "basis_seed": 0}
 
 
 def make_imputer(imputer_id: str, **params) -> Callable[[Segment], Imputation]:
@@ -231,11 +231,14 @@ def make_imputer(imputer_id: str, **params) -> Callable[[Segment], Imputation]:
         raise ValueError(f"unknown imputer {imputer_id!r}")
     unknown = sorted(params.keys() - _PARAMS[imputer_id])
     if unknown:
-        raise ValueError(f"imputer {imputer_id!r}: unknown param {', '.join(map(repr, unknown))}")
+        raise ValueError(f"unknown param {', '.join(map(repr, unknown))}")
+    for key in params.keys() & _COUNTS:
+        if params[key] is not None or key != "season":
+            params[key] = whole_number(params[key], key, least=_COUNTS[key])
     for key in params.keys() & _VALUE_RULES:
         valid, rule = _VALUE_RULES[key]
         if not valid(params[key]):
-            raise ValueError(f"imputer {imputer_id!r}: {key} {rule}, got {params[key]!r}")
+            raise ValueError(f"{key} {rule}, got {params[key]!r}")
     if imputer_id in _LOCAL_IMPUTERS:
         return functools.partial(_LOCAL_IMPUTERS[imputer_id], **params)
     kind, basis_keys = _TIX_BASES[imputer_id.removesuffix("_q")]

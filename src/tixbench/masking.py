@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Segment, round_half_up
+from .core import Segment, round_half_up, whole_number
 
 POINTWISE = "pointwise"
 BLOCKS = "blocks"
@@ -44,8 +44,7 @@ class Scenario:
         if self.kind == POINTWISE and not (0.0 < self.param < 1.0):
             raise ValueError("pointwise fraction must lie strictly in (0, 1)")
         if self.kind == BLOCKS:
-            if self.param < 1 or self.param != int(self.param):
-                raise ValueError("blocks parameter must be a positive whole number of days")
+            object.__setattr__(self, "param", whole_number(self.param, "blocks parameter", least=1))
         if not self.label:
             raise ValueError("scenario label must be nonempty")
 
@@ -90,11 +89,10 @@ def apply_scenario(segment: Segment, scenario: Scenario, seed: int) -> Segment:
         chosen = rng.choice(visible, size=round_half_up(scenario.param * len(visible)), replace=False)
     else:
         steps = segment.freq.steps_per_day
-        k = int(scenario.param)
         feasible = [d for d in range(len(segment) // steps) if obs[d * steps : (d + 1) * steps].all()]
-        if len(feasible) < k:
+        if len(feasible) < scenario.param:
             raise InfeasibleScenario("infeasible block scenario")
-        days = _pick_block_days(rng, feasible, k)
+        days = _pick_block_days(rng, feasible, scenario.param)
         chosen = np.concatenate([np.arange(d * steps, (d + 1) * steps) for d in days])
     if not 0 < len(chosen) < len(visible):
         what = "hides no position" if len(chosen) == 0 else f"would hide all {len(visible)} visible positions"

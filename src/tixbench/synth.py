@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrequencySpec, TimeSeries
+from .core import FrequencySpec, TimeSeries, whole_number
 
 SINE = "sine"
 TREND = "trend"
@@ -60,8 +60,8 @@ class SynthSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(self.components))
-        if self.length_days < 28:
-            raise ValueError("length_days must be at least 28")
+        object.__setattr__(self, "length_days", whole_number(self.length_days, "length_days", least=28))
+        object.__setattr__(self, "seed", whole_number(self.seed, "seed", least=0))
         if not self.components:
             raise ValueError("need at least one component")
 

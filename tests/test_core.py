@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import two_pass_mean_std
 from tixbench import FrequencySpec, Segment, TimeSeries, chrono_split, extract_segments, floored_std
 from conftest import HOURLY, make_segment
+from tixbench.core import whole_number
 
 
 def make_series(n, freq=HOURLY, obs=None, covariates=None, seed=0):
@@ -19,6 +20,23 @@ def make_series(n, freq=HOURLY, obs=None, covariates=None, seed=0):
         freq=freq,
         covariates=covariates or {},
     )
+
+
+class TestWholeNumber:
+    def test_integers_and_integral_floats_become_ints(self):
+        counts = [whole_number(v, "n", least=1) for v in (24, 24.0, np.int64(24), np.float64(24.0), 10**400)]
+        assert counts == [24, 24, 24, 24, 10**400]
+        assert {type(c) for c in counts} == {int}
+
+    @pytest.mark.parametrize("value", [True, 2.5, float("nan"), float("inf"), "3", None, [3], 0, -1.0])
+    def test_anything_else_names_the_value(self, value):
+        with pytest.raises(ValueError, match=r"^n must be a whole number >= 1, got "):
+            whole_number(value, "n", least=1)
+
+    def test_no_least_admits_negatives(self):
+        assert whole_number(-3, "n") == -3
+        with pytest.raises(ValueError, match=r"^n must be a whole number, got 0.5$"):
+            whole_number(0.5, "n")
 
 
 class TestFrequencySpec:

@@ -408,7 +408,7 @@ class TestRunConfig:
         from_floats = config(24.0, 12.0)
         assert config_digest(from_floats) == config_digest(config(24, 12))
         ds = from_floats.datasets[0]
-        assert [type(v) for v in (ds.steps_per_day, ds.seasonal_period)] == [int, int]
+        assert [type(v) for v in (ds.freq.steps_per_day, ds.freq.seasonal_period)] == [int, int]
 
     def test_integer_and_float_values_digest_alike(self):
         def with_numbers(period, stride):
@@ -1127,23 +1127,23 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, doc, message",
         [
-            ("run", {**RUN_DICT, "datasets": 5}, "could not load config: datasets: expected a list, got 5"),
-            ("run", {**RUN_DICT, "imputers": "linear"}, "could not load config: imputers: expected a list, got 'linear'"),
+            ("run", {**RUN_DICT, "datasets": 5}, "datasets: expected a list, got 5"),
+            ("run", {**RUN_DICT, "imputers": "linear"}, "imputers: expected a list, got 'linear'"),
             (
                 "run",
                 {**RUN_DICT, "scenarios": {"kind": "blocks"}},
-                "could not load config: scenarios: expected a list, got {'kind': 'blocks'}",
+                "scenarios: expected a list, got {'kind': 'blocks'}",
             ),
             (
                 "run",
                 {**RUN_DICT, "datasets": [{"id": "d", "path": "d.csv", "steps_per_day": 24, "covariate_columns": "temp"}]},
-                "could not load config: dataset 'd' covariate_columns: expected a list, got 'temp'",
+                "dataset 'd': covariate_columns: expected a list, got 'temp'",
             ),
             ("synth", {**SYNTH_DICT, "components": 5}, "synth components: expected a list, got 5"),
             (
                 "run",
                 "datasets: [{id: d\n",
-                "could not load config: {path}: malformed YAML at line 2, column 1: expected ',' or '}', but got '<stream end>'",
+                "{path}: malformed YAML at line 2, column 1: expected ',' or '}', but got '<stream end>'",
             ),
             (
                 "synth",
@@ -1159,6 +1159,63 @@ class TestCli:
         argv = [command, str(path), "-o" if command == "synth" else "--output-dir", str(tmp_path / "out")]
         assert cli_main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {message.replace('{path}', str(path))}\n")
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            pytest.param({"output_dir": 5}, "config: output_dir must be a string, got 5", id="output_dir"),
+            pytest.param({"seed": [1, 2]}, "config: seed must be a whole number, got [1, 2]", id="seed"),
+            pytest.param(
+                {"datasets": [{"id": "c", "path": 5, "steps_per_day": 24}]},
+                "dataset 'c': path must be a string, got 5",
+                id="path",
+            ),
+            pytest.param(
+                {"imputers": [{"id": "tix_random_basis", "params": {"basis_seed": "a"}}]},
+                "imputer 'tix_random_basis': basis_seed must be a whole number >= 0, got 'a'",
+                id="basis_seed",
+            ),
+            pytest.param(
+                {"imputers": [{"id": "tix_random_basis", "params": {"n_random": 4.5}}]},
+                "imputer 'tix_random_basis': n_random must be a whole number >= 1, got 4.5",
+                id="n_random",
+            ),
+            pytest.param(
+                {"datasets": [{"id": "d", "synth": {**SYNTH_DICT, "length_days": 150.5}}]},
+                "synth: length_days must be a whole number >= 28, got 150.5",
+                id="synth_length_days",
+            ),
+            pytest.param(
+                {"datasets": [{"id": "d", "synth": {**SYNTH_DICT, "seed": "a"}}]},
+                "synth: seed must be a whole number >= 0, got 'a'",
+                id="synth_seed",
+            ),
+            pytest.param(
+                {"imputers": [{"id": "tix_fourier", "params": {"use_covariates": "no"}}]},
+                "imputer 'tix_fourier': use_covariates must be true or false, got 'no'",
+                id="use_covariates",
+            ),
+            pytest.param(
+                {"datasets": [{"id": "d", "synth": SYNTH_DICT, "min_std_filter": 10**400}]},
+                "dataset 'd': int too large to convert to float",
+                id="min_std_filter_400_digits",
+            ),
+            pytest.param(
+                {"imputers": [{"id": "seasonal_naive", "params": {"season": 2.5}}]},
+                "imputer 'seasonal_naive': season must be a whole number >= 1, got 2.5",
+                id="season",
+            ),
+        ],
+    )
+    def test_bad_config_value_is_an_error_line_before_any_task(self, tmp_path, capsys, monkeypatch, change, message):
+        # Each value is refused at load; a run that used it would fail
+        # mid-run, end in a traceback or read it as something else.
+        monkeypatch.setattr(harness, "_score_tasks", no_task)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump({**RUN_DICT, "output_dir": "out", **change}))
+        assert cli_main(["run", "cfg.yaml"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
 
     def test_score_rejects_a_non_finite_score(self, tmp_path, capsys):
         # Finite cells whose errors overflow: the score must not print
