@@ -136,18 +136,18 @@ class Segment(TimeSeries):
 
 
 def _split_fractions(fractions) -> tuple[float, float, float]:
-    """The split fractions as floats; there must be three, each positive, summing to 1."""
+    """The split fractions as floats; there must be three, each positive and finite, summing to 1."""
     fr = tuple(float(f) for f in fractions)
-    if len(fr) != 3 or min(fr) <= 0 or abs(sum(fr) - 1.0) > 1e-9:
-        raise ValueError(f"splits must be three positive fractions that sum to 1, got {list(fr)}")
+    if len(fr) != 3 or not all(0 < f < math.inf for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
+        raise ValueError(f"splits must be three finite positive fractions that sum to 1, got {list(fr)}")
     return fr
 
 
 def _check_window(len_days, stride) -> int:
-    """The window's day count, a whole number of at least one; its stride range, in days, has 0 < min <= max."""
+    """The window's day count, a whole number of at least one; its stride range, in days, has 0 < min <= max < inf."""
     days = whole_number(len_days, "len_days", least=1)
-    if len(stride) != 2 or not 0 < stride[0] <= stride[1]:
-        raise ValueError(f"stride needs two day counts with 0 < min <= max, got {list(stride)}")
+    if len(stride) != 2 or not 0 < stride[0] <= stride[1] < math.inf:
+        raise ValueError(f"stride needs two finite day counts with 0 < min <= max, got {list(stride)}")
     return days
 
 

@@ -1,13 +1,14 @@
 """Benchmark harness: config files, CSV ingestion, the run loop, reports.
 
 A run walks every configured dataset through a chronological split, slides
-four-week windows over the test slice, applies each missingness scenario
-with a seed derived by stable-hashing the run seed with the dataset id,
-segment start and scenario label (so parallel and serial execution agree),
-scores every imputer, and writes machine-readable and human-readable
+four-week windows over the test slice, masks each window under every
+missingness scenario with a seed derived by stable-hashing the run seed with
+the dataset id, segment start and scenario label (so parallel and serial
+execution agree), has each imputer impute a window's masked copies in one
+call, scores every task, and writes machine-readable and human-readable
 reports. Everything downstream of the config is deterministic; the only
-volatile report field is the wall-clock timestamp, which is excluded from
-the content digest.
+volatile report field is the wall-clock timestamp, which is excluded from the
+content digest.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import csv
 import hashlib
 import json
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from functools import partial
@@ -360,32 +361,16 @@ class BenchReport:
 
 
 def _score_task(args) -> list[ScoreRecord]:
-    # test_start is the grid tick of the test slice's first row: an error names
-    # the window by its grid ticks, while the mask seed hashes segment.start.
-    # imputers holds a (name, built imputer) pair per configured imputer.
-    ds_id, segment, scenario, test_start, run_seed, imputers = args
-    mask_seed = stable_seed(run_seed, ds_id, segment.start, scenario.label)
-    try:
-        masked = apply_scenario(segment, scenario, mask_seed)
-    except InfeasibleScenario:
-        return []
+    # One task: a masked segment, and a (name, imputation of it) pair per configured imputer.
+    ds_id, masked, scenario, imputations = args
     truth, std = masked.values[masked.eval_mask], floored_std(masked.values[masked.obs_mask])
     records = []
-    for name, imputer in imputers:
-        try:
-            imputation = imputer(masked)
-        except ValueError as err:
-            first = test_start + segment.start
-            ticks = f"{first}-{first + len(segment) - 1}"
-            where = f"dataset {ds_id!r}, ticks {ticks}, scenario {scenario.label!r}, imputer {name!r}"
-            raise ValueError(f"{where}: {err}") from err
+    for name, imputation in imputations:
         mae = znorm_mae(truth, imputation.point, std)
         wql_value = None
         if imputation.quantiles is not None:
-            try:
+            with suppress(ValueError):
                 wql_value = wql(imputation.quantiles, truth)
-            except ValueError:
-                wql_value = None
         records.append(
             ScoreRecord(
                 dataset=ds_id,
@@ -397,6 +382,37 @@ def _score_task(args) -> list[ScoreRecord]:
             )
         )
     return records
+
+
+def _score_window(window, run_seed: int, imputers: list[tuple]) -> list[ScoreRecord]:
+    """Mask a (dataset id, segment, scenarios, test start) window under each scenario, impute its masked copies with
+    one call per (name, built imputer) pair of ``imputers``, and score each task. Test start is the grid tick of the
+    test slice's first row: an error names the window by its grid ticks, while the mask seed hashes segment.start.
+    A ``ValueError`` re-runs the window one task and imputer at a time, so that the error names the first to fail."""
+    ds_id, segment, scenarios, test_start = window
+    tasks = []
+    for scenario in scenarios:
+        mask_seed = stable_seed(run_seed, ds_id, segment.start, scenario.label)
+        with suppress(InfeasibleScenario):
+            tasks.append((scenario, apply_scenario(segment, scenario, mask_seed)))
+    try:
+        columns = [(name, imputer([masked for _, masked in tasks]) if tasks else []) for name, imputer in imputers]
+    except ValueError:
+        for scenario, masked in tasks:
+            for name, imputer in imputers:
+                try:
+                    imputer([masked])
+                except ValueError as err:
+                    first = test_start + segment.start
+                    ticks = f"{first}-{first + len(segment) - 1}"
+                    where = f"dataset {ds_id!r}, ticks {ticks}, scenario {scenario.label!r}, imputer {name!r}"
+                    raise ValueError(f"{where}: {err}") from err
+        raise
+    return [
+        r
+        for t, (scenario, masked) in enumerate(tasks)
+        for r in _score_task((ds_id, masked, scenario, [(name, column[t]) for name, column in columns]))
+    ]
 
 
 def _record_sort_key(r: ScoreRecord):
@@ -472,12 +488,12 @@ def _one_blas_thread():
             setter(count)
 
 
-def _score_tasks(run_seed: int, specs: tuple[ImputerSpec, ...], tasks: list[tuple]) -> list[ScoreRecord]:
-    """Score (dataset id, segment, scenario, test start) tasks with the imputers of ``specs``, each built once."""
+def _score_tasks(run_seed: int, specs: tuple[ImputerSpec, ...], windows: list[tuple]) -> list[ScoreRecord]:
+    """Score the tasks of (dataset id, segment, scenarios, test start) windows with ``specs``' imputers, built once."""
     # Built before the pin, so that it covers the OpenBLAS copy they load: scipy's, for a quantile head.
     imputers = [(spec.name, make_imputer(spec.id, **spec.params)) for spec in specs]
     with _one_blas_thread():
-        return [r for task in tasks for r in _score_task((*task, run_seed, imputers))]
+        return [r for window in windows for r in _score_window(window, run_seed, imputers)]
 
 
 def run(config: RunConfig, jobs: int = 1) -> BenchReport:
@@ -508,7 +524,7 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
     # The entries that read every covariate channel of each window they impute.
     readers = [spec for spec in config.imputers if spec.id == "covar_ridge" or spec.params.get("use_covariates")]
     ridge = next((spec for spec in readers if spec.id == "covar_ridge"), None)
-    tasks = []
+    windows = []
     for ds, series in loaded:
         if ridge and not series.covariates:
             raise ValueError(f"imputer {ridge.name!r} needs a covariate channel, but dataset {ds.id!r} has none")
@@ -536,20 +552,19 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
                         f"dataset {ds.id!r}: covariate {name!r} has no value at tick"
                         f" {test.start + segment.start + gaps[0]}, which imputer {readers[0].name!r} reads"
                     )
-            for scenario in config.scenarios:
-                tasks.append((ds.id, segment, scenario, test.start))
+            windows.append((ds.id, segment, config.scenarios, test.start))
 
     if jobs > 1:
         # Imported here: a serial run never loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        # About four batches per worker: fewer round trips, still balanced.
-        size = max(1, math.ceil(len(tasks) / (4 * jobs)))
-        chunks = [tasks[i : i + size] for i in range(0, len(tasks), size)]
+        # About four batches of whole windows per worker: fewer round trips, still balanced.
+        size = max(1, math.ceil(len(windows) / (4 * jobs)))
+        chunks = [windows[i : i + size] for i in range(0, len(windows), size)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             batches = list(pool.map(partial(_score_tasks, config.seed, config.imputers), chunks))
     else:
-        batches = [_score_tasks(config.seed, config.imputers, tasks)]
+        batches = [_score_tasks(config.seed, config.imputers, windows)]
     records = sorted((r for batch in batches for r in batch), key=_record_sort_key)
 
     by_scenario = aggregate(records, ("dataset", "imputer_id", "scenario_label"))

@@ -1,10 +1,12 @@
-"""All imputation strategies behind one interface.
+"""All imputation strategies behind one interface: an imputer maps the masked
+copies of one window to one ``Imputation`` each.
 
 Local baselines (linear interpolation, LOCF, seasonal naive) with their full
-fallback chains, the time-indexed regression imputer in point and quantile
-variants with optional covariate stacking, and a covariate-only ridge
-baseline. Every imputer is a pure function of the visible data: values at
-held-out positions never influence the output.
+fallback chains impute each copy alone; the time-indexed regression imputer,
+in point and quantile variants with optional covariate stacking, and a
+covariate-only ridge baseline build the window's rows and Gram once and fit
+all copies with one stacked ridge head. Every imputer is a pure function of
+the visible data: values at held-out positions never influence the output.
 
 String ids registered here: ``linear``, ``locf``, ``seasonal_naive``,
 ``tix_fourier``, ``tix_random_basis``, ``covar_ridge``; append ``_q`` to the
@@ -137,61 +139,66 @@ def _time_basis(length: int, freq: FrequencySpec, fspec: FeatureSpec) -> tuple[n
 
 
 def _fit_heads(
-    segment: Segment, X: np.ndarray, lam: float, quantile_levels: tuple[float, ...] | None = None, gram=None
-) -> Imputation:
-    """Fit heads on the visible rows of ``X`` and predict its evaluated rows.
+    segments: list[Segment], X: np.ndarray, lam: float, quantile_levels: tuple[float, ...] | None = None, gram=None
+) -> list[Imputation]:
+    """Fit heads on the visible rows of ``X`` in each segment and predict its evaluated rows.
 
     The heads fit the visible values as they are; the fits scale the target
-    themselves. A ridge head, from the ``centred_gram`` of ``X`` if given,
-    gives the point estimate; with ``quantile_levels`` given, one pinball fit
-    gives a multi-level head, whose predictions at every level pass through
-    the non-crossing rearrangement. One visible value is enough context.
+    themselves. One ridge fit, from the ``centred_gram`` of ``X`` if given,
+    gives a stacked head, row t the point head of segment t; with
+    ``quantile_levels``, a pinball fit per segment gives a multi-level head,
+    its predictions rearranged to not cross. One visible value is enough.
     """
-    mask = segment.obs_mask
-    y, X_eval = segment.values[mask], X[segment.eval_mask]
-    point = predict(ridge_fit(X, y, lam, mask=mask, gram=gram), X_eval)
-    quantiles = None
-    if quantile_levels:
-        P = predict(pinball_fit(X[mask], y, alpha=quantile_levels, lam=lam), X_eval)
-        quantiles = enforce_noncrossing(dict(zip(quantile_levels, P.T)))
-    return Imputation(point=point, quantiles=quantiles)
+    targets = [segment.values[segment.obs_mask] for segment in segments]
+    points = predict(ridge_fit(X, targets, lam, mask=[segment.obs_mask for segment in segments], gram=gram), X)
+    imputations = []
+    for t, (segment, y) in enumerate(zip(segments, targets)):
+        quantiles = None
+        if quantile_levels:
+            P = predict(pinball_fit(X[segment.obs_mask], y, alpha=quantile_levels, lam=lam), X[segment.eval_mask])
+            quantiles = enforce_noncrossing(dict(zip(quantile_levels, P.T)))
+        imputations.append(Imputation(point=points[segment.eval_mask, t], quantiles=quantiles))
+    return imputations
 
 
 def impute_time_indexed(
-    segment: Segment,
+    segments: list[Segment],
     fspec: FeatureSpec | None = None,
     lam: float = DEFAULT_LAMBDA,
     use_covariates: bool = False,
     quantile_levels: tuple[float, ...] | None = None,
-) -> Imputation:
-    """Regress the visible values onto per-timestamp features, then predict
-    the held-out timestamps.
-
-    The fit uses all observed points of the segment as context; with
-    ``quantile_levels`` given, it adds non-crossing quantile heads.
+) -> list[Imputation]:
+    """Regress the visible values of each of ``segments``, masked copies of
+    one window, onto per-timestamp features built once with their Gram, then
+    predict its held-out timestamps. Each fit uses all observed points of its
+    segment as context; ``quantile_levels`` add non-crossing quantile heads.
     """
-    X, gram = _time_basis(len(segment), segment.freq, fspec or FeatureSpec())
-    if use_covariates and segment.covariates:
-        X, gram = stack_covariates(X, segment.covariates), None
-    return _fit_heads(segment, X, lam, quantile_levels, gram)
+    first = segments[0]
+    X, gram = _time_basis(len(first), first.freq, fspec or FeatureSpec())
+    if use_covariates and first.covariates:
+        gram = centred_gram(X := stack_covariates(X, first.covariates))
+    return _fit_heads(segments, X, lam, quantile_levels, gram)
 
 
-def impute_covariate_ridge(segment: Segment, lam: float = DEFAULT_LAMBDA) -> Imputation:
-    """Ridge fit of the target on the covariate channels only (plus intercept)."""
-    if not segment.covariates:
+def impute_covariate_ridge(segments: list[Segment], lam: float = DEFAULT_LAMBDA) -> list[Imputation]:
+    """Ridge fit of the target on the covariate channels only (plus intercept), per masked copy of one window."""
+    if not segments[0].covariates:
         raise ValueError("covariate required")
-    return _fit_heads(segment, stack_covariates(np.empty((len(segment), 0)), segment.covariates), lam)
+    X = stack_covariates(np.empty((len(segments[0]), 0)), segments[0].covariates)
+    return _fit_heads(segments, X, lam, gram=centred_gram(X))
+
+
+def _each(impute: Callable[[Segment], Imputation], segments: list[Segment]) -> list[Imputation]:
+    """A local imputer's imputation of each segment, one at a time."""
+    return [impute(segment) for segment in segments]
 
 
 # Registry ids: each local id names its imputer function, whose keyword
-# parameters are the params an entry may set; each tix id names a feature
-# basis, and appending "_q" gives its quantile variant.
-_LOCAL_IMPUTERS = {
-    "linear": impute_linear,
-    "locf": impute_locf,
-    "seasonal_naive": impute_seasonal_naive,
-    "covar_ridge": impute_covariate_ridge,
-}
+# parameters are the params an entry may set, and which imputes one segment
+# at a time; covar_ridge imputes a window's segments together, as each tix
+# id does. Each tix id names a feature basis, and appending "_q" gives its
+# quantile variant.
+_LOCAL_IMPUTERS = {"linear": impute_linear, "locf": impute_locf, "seasonal_naive": impute_seasonal_naive}
 # Each tix id's basis kind and the params that configure it, by the
 # FeatureSpec field each sets.
 _TIX_BASES = {
@@ -207,6 +214,7 @@ def _keywords(fn) -> frozenset[str]:
 
 # Computed once: inspecting a signature costs more than the rest of a lookup.
 _PARAMS = {imputer_id: _keywords(fn) for imputer_id, fn in _LOCAL_IMPUTERS.items()}
+_PARAMS["covar_ridge"] = _keywords(impute_covariate_ridge)
 for _tix_id, (_, _basis_keys) in _TIX_BASES.items():
     _PARAMS[_tix_id] = _keywords(impute_time_indexed) - {"fspec", "quantile_levels"} | set(_basis_keys)
     _PARAMS[f"{_tix_id}_q"] = _PARAMS[_tix_id] | {"quantile_levels"}
@@ -225,8 +233,9 @@ _VALUE_RULES = {
 _COUNTS = {"season": 1, "basis_seed": 0}
 
 
-def make_imputer(imputer_id: str, **params) -> Callable[[Segment], Imputation]:
-    """Look up an imputer by registry id and bind its params; an unknown id or param or a bad value is a ValueError."""
+def make_imputer(imputer_id: str, **params) -> Callable[[list[Segment]], list[Imputation]]:
+    """Look up an imputer by registry id and bind its params; an unknown id or param or a bad value is a ValueError.
+    The imputer maps the masked copies of one window to one ``Imputation`` each, in their order."""
     if imputer_id not in _PARAMS:
         raise ValueError(f"unknown imputer {imputer_id!r}")
     unknown = sorted(params.keys() - _PARAMS[imputer_id])
@@ -239,8 +248,10 @@ def make_imputer(imputer_id: str, **params) -> Callable[[Segment], Imputation]:
         valid, rule = _VALUE_RULES[key]
         if not valid(params[key]):
             raise ValueError(f"{key} {rule}, got {params[key]!r}")
+    if imputer_id == "covar_ridge":
+        return functools.partial(impute_covariate_ridge, **params)
     if imputer_id in _LOCAL_IMPUTERS:
-        return functools.partial(_LOCAL_IMPUTERS[imputer_id], **params)
+        return functools.partial(_each, functools.partial(_LOCAL_IMPUTERS[imputer_id], **params))
     kind, basis_keys = _TIX_BASES[imputer_id.removesuffix("_q")]
     fspec = FeatureSpec(kind, **{field: params.pop(key) for key, field in basis_keys.items() if key in params})
     if imputer_id.endswith("_q"):

@@ -6,21 +6,21 @@ coefficients of that standardized problem, with the intercept free. Mapped
 back to original units, predictions are invariant to affine rescaling of any
 feature column, and a fit on k * y + m predicts k times the fit on y, plus m.
 
-The ridge head solves the regularized normal equations from the moments of
-its context (Golub & Van Loan, ch. 4 and 6.5; ESL 3.4.1), downdating the
-Gram of a whole basis when few rows are hidden; one numpy LU solve serves
-both. The quantile head is the linear program of
-Koenker & Bassett (1978) plus a ridge term, solved to a tolerance by a
-primal-dual predictor-corrector interior-point method (Mehrotra 1992), the
-Frisch-Newton method of Portnoy & Koenker (1997), on the rank-r column space
-of the standardized rows (r <= d): 10-20 Newton steps, each one Cholesky
+The ridge head solves the regularized normal equations from the moments of its
+context (Golub & Van Loan, ch. 4 and 6.5; ESL 3.4.1), downdating the Gram of a
+whole basis when few rows are hidden; one call fits the heads of many contexts
+on one basis with one batched numpy LU solve. The quantile head is the linear
+program of Koenker & Bassett (1978) plus a ridge term, solved to a tolerance
+by a primal-dual predictor-corrector interior-point method (Mehrotra 1992),
+the Frisch-Newton method of Portnoy & Koenker (1997), on the rank-r column
+space of the standardized rows (r <= d): 10-20 Newton steps, each one Cholesky
 factorization of an (r+1)x(r+1) matrix W'W per level, W the scaled rows. One
 call fits a sequence of levels on a shared design: every level that has not
-yet converged takes its Newton step in the same vectorized pass, on its row
-of the stacked primal (u, v) and dual (s, z) variables, and a level leaves
-the active set at its own stopping test. It factors and solves with scipy's
-LAPACK wrappers, which ``pinball_fit`` imports when it runs: numpy has no
-triangular solve.
+yet converged takes its Newton step in the same vectorized pass, on its row of
+the stacked primal (u, v) and dual (s, z) variables, and a level leaves the
+active set at its own stopping test. It factors and solves with scipy's LAPACK
+wrappers, which ``pinball_fit`` imports when it runs: numpy has no triangular
+solve.
 """
 
 from __future__ import annotations
@@ -114,20 +114,34 @@ def centred_gram(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return moments
 
 
-def _downdated(gram, mask, yc):
-    """Column means, scatter and cross moments with ``yc`` of the rows ``mask``, from a ``centred_gram``."""
-    centre, centred, G = gram
-    n, nv = len(centred), len(yc)
-    if n - nv >= nv:
-        return None
-    # Not m = -sum(Xh) / nv: the columns of Xc sum to 0 only up to the rounding of c.
-    weights = np.zeros((2, n))
-    weights[0, mask], weights[1, mask] = 1.0 / nv, yc
-    (m, cross), hidden = weights @ centred, centred[~mask]
-    scatter = G - hidden.T @ hidden - nv * np.outer(m, m)
-    if np.any(np.diag(scatter) / nv < 1e-6 * np.diag(G) / n):
-        return None
-    return centre + m, scatter, cross
+def _moments(X, y, lam: float, mask, gram, scatter: np.ndarray):
+    """The checked targets of one context, and the column means of its rows and their cross moments with the centred
+    targets; the scatter of the centred rows goes into ``scatter``."""
+    if gram is not None and mask is not None:
+        y = _target(y, nv := np.count_nonzero(mask), lam)
+        centre, centred, G = gram
+        if (n := len(centred)) - nv < nv:
+            # Not m = -sum(Xh) / nv: the columns of Xc sum to 0 only up to the rounding of c.
+            weights = np.zeros((2, n))
+            weights[0, mask], weights[1, mask] = 1.0 / nv, y - np.mean(y)
+            m, cross = weights @ centred
+            hidden = np.vstack([centred[~mask], np.sqrt(nv) * m])  # so hidden'hidden = Xh'Xh + nv m m'
+            np.subtract(G, np.matmul(hidden.T, hidden, out=scatter), out=scatter)
+            if not np.any(np.diag(scatter) / nv < 1e-6 * np.diag(G) / n):
+                return y, centre + m, cross
+    X, y = _inputs(np.array(X) if mask is None else X[mask], y, lam)
+    X -= (mx := X.mean(axis=0))
+    np.matmul(X.T, X, out=scatter)
+    return y, mx, (y - np.mean(y)) @ X
+
+
+def _lu_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Row t solves A[t] w = rhs[t] by LU; a row whose matrix is singular is NaN."""
+    try:
+        return np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        # One singular matrix fails the whole stack, so each row is solved on its own.
+        return np.concatenate([_lu_solve(a[None], b[None]) for a, b in zip(A, rhs)]) if len(A) > 1 else rhs * np.nan
 
 
 def ridge_fit(X, y, lam: float = DEFAULT_LAMBDA, *, mask=None, gram=None) -> LinearModel:
@@ -136,41 +150,41 @@ def ridge_fit(X, y, lam: float = DEFAULT_LAMBDA, *, mask=None, gram=None) -> Lin
     Minimizes ||ys - Xs c||^2 + lam * ||c||^2 on the standardized problem,
     whose centring makes the intercept 0, from the column means, scatter
     and cross moments of the centred context rows. With a boolean ``mask``
-    the context is ``X[mask]``, with targets ``y``. Given also ``gram``, the
+    the context is ``X[mask]``, with targets ``y``; T masks, (T, n), fit T
+    heads stacked in one head, (T, d) weights and (T,) intercepts, head t on
+    the rows ``mask[t]`` with targets ``y[t]``. Given also ``gram``, the
     ``centred_gram`` of all rows of ``X``, a context that hides fewer rows
     Xh (centred) than it shows takes the scatter G - Xh'Xh - nv m m', m its
     centred column means, unless a column's visible variance is below 1e-6
     times its variance over all rows, where that form loses its digits.
-    One LU solve gives c; when the system is singular or its residual is
-    too large (lam = 0 on rank-deficient contexts), the exact minimum-norm
-    least-squares solution replaces it.
+    One batched LU solve serves the (T, d, d) stack of systems, built in
+    place; a head whose system is singular or whose residual is too large
+    (lam = 0 on rank-deficient contexts) takes the exact minimum-norm
+    least-squares solution instead.
     """
-    moments = None
-    if gram is not None and mask is not None:
-        y = _target(y, np.count_nonzero(mask), lam)
-        moments = _downdated(gram, mask, y - np.mean(y))
-    if moments is None:
-        X, y = _inputs(X if mask is None else np.asarray(X)[mask], y, lam)
-        Xc = X - (mx := X.mean(axis=0))
-        moments = mx, Xc.T @ Xc, (y - np.mean(y)) @ Xc
-    mx, scatter, cross = moments
-    my, sy = float(np.mean(y)), floored_std(y)
-    sx = np.maximum(np.sqrt(np.diag(scatter) / len(y)), STD_FLOOR)
-    A = scatter / np.outer(sx, sx) + lam * np.eye(len(sx))
-    rhs = cross / (sx * sy)
-    tol = 1e-8 * max(np.linalg.norm(rhs), 1.0)
-    try:
-        ws = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        ws = None
+    stacked, X = np.ndim(mask) == 2, _rows(X)
+    masks, targets = (mask, y) if stacked else ([mask], [y])
+    heads, d = len(targets), X.shape[1]
+    A = np.empty((heads, d, d))
+    moments = [_moments(X, target, lam, rows, gram, A[t]) for t, (rows, target) in enumerate(zip(masks, targets))]
+    targets, mx, cross = zip(*moments)
+    my, sy, counts = (np.array([stat(target) for target in targets]) for stat in (np.mean, floored_std, len))
+    sx = np.maximum(np.sqrt(np.diagonal(A, axis1=1, axis2=2) / counts[:, None]), STD_FLOOR)
+    A /= sx[:, :, None]
+    A /= sx[:, None, :]
+    A.reshape(heads, -1)[:, :: d + 1] += lam
+    rhs = np.array(cross) / (sx * sy[:, None])
+    tol = 1e-8 * np.maximum(np.linalg.norm(rhs, axis=1), 1.0)
+    ws = _lu_solve(A, rhs)
     # "not <=" also sends a NaN residual to the fallback.
-    if ws is None or not np.linalg.norm(A @ ws - rhs) <= tol:
-        ws = np.linalg.lstsq(A, rhs, rcond=None)[0]
-        if not np.linalg.norm(A @ ws - rhs) <= tol:
+    for t in np.flatnonzero(~(np.linalg.norm(np.matmul(A, ws[:, :, None])[:, :, 0] - rhs, axis=1) <= tol)):
+        ws[t] = np.linalg.lstsq(A[t], rhs[t], rcond=None)[0]
+        if not np.linalg.norm(A[t] @ ws[t] - rhs[t]) <= tol[t]:
             raise np.linalg.LinAlgError("normal equations solve did not converge")
 
-    w = ws * sy / sx
-    return LinearModel(weights=w, intercept=float(my - w @ mx))
+    w = ws * sy[:, None] / sx
+    b = my - np.sum(w * np.array(mx), axis=1)
+    return LinearModel(w, b) if stacked else LinearModel(w[0], float(b[0]))
 
 
 def predict(model: LinearModel, X) -> np.ndarray:

@@ -10,6 +10,7 @@ carries structure a purely time-based feature basis cannot explain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,9 @@ class Component:
     def __post_init__(self) -> None:
         for name in ("amplitude", "period_ticks", "noise_std", "covariate_gain"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, float(getattr(self, name)))
+                object.__setattr__(self, name, value := float(getattr(self, name)))
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value!r}")
         if self.kind not in (SINE, TREND, NOISE, COVARIATE_LINEAR):
             raise ValueError(f"unknown component kind {self.kind!r}")
         if self.kind == SINE and (self.period_ticks is None or self.period_ticks <= 0):

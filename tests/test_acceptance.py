@@ -62,7 +62,7 @@ def test_c1_exact_recovery_under_all_scenarios():
     for segment in segments:
         for scenario in DEFAULT_SCENARIOS:
             masked = apply_scenario(segment, scenario, seed=101)
-            out = impute_time_indexed(masked)
+            out = impute_time_indexed([masked])[0]
             truth = masked.values[masked.eval_mask]
             worst = max(worst, znorm_mae(truth, out.point, floored_std(masked.values[masked.obs_mask])))
     _report(1, "in-span signal recovered under all four scenarios", worst < 1e-5, f"worst z-MAE {worst:.2e}")
@@ -186,7 +186,7 @@ def test_c5_quantile_coverage():
     crossings = 0
     for segment in segments:
         masked = apply_scenario(segment, DEFAULT_SCENARIOS[1], seed=segment.start)
-        out = impute_time_indexed(masked, quantile_levels=(0.1, 0.9))
+        out = impute_time_indexed([masked], quantile_levels=(0.1, 0.9))[0]
         truth = masked.values[masked.eval_mask]
         lo, hi = out.quantiles[0.1], out.quantiles[0.9]
         crossings += int(np.sum(lo > hi))

@@ -174,8 +174,8 @@ class TestStackCovariates:
         masked = apply_scenario(seg, Scenario("blocks", 4, "b4"), seed=2)
         truth = masked.values[masked.eval_mask]
 
-        with_cov = impute_time_indexed(masked, lam=1e-9, use_covariates=True)
-        without = impute_time_indexed(masked, lam=1e-9, use_covariates=False)
+        with_cov = impute_time_indexed([masked], lam=1e-9, use_covariates=True)[0]
+        without = impute_time_indexed([masked], lam=1e-9, use_covariates=False)[0]
         assert np.mean(np.abs(with_cov.point - truth)) < 1e-9
         assert znorm_mae(truth, without.point, floored_std(masked.values[masked.obs_mask])) > 0.1
 

@@ -22,6 +22,7 @@ from tixbench import (
     DEFAULT_SCENARIOS,
     Component,
     FrequencySpec,
+    Imputation,
     InfeasibleScenario,
     ScoreRecord,
     SynthSpec,
@@ -85,6 +86,7 @@ EVERY_LEVEL = {
 
 # A config that runs: one synthetic dataset, one imputer.
 RUN_DICT = {"datasets": [{"id": "d", "synth": SYNTH_DICT}], "imputers": [{"id": "linear"}]}
+NAN_AMPLITUDE_SINE = {"kind": "sine", "amplitude": float("nan"), "period_ticks": 24}
 
 
 def demo_config(tmp_path, imputers=None, stride=(14.0, 14.0)):
@@ -560,11 +562,11 @@ class TestRun:
         assert np.array_equal(masked.eval_mask, hidden)
         specs = (ImputerSpec("linear"), ImputerSpec("tix_fourier"))
         imputers = [(spec.name, make_imputer(spec.id)) for spec in specs]
-        records = harness._score_task(("d", seg, scenario, 0, 0, imputers))
+        records = harness._score_window(("d", seg, (scenario,), 0), 0, imputers)
         visible, truth = masked.values[masked.obs_mask], masked.values[masked.eval_mask]
         assert len(records) == len(specs)
         for spec, record in zip(specs, records):
-            point = make_imputer(spec.id)(masked).point
+            point = make_imputer(spec.id)([masked])[0].point
             assert record.mae == pytest.approx(np.mean(np.abs(truth - point)) / floored_std(visible), rel=1e-12)
 
     def test_seed_derivation_is_stable(self):
@@ -726,7 +728,7 @@ def blas_threads() -> list[int]:
     return [getter() for getter, _ in harness._openblas_thread_api()]
 
 
-def score_batch_logging_threads(specs, tasks):
+def score_batch_logging_threads(specs, windows):
     """Score one batch through ``harness._score_tasks``, logging the thread counts of the loaded OpenBLAS copies.
 
     Returns the number of records and the counts before the batch, as each
@@ -742,15 +744,15 @@ def score_batch_logging_threads(specs, tasks):
             setter(2)
         built.append(blas_threads())
 
-        def logged(segment):
+        def logged(segments):
             running.append(blas_threads())
-            return fit(segment)
+            return fit(segments)
 
         return logged
 
     harness.make_imputer = spied
     try:
-        records = harness._score_tasks(0, specs, tasks)
+        records = harness._score_tasks(0, specs, windows)
     finally:
         harness.make_imputer = make_imputer
     return len(records), before, built, running, blas_threads()
@@ -778,10 +780,10 @@ make_imputer = harness.make_imputer
 def spied(imputer_id, **params):
     fit = make_imputer(imputer_id, **params)
 
-    def logged(segment):
+    def logged(segments):
         with open(sys.argv[3], "a") as fh:
             fh.write(json.dumps([getter() for getter, _ in harness._openblas_thread_api()]) + "\\n")
-        return fit(segment)
+        return fit(segments)
 
     return logged
 
@@ -810,18 +812,19 @@ class TestBlasThreads:
     def test_tasks_run_on_one_thread_and_counts_come_back(self, tmp_path, monkeypatch, two_blas_threads):
         seen = []
 
-        def spy(segment):
+        def spy(segments):
             seen.append(blas_threads())
-            return impute_linear(segment)
+            return [impute_linear(segment) for segment in segments]
 
         monkeypatch.setattr(harness, "make_imputer", lambda imputer_id, **params: spy)
         run(demo_config(tmp_path))
-        assert len(seen) == 2 * 4 * 3
+        # One call per imputer and window.
+        assert len(seen) == 2 * 3
         assert all(counts == [1] * len(two_blas_threads) for counts in seen)
         assert blas_threads() == two_blas_threads
 
     def test_counts_come_back_when_a_task_raises(self, tmp_path, monkeypatch, two_blas_threads):
-        def failing(segment):
+        def failing(segments):
             raise RuntimeError("imputer failed")
 
         monkeypatch.setattr(harness, "make_imputer", lambda imputer_id, **params: failing)
@@ -867,13 +870,13 @@ class TestBlasThreads:
             pytest.skip("no OpenBLAS copy is loaded")
         rng = np.random.default_rng(4)
         seg = make_segment(np.sin(2 * np.pi * np.arange(672) / 24) + 0.1 * rng.normal(size=672), np.ones(672, dtype=bool))
-        tasks = [("d", seg, scenario, 0) for scenario in DEFAULT_SCENARIOS[:2]]
+        windows = [("d", seg, DEFAULT_SCENARIOS[:2], 0)]
         with ProcessPoolExecutor(1, multiprocessing.get_context(method)) as pool:
-            job = pool.submit(score_batch_logging_threads, (ImputerSpec("tix_fourier_q"),), tasks)
+            job = pool.submit(score_batch_logging_threads, (ImputerSpec("tix_fourier_q"),), windows)
             n_records, before, built, running, after = job.result(timeout=120)
-        assert n_records == len(tasks)
-        # Built once for the batch, then run once a task, on one thread in every copy.
-        assert len(built) == 1 and len(running) == len(tasks)
+        assert n_records == 2
+        # Built once for the batch, then run once a window, on one thread in every copy.
+        assert len(built) == 1 and len(running) == len(windows)
         assert all(counts == [1] * len(after) for counts in running)
         assert after == built[0] == [2] * len(after)
         if method == "spawn":
@@ -1078,6 +1081,34 @@ class TestCli:
         assert cli_main(["run", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"error: {err.value}\n"
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_window_error_names_the_scenario_whose_segment_raised_it(self, monkeypatch, jobs):
+        # Each window is imputed in one call, which fails on its second
+        # scenario's segment; the run then re-imputes the window one segment
+        # at a time, so the error names that scenario, as a task of its own would.
+        def nan_on_blocks(segments):
+            # Only the 2-day blocks hide 48 ticks.
+            return [
+                Imputation(np.full(48, np.nan)) if segment.eval_mask.sum() == 48 else impute_linear(segment)
+                for segment in segments
+            ]
+
+        monkeypatch.setattr(harness, "make_imputer", lambda imputer_id, **params: nan_on_blocks)
+        scenarios = [{"kind": "pointwise", "param": 0.5, "label": "p"}, {"kind": "blocks", "param": 2, "label": "b"}]
+        config = config_from_dict(
+            {
+                "segment": {"len_days": 28, "stride": [14, 14]},
+                "datasets": [{"id": "demo", "synth": SYNTH_DICT}],
+                "scenarios": scenarios,
+                "imputers": [{"id": "linear"}],
+            }
+        )
+        _, _, test = harness.chrono_split(harness.load_dataset(config.datasets[0]), config.splits)
+        with pytest.raises(ValueError) as err:
+            run(config, jobs=jobs)
+        where = f"dataset 'demo', ticks {test.start}-{test.start + 28 * 24 - 1}, scenario 'b', imputer 'linear'"
+        assert str(err.value) == f"{where}: imputed values must be finite"
+
     def test_score_with_quantile_columns(self, tmp_path, capsys):
         truth = write_csv(tmp_path / "t.csv", [[0, 2.0], [1, 4.0]])
         pred = write_csv(
@@ -1204,6 +1235,21 @@ class TestCli:
                 {"imputers": [{"id": "seasonal_naive", "params": {"season": 2.5}}]},
                 "imputer 'seasonal_naive': season must be a whole number >= 1, got 2.5",
                 id="season",
+            ),
+            pytest.param(
+                {"segment": {"len_days": 28, "stride": [1, float("inf")]}},
+                "config: segment.stride needs two finite day counts with 0 < min <= max, got [1.0, inf]",
+                id="stride_inf",
+            ),
+            pytest.param(
+                {"splits": [float("nan"), 0.5, 0.5]},
+                "config: splits must be three finite positive fractions that sum to 1, got [nan, 0.5, 0.5]",
+                id="splits_nan",
+            ),
+            pytest.param(
+                {"datasets": [{"id": "d", "synth": {**SYNTH_DICT, "components": [NAN_AMPLITUDE_SINE]}}]},
+                "synth component: amplitude must be finite, got nan",
+                id="synth_amplitude_nan",
             ),
         ],
     )

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import linear_interp_oracle, locf_oracle, seasonal_oracle
 from tixbench import (
+    DEFAULT_SCENARIOS,
     FeatureSpec,
     FrequencySpec,
     Scenario,
@@ -144,7 +145,7 @@ class TestTimeIndexed:
         values = np.sin(2 * np.pi * t / 24)
         seg = make_segment(values, np.ones(672, dtype=bool))
         masked = apply_scenario(seg, Scenario("pointwise", 0.5, "p1"), seed=0)
-        out = impute_time_indexed(masked, lam=1e-8)
+        out = impute_time_indexed([masked], lam=1e-8)[0]
         truth = masked.values[masked.eval_mask]
         assert np.mean(np.abs(out.point - truth)) < 1e-6
 
@@ -152,7 +153,7 @@ class TestTimeIndexed:
         seg = make_segment(np.full(672, 3.25), np.ones(672, dtype=bool))
         for scenario in (Scenario("pointwise", 0.7, "p2"), Scenario("blocks", 4, "b2")):
             masked = apply_scenario(seg, scenario, seed=1)
-            out = impute_time_indexed(masked)
+            out = impute_time_indexed([masked])[0]
             np.testing.assert_allclose(out.point, 3.25, atol=1e-9)
 
     def test_covariate_driven_target(self):
@@ -163,8 +164,8 @@ class TestTimeIndexed:
         seg = make_segment(values, np.ones(672, dtype=bool), covariates={"c": cov})
         masked = apply_scenario(seg, Scenario("blocks", 4, "b2"), seed=4)
         truth = masked.values[masked.eval_mask]
-        with_cov = impute_time_indexed(masked, lam=1e-9, use_covariates=True)
-        without = impute_time_indexed(masked, lam=1e-9, use_covariates=False)
+        with_cov = impute_time_indexed([masked], lam=1e-9, use_covariates=True)[0]
+        without = impute_time_indexed([masked], lam=1e-9, use_covariates=False)[0]
         assert np.mean(np.abs(with_cov.point - truth)) < 1e-9
         assert znorm_mae(truth, without.point, floored_std(masked.values[masked.obs_mask])) > 0.1
 
@@ -174,7 +175,7 @@ class TestTimeIndexed:
         values = np.sin(2 * np.pi * t / 24) + rng.normal(0, 0.3, 672)
         seg = make_segment(values, np.ones(672, dtype=bool))
         masked = apply_scenario(seg, Scenario("pointwise", 0.5, "p1"), seed=6)
-        out = impute_time_indexed(masked, quantile_levels=(0.1, 0.5, 0.9))
+        out = impute_time_indexed([masked], quantile_levels=(0.1, 0.5, 0.9))[0]
         assert out.quantiles is not None
         assert np.all(out.quantiles[0.1] <= out.quantiles[0.5])
         assert np.all(out.quantiles[0.5] <= out.quantiles[0.9])
@@ -185,7 +186,7 @@ class TestTimeIndexed:
         # A single visible value is a usable context: the point and every
         # quantile head predict that value.
         seg = seg_with_evals([-4.0, 9.0, 1.5, 7.0], obs=[2], evals=[0, 1, 3])
-        out = make_imputer(imputer_id, lam=lam)(seg)
+        out = make_imputer(imputer_id, lam=lam)([seg])[0]
         np.testing.assert_allclose(out.point, 1.5, rtol=0, atol=1e-12)
         assert len(out.quantiles) == 9
         for predictions in out.quantiles.values():
@@ -196,7 +197,7 @@ class TestTimeIndexed:
         seg = make_segment(np.sin(2 * np.pi * 3 * t / 671), np.ones(672, dtype=bool))
         masked = apply_scenario(seg, Scenario("pointwise", 0.5, "p1"), seed=7)
         spec = FeatureSpec(kind="random_fourier", n_random=64, seed=0)
-        out = impute_time_indexed(masked, fspec=spec, lam=1e-8)
+        out = impute_time_indexed([masked], fspec=spec, lam=1e-8)[0]
         truth = masked.values[masked.eval_mask]
         assert znorm_mae(truth, out.point, floored_std(masked.values[masked.obs_mask])) < 1e-3
 
@@ -240,7 +241,7 @@ class TestCovariateRidge:
         cov = rng.normal(size=400)
         seg = make_segment(2.0 * cov, np.ones(400, dtype=bool), covariates={"c": cov})
         masked = apply_scenario(seg, Scenario("pointwise", 0.5, "p1"), seed=9)
-        out = impute_covariate_ridge(masked, lam=1e-10)
+        out = impute_covariate_ridge([masked], lam=1e-10)[0]
         truth = masked.values[masked.eval_mask]
         assert np.mean(np.abs(out.point - truth)) < 1e-9
 
@@ -250,7 +251,7 @@ class TestCovariateRidge:
         b = rng.normal(size=400)
         seg = make_segment(a - b, np.ones(400, dtype=bool), covariates={"a": a, "b": b})
         masked = apply_scenario(seg, Scenario("pointwise", 0.5, "p1"), seed=11)
-        out = impute_covariate_ridge(masked, lam=1e-10)
+        out = impute_covariate_ridge([masked], lam=1e-10)[0]
         truth = masked.values[masked.eval_mask]
         assert np.mean(np.abs(out.point - truth)) < 1e-9
 
@@ -265,7 +266,7 @@ class TestCovariateRidge:
             cov = rng.normal(size=n)
             seg = make_segment(y, np.ones(n, dtype=bool), covariates={"c": cov})
             masked = apply_scenario(seg, Scenario("pointwise", 0.5, "p1"), seed=seed)
-            out = impute_covariate_ridge(masked, lam=1e-3)
+            out = impute_covariate_ridge([masked], lam=1e-3)[0]
             vis_mean = masked.values[masked.obs_mask].mean()
             vis_std = masked.values[masked.obs_mask].std()
             n_vis = masked.obs_mask.sum()
@@ -305,14 +306,14 @@ class TestCovariateRidge:
             return lstsq(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
-        out = impute_covariate_ridge(masked, lam=lam)
+        out = impute_covariate_ridge([masked], lam=lam)[0]
         np.testing.assert_allclose(out.point, expected, rtol=1e-9, atol=0)
         assert bool(lstsq_calls) == ("b_copy" in names)
 
     def test_requires_covariates(self):
         seg = make_segment(np.arange(48.0), np.ones(48, dtype=bool))
         with pytest.raises(ValueError, match="covariate required"):
-            impute_covariate_ridge(seg)
+            impute_covariate_ridge([seg])
 
     def test_covariate_gap_rejected(self):
         cov = np.arange(48.0)
@@ -320,7 +321,7 @@ class TestCovariateRidge:
         seg = seg_with_evals(np.arange(48.0), obs=range(0, 48, 2), evals=[1])
         seg = replace(seg, covariates={"c": cov})
         with pytest.raises(ValueError, match="covariate not fully observed"):
-            impute_covariate_ridge(seg)
+            impute_covariate_ridge([seg])
 
 
 class TestContract:
@@ -329,7 +330,7 @@ class TestContract:
         rng = np.random.default_rng(12)
         seg = make_segment(rng.normal(size=672), np.ones(672, dtype=bool))
         masked = apply_scenario(seg, Scenario("pointwise", 0.7, "p2"), seed=13)
-        out = make_imputer(imputer_id)(masked)
+        out = make_imputer(imputer_id)([masked])[0]
         assert len(out.point) == masked.eval_mask.sum()
         assert np.all(np.isfinite(out.point))
 
@@ -339,12 +340,27 @@ class TestContract:
         seg = make_segment(rng.normal(size=672), np.ones(672, dtype=bool))
         masked = apply_scenario(seg, Scenario("blocks", 2, "b1"), seed=15)
         fn = make_imputer(imputer_id)
-        before = fn(masked).point
+        before = fn([masked])[0].point
         tampered_values = masked.values.copy()
         tampered_values[~masked.obs_mask] = 1e6
         tampered = replace(masked, values=tampered_values)
-        after = fn(tampered).point
+        after = fn([tampered])[0].point
         assert np.array_equal(before, after)
+
+    @pytest.mark.parametrize(
+        "imputer_id", ["linear", "locf", "seasonal_naive", "tix_fourier", "tix_random_basis", "covar_ridge"]
+    )
+    def test_window_call_gives_each_segment_its_own_imputation(self, imputer_id):
+        # The masked copies of one window go in together; each comes back as
+        # its own call would impute it, in order.
+        rng = np.random.default_rng(18)
+        seg = make_segment(rng.normal(size=672), np.ones(672, dtype=bool), covariates={"c": rng.normal(size=672)})
+        window = [apply_scenario(seg, scenario, seed=19) for scenario in DEFAULT_SCENARIOS]
+        fn = make_imputer(imputer_id)
+        together = fn(window)
+        assert len(together) == len(window)
+        for masked, out in zip(window, together):
+            np.testing.assert_allclose(out.point, fn([masked])[0].point, rtol=0, atol=1e-12)
 
     def test_registry_ids(self):
         for imputer_id in ("linear", "locf", "seasonal_naive", "tix_fourier", "tix_random_basis"):
@@ -358,7 +374,7 @@ class TestContract:
         rng = np.random.default_rng(16)
         seg = make_segment(rng.normal(size=672), np.ones(672, dtype=bool))
         masked = apply_scenario(seg, Scenario("pointwise", 0.5, "p1"), seed=17)
-        out = make_imputer("tix_fourier_q", quantile_levels=[0.1, 0.9])(masked)
+        out = make_imputer("tix_fourier_q", quantile_levels=[0.1, 0.9])([masked])[0]
         assert set(out.quantiles) == {0.1, 0.9}
 
     def test_crossing_quantiles_rejected_at_construction(self):

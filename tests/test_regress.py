@@ -157,20 +157,40 @@ def segment_basis(d, rng):
     return X, make_segment(values, np.ones(len(ticks), dtype=bool))
 
 
-def gram_fit(X, segment, lam, monkeypatch):
-    """The ridge head on the visible rows through the Gram of all rows, and
-    whether it took the downdate."""
-    downdates, downdated = [], regress._downdated
+def gram_fit(X, segments, lam, monkeypatch):
+    """One stacked ridge fit, head t on the visible rows of segment t, through
+    the Gram of all rows, and per segment whether it took the downdate rather
+    than the moments of its visible rows."""
+    targets = [segment.values[segment.obs_mask] for segment in segments]
+    direct, inputs = [], regress._inputs
 
-    def spied(*args):
-        downdates.append(downdated(*args))
-        return downdates[-1]
+    def spied(rows, y, lam):
+        direct.append(y)
+        return inputs(rows, y, lam)
 
     with monkeypatch.context() as patch:
-        patch.setattr(regress, "_downdated", spied)
-        y = segment.values[segment.obs_mask]
-        model = ridge_fit(X, y, lam, mask=segment.obs_mask, gram=centred_gram(X))
-    return model, downdates[0] is not None
+        patch.setattr(regress, "_inputs", spied)
+        masks = np.array([segment.obs_mask for segment in segments])
+        model = ridge_fit(X, targets, lam, mask=masks, gram=centred_gram(X))
+    assert model.weights.shape == (len(segments), X.shape[1])
+    return model, [not any(y is seen for seen in direct) for y in targets]
+
+
+def head(model, t):
+    """Row t of a stacked head, as a head of its own."""
+    return LinearModel(model.weights[t], model.intercept[t])
+
+
+def counting_lstsq(monkeypatch):
+    """Patch numpy's lstsq to log the matrix of each call; returns the log."""
+    calls, lstsq = [], np.linalg.lstsq
+
+    def counted(A, *args, **kwargs):
+        calls.append(np.array(A))
+        return lstsq(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
 
 
 class TestRidgeGram:
@@ -178,37 +198,68 @@ class TestRidgeGram:
     @pytest.mark.parametrize("scenario", DEFAULT_SCENARIOS, ids=lambda s: s.label)
     @pytest.mark.parametrize("lam", [1e-3, 10.0])
     def test_matches_oracle_under_every_default_scenario(self, d, scenario, lam, monkeypatch):
+        # One stacked fit over the four default scenarios of a window; the
+        # head of ``scenario`` must match the oracle and its own single fit.
         rng = np.random.default_rng(d)
         X, segment = segment_basis(d, rng)
-        masked = apply_scenario(segment, scenario, seed=d)
-        model, downdated = gram_fit(X, masked, lam, monkeypatch)
+        window = [apply_scenario(segment, s, seed=d) for s in DEFAULT_SCENARIOS]
+        model, downdated = gram_fit(X, window, lam, monkeypatch)
         # Block scenarios hide fewer rows than they leave visible.
-        assert downdated == (scenario.kind == "blocks")
-        mask = masked.obs_mask
-        w, b = ridge_oracle(X[mask], masked.values[mask], lam)
-        np.testing.assert_allclose(predict(model, X), X @ w + b, rtol=0, atol=1e-8)
+        assert downdated == [s.kind == "blocks" for s in DEFAULT_SCENARIOS]
+        t = DEFAULT_SCENARIOS.index(scenario)
+        mask, values = window[t].obs_mask, window[t].values
+        w, b = ridge_oracle(X[mask], values[mask], lam)
+        np.testing.assert_allclose(predict(head(model, t), X), X @ w + b, rtol=0, atol=1e-8)
+        single = ridge_fit(X, values[mask], lam, mask=mask, gram=centred_gram(X))
+        assert np.linalg.norm(model.weights[t] - single.weights) <= 1e-12 * np.linalg.norm(single.weights)
+        assert model.intercept[t] == pytest.approx(single.intercept, rel=1e-12, abs=0)
 
     def test_rank_deficient_basis_at_lam_zero_takes_lstsq_under_the_downdate(self, monkeypatch):
         # periods [24, 24] duplicates two columns, so lam = 0 leaves the
-        # normal equations singular.
+        # normal equations of every head singular.
         ticks = np.arange(28 * 24)
         X = handcrafted_features(ticks, HOURLY, [24.0, 24.0])
         values = np.sin(2 * np.pi * ticks / 24) + 0.3 * np.random.default_rng(3).normal(size=len(ticks))
-        masked = apply_scenario(make_segment(values, np.ones(len(ticks), dtype=bool)), DEFAULT_SCENARIOS[2], seed=3)
-        lstsq_calls = []
-        lstsq = np.linalg.lstsq
-
-        def counted_lstsq(*args, **kwargs):
-            lstsq_calls.append(args)
-            return lstsq(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
-        model, downdated = gram_fit(X, masked, 0.0, monkeypatch)
+        segment = make_segment(values, np.ones(len(ticks), dtype=bool))
+        window = [apply_scenario(segment, s, seed=3) for s in DEFAULT_SCENARIOS]
+        lstsq_calls = counting_lstsq(monkeypatch)
+        model, downdated = gram_fit(X, window, 0.0, monkeypatch)
         monkeypatch.undo()
-        assert downdated and len(lstsq_calls) == 1
-        mask = masked.obs_mask
-        w, b = ridge_oracle(X[mask], masked.values[mask], 0.0)
-        np.testing.assert_allclose(predict(model, X), X @ w + b, rtol=0, atol=1e-8)
+        assert downdated == [s.kind == "blocks" for s in DEFAULT_SCENARIOS]
+        assert len(lstsq_calls) == len(window)
+        for t, masked in enumerate(window):
+            mask = masked.obs_mask
+            w, b = ridge_oracle(X[mask], masked.values[mask], 0.0)
+            np.testing.assert_allclose(predict(head(model, t), X), X @ w + b, rtol=0, atol=1e-8)
+
+    def test_only_the_heads_that_fail_a_check_fall_back(self, monkeypatch):
+        # At lam = 0, beside the four default scenarios: a head whose hidden
+        # blocks cover every row of an indicator column's day, so the
+        # downdate fails the variance check and the column, constant on its
+        # context, makes the system singular; and a head that hides more
+        # rows than it shows, that day among them, singular as well.
+        rng = np.random.default_rng(11)
+        X, segment = segment_basis(5, rng)
+        day = np.zeros(len(X), dtype=bool)
+        day[240:264] = True
+        X = np.column_stack([X, day])
+        window = [apply_scenario(segment, s, seed=11) for s in DEFAULT_SCENARIOS]
+        blocks = ~day
+        blocks[480:504] = False
+        sparse = window[0].obs_mask & ~day
+        window += [make_segment(segment.values, blocks), make_segment(segment.values, sparse)]
+        lstsq_calls = counting_lstsq(monkeypatch)
+        model, downdated = gram_fit(X, window, 0.0, monkeypatch)
+        monkeypatch.undo()
+        assert downdated == [False, False, True, True, False, False]
+        # One lstsq call per singular head, each on a system whose day column is zero.
+        assert len(lstsq_calls) == 2
+        assert all(not np.any(A[-1]) for A in lstsq_calls)
+        for t, masked in enumerate(window):
+            mask = masked.obs_mask
+            w, b = ridge_oracle(X[mask], masked.values[mask], 0.0)
+            np.testing.assert_allclose(predict(head(model, t), X), X @ w + b, rtol=0, atol=1e-8)
+        assert model.weights[4, -1] == model.weights[5, -1] == 0.0
 
     def test_gram_without_mask_fits_every_row(self):
         X, segment = segment_basis(129, np.random.default_rng(2))
@@ -228,11 +279,11 @@ class TestRidgeGram:
         mask = ~day
         mask[480:504] = False
         masked = make_segment(segment.values, mask)
-        model, downdated = gram_fit(X, masked, lam, monkeypatch)
-        assert not downdated
-        assert model.weights[-1] == 0.0
+        model, downdated = gram_fit(X, [masked], lam, monkeypatch)
+        assert downdated == [False]
+        assert model.weights[0, -1] == 0.0
         direct = ridge_fit(X[mask], segment.values[mask], lam)
-        np.testing.assert_allclose(predict(model, X), predict(direct, X), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(predict(head(model, 0), X), predict(direct, X), rtol=1e-12, atol=0)
 
 
 class TestPinball:

@@ -11,6 +11,18 @@ def spec_of(*components, length_days=28, seed=0, freq=HOURLY):
     return SynthSpec(length_days=length_days, freq=freq, components=tuple(components), seed=seed)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "kind, field",
+    [("sine", "amplitude"), ("sine", "period_ticks"), ("noise", "noise_std"), ("covariate_linear", "covariate_gain")],
+)
+def test_component_refuses_a_non_finite_value(kind, field, value):
+    # A NaN or infinite value would make every value of the series non-finite, yet observed.
+    given = {"period_ticks": 24.0, "noise_std": 0.1, "covariate_gain": 0.8, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+        Component(kind, **given)
+
+
 class TestGenerate:
     def test_sine_starts_at_zero(self):
         series = generate(spec_of(Component("sine", amplitude=1.0, period_ticks=24)))
@@ -75,6 +87,6 @@ def test_noise_free_series_lies_in_feature_span():
     seg = extract_segments(series, 28, 1, 1, seed=0)[0]
     for scenario in (Scenario("pointwise", 0.5, "p1"), Scenario("blocks", 4, "b2")):
         masked = apply_scenario(seg, scenario, seed=3)
-        out = impute_time_indexed(masked, lam=1e-8)
+        out = impute_time_indexed([masked], lam=1e-8)[0]
         truth = masked.values[masked.eval_mask]
         assert np.mean(np.abs(out.point - truth)) < 1e-6
