@@ -367,10 +367,8 @@ def _score_task(args) -> list[ScoreRecord]:
     records = []
     for name, imputation in imputations:
         mae = znorm_mae(truth, imputation.point, std)
-        wql_value = None
-        if imputation.quantiles is not None:
-            with suppress(ValueError):
-                wql_value = wql(imputation.quantiles, truth)
+        # wql divides by the held-out truth's absolute sum, so an all-zero truth leaves it empty.
+        wql_value = wql(imputation.quantiles, truth) if imputation.quantiles is not None and truth.any() else None
         records.append(
             ScoreRecord(
                 dataset=ds_id,
@@ -510,8 +508,10 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
     back when the batch ends, also on an error. Parallelism comes from
     ``jobs`` alone. A ``ValueError`` names every dataset that fails to load,
     and, before any task runs, the grid tick of a missing covariate cell in a
-    scored window under an imputer that reads it.
+    scored window under an imputer that reads it. ``jobs`` below 1 is a
+    ``ValueError`` before any dataset loads.
     """
+    jobs = whole_number(jobs, "jobs", least=1)
     failures: dict[str, str] = {}
     loaded: list[tuple[DatasetSpec, TimeSeries]] = []
     for ds in config.datasets:
@@ -613,8 +613,8 @@ def report(records, aggregates, ranks, output_dir, meta: dict | None = None) -> 
     meta = dict(meta or {})
     payload = {
         "meta": meta,
-        "records": [asdict(r) for r in records],
-        "aggregates": [dict(a) for a in aggregates],
+        "records": [vars(r) for r in records],
+        "aggregates": aggregates,
         "ranks": {k: float(v) for k, v in sorted(ranks.items())},
     }
     stable = json.dumps(
@@ -626,9 +626,7 @@ def report(records, aggregates, ranks, output_dir, meta: dict | None = None) -> 
     meta.setdefault("generated_at", datetime.now(timezone.utc).isoformat())
 
     json_path = out / "results.json"
-    with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
     csv_path = out / "results.csv"
     with open(csv_path, "w", newline="") as fh:

@@ -58,13 +58,13 @@ DEFAULT_SCENARIOS: tuple[Scenario, ...] = (
 
 
 def _pick_block_days(rng: np.random.Generator, feasible: list[int], k: int) -> list[int]:
-    # Rejection sampling of k non-overlapping day slots, with a deterministic
-    # lexicographic fallback if rejection keeps failing.
+    # Rejection sampling of k non-overlapping day slots; if rejection keeps
+    # failing, one uniform draw without replacement from the same generator.
     for _ in range(_REJECTION_LIMIT):
         draw = rng.integers(0, len(feasible), size=k)
         if len(set(draw.tolist())) == k:
             return [feasible[i] for i in draw]
-    return feasible[:k]
+    return rng.choice(feasible, size=k, replace=False).tolist()
 
 
 def apply_scenario(segment: Segment, scenario: Scenario, seed: int) -> Segment:

@@ -80,32 +80,25 @@ def wql(quantile_preds: Mapping[float, np.ndarray], truth, alphas: Sequence[floa
     return float(np.mean(per_level))
 
 
-def _row_value(row, key: str):
-    if isinstance(row, Mapping):
-        return row.get(key)
-    return getattr(row, key)
-
-
 def aggregate(records: Iterable, group_by: Sequence[str]) -> list[dict]:
     """Unweighted mean of mae (and wql, when present) within each group.
 
-    Accepts ScoreRecords or dict-like summary rows, so coarser levels (the
-    grand mean over scenarios per dataset, or over datasets per imputer) can
-    be built by re-aggregating the previous level's output.
+    Takes ScoreRecords or dict rows, each read as one dict (a record's
+    ``vars``), so coarser levels (the grand mean over scenarios per dataset,
+    or over datasets per imputer) can be built by re-aggregating the previous
+    level's output.
     """
-    groups: dict[tuple, list] = {}
+    groups: dict[tuple, list[dict]] = {}
     for rec in records:
-        key = tuple(_row_value(rec, k) for k in group_by)
-        groups.setdefault(key, []).append(rec)
+        row = rec if isinstance(rec, dict) else vars(rec)
+        groups.setdefault(tuple(row[k] for k in group_by), []).append(row)
     rows = []
     for key in sorted(groups):
         members = groups[key]
-        maes = [float(_row_value(r, "mae")) for r in members]
-        wqls = [_row_value(r, "wql") for r in members]
-        wqls = [float(w) for w in wqls if w is not None]
+        wqls = [float(r["wql"]) for r in members if r["wql"] is not None]
         row = dict(zip(group_by, key))
         row["n_records"] = len(members)
-        row["mae"] = float(np.mean(maes))
+        row["mae"] = float(np.mean([float(r["mae"]) for r in members]))
         row["wql"] = float(np.mean(wqls)) if wqls else None
         rows.append(row)
     return rows

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import copy
 import csv
+import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -9,7 +11,7 @@ import re
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from tixbench import (
     InfeasibleScenario,
     ScoreRecord,
     SynthSpec,
+    aggregate,
     apply_scenario,
     floored_std,
     generate,
@@ -627,6 +630,32 @@ class TestRun:
         with pytest.raises(ValueError, match="untyped"):
             run(demo_config(tmp_path))
 
+    @staticmethod
+    def quantile_csv_config(tmp_path, values):
+        # 140 hourly days; the test slice is the last 28, four 7-day windows.
+        write_csv(tmp_path / "series.csv", [[t, v] for t, v in enumerate(values)])
+        return config_from_dict(
+            {
+                "segment": {"len_days": 7, "stride": [7, 7]},
+                "datasets": [{"id": "series", "path": str(tmp_path / "series.csv"), "steps_per_day": 24}],
+                "imputers": [{"id": "tix_fourier_q"}],
+            }
+        )
+
+    def test_all_zero_truth_leaves_wql_empty(self, tmp_path):
+        records = run(self.quantile_csv_config(tmp_path, [0.0] * 3360)).records
+        assert len(records) == 4 * 4
+        assert all(r.wql is None for r in records)
+
+    def test_other_wql_errors_propagate(self, tmp_path, monkeypatch):
+        def broken(quantiles, truth):
+            raise ValueError("not a scale error")
+
+        monkeypatch.setattr(harness, "wql", broken)
+        config = self.quantile_csv_config(tmp_path, np.sin(2 * np.pi * np.arange(3360) / 24))
+        with pytest.raises(ValueError, match="not a scale error"):
+            run(config)
+
     def test_sparse_window_skips_its_tasks(self, tmp_path):
         # 140 hourly days; the test slice is the last 28 days (ticks 2688-3359),
         # four 7-day windows. The first holds one observed value, which no
@@ -937,6 +966,27 @@ class TestReport:
         bench = run(config)
         assert any("surrogate" in c for c in bench.meta["caveats"])
 
+    def test_results_json_matches_the_asdict_serializer(self, tmp_path):
+        records = [ScoreRecord("d", "a", "s", 10, 0.5, 0.25), ScoreRecord("d", "b", "s", 12, 0.75)]
+        cells = aggregate(records, ("dataset", "imputer_id", "scenario_label"))
+        aggregates = tuple({"level": "dataset_scenario", **row} for row in cells)
+        ranks = {"b": 2.0, "a": 1.0}
+        meta = {"seed": 0, "notes": ["n"], "generated_at": "2000-01-01T00:00:00+00:00"}
+        paths = report(records, aggregates, ranks, tmp_path, meta=meta)
+        # results.json as dataclasses.asdict and json.dump wrote it.
+        payload = {
+            "meta": dict(meta),
+            "records": [asdict(r) for r in records],
+            "aggregates": [dict(a) for a in aggregates],
+            "ranks": {k: float(v) for k, v in sorted(ranks.items())},
+        }
+        without_time = {k: v for k, v in meta.items() if k != "generated_at"}
+        stable = json.dumps({**payload, "meta": without_time}, sort_keys=True, allow_nan=False)
+        payload["meta"]["content_digest"] = hashlib.sha256(stable.encode()).hexdigest()
+        expected = io.StringIO()
+        json.dump(payload, expected, indent=2, sort_keys=True, allow_nan=False)
+        assert paths["json"].read_bytes() == (expected.getvalue() + "\n").encode()
+
     def test_content_digest_excludes_wallclock(self, tmp_path):
         config = demo_config(tmp_path)
         _, paths_a = run_and_report(config, output_dir=tmp_path / "a")
@@ -1026,6 +1076,18 @@ class TestCli:
             f"  absent: [Errno 2] No such file or directory: '{tmp_path / 'absent.csv'}'\n"
             f"  ghost: [Errno 2] No such file or directory: '{tmp_path / 'ghost.csv'}'\n"
         )
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_run_refuses_jobs_below_one(self, tmp_path, capsys, monkeypatch, jobs):
+        monkeypatch.setattr(harness, "load_dataset", no_task)
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump({**RUN_DICT, "output_dir": str(tmp_path / "out")}))
+        assert cli_main(["run", str(cfg_path), "--jobs", jobs]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: jobs must be a whole number >= 1, got {jobs}\n"
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ValueError, match="jobs must be a whole number >= 1, got True"):
+            run(load_config(cfg_path), jobs=True)
 
     def test_synth_accepts_id_and_rejects_unknown_keys(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.yaml"

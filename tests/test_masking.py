@@ -109,17 +109,40 @@ class TestBlocks:
 
 
 class _AlwaysDuplicates:
-    """Stub generator whose integer draws always collide."""
+    """Generator whose integer draws always collide; its other draws are those of ``seed``'s generator."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
 
     def integers(self, low, high, size):
         return np.zeros(size, dtype=int)
 
+    def choice(self, *args, **kwargs):
+        return self.rng.choice(*args, **kwargs)
 
-def test_block_rejection_falls_back_to_lexicographic():
+
+def test_block_rejection_falls_back_to_a_draw_without_replacement():
     from tixbench.masking import _pick_block_days
 
-    days = _pick_block_days(_AlwaysDuplicates(), [3, 5, 8, 11, 12], k=3)
-    assert days == [3, 5, 8]
+    feasible = [3, 5, 8, 11, 12]
+    draws = [_pick_block_days(_AlwaysDuplicates(seed), feasible, k=3) for seed in range(10)]
+    for seed, days in enumerate(draws):
+        assert days == np.random.default_rng(seed).choice(feasible, size=3, replace=False).tolist()
+        assert len(set(days)) == 3 and set(days) <= set(feasible)
+    assert len({tuple(sorted(d)) for d in draws}) > 1
+
+
+def test_block_draws_that_rejection_gives_up_on_stay_uniform():
+    # A single draw of 20 of 28 days is all distinct with p = 8.6e-5, so
+    # nearly every seed falls back; a fallback of the first 20 feasible days
+    # would hide days 0-19 every time.
+    seg = full_segment(n=28 * 24)
+    scenario = Scenario("blocks", 20, "blocks20")
+    day_sets = {
+        tuple(np.flatnonzero(apply_scenario(seg, scenario, seed=seed).eval_mask[::24])) for seed in range(20)
+    }
+    assert len(day_sets) == 20
+    assert tuple(range(20)) not in day_sets
 
 
 def test_pointwise_on_partially_observed_segment():

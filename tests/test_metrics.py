@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,18 @@ class TestAggregate:
 
     def test_empty_input(self):
         assert aggregate([], ("dataset",)) == []
+
+    @pytest.mark.parametrize("group_by", [("dataset", "imputer_id", "scenario_label"), ("imputer_id",)])
+    def test_records_and_their_dicts_aggregate_alike(self, group_by):
+        records = [
+            rec("d1", "a", "s1", 0.1, wql_value=0.4),
+            rec("d1", "a", "s1", 0.3),
+            rec("d1", "b", "s2", 0.2, wql_value=0.1),
+            rec("d2", "a", "s1", 0.5),
+        ]
+        rows = aggregate(records, group_by)
+        assert aggregate([asdict(r) for r in records], group_by) == rows
+        assert [r["wql"] for r in aggregate(records, ("dataset",))] == [pytest.approx(0.25), None]
 
 
 class TestAverageRanks:
