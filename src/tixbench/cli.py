@@ -75,12 +75,10 @@ def _cmd_score(args) -> int:
         "truth_std": std,
     }
     levels = {float(c[1:]): q[pi] for c, q in pred.items() if not np.isnan(q[pi]).any()}
-    if levels:
-        try:
-            result["wql"] = wql_metric(levels, t)
-            result["wql_levels"] = sorted(levels)
-        except ValueError:
-            pass
+    # wql divides by the truth's absolute sum, so an all-zero truth leaves it out.
+    if levels and t.any():
+        result["wql"] = wql_metric(levels, t)
+        result["wql_levels"] = sorted(levels)
     try:
         text = json.dumps(result, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:

@@ -488,8 +488,8 @@ def _one_blas_thread():
 
 def _score_tasks(run_seed: int, specs: tuple[ImputerSpec, ...], windows: list[tuple]) -> list[ScoreRecord]:
     """Score the tasks of (dataset id, segment, scenarios, test start) windows with ``specs``' imputers, built once."""
-    # Built before the pin, so that it covers the OpenBLAS copy they load: scipy's, for a quantile head.
     imputers = [(spec.name, make_imputer(spec.id, **spec.params)) for spec in specs]
+    # The imputers load no OpenBLAS copy: the pin covers numpy's, and scipy's only where the caller imported scipy.
     with _one_blas_thread():
         return [r for window in windows for r in _score_window(window, run_seed, imputers)]
 

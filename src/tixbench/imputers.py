@@ -255,11 +255,5 @@ def make_imputer(imputer_id: str, **params) -> Callable[[list[Segment]], list[Im
     kind, basis_keys = _TIX_BASES[imputer_id.removesuffix("_q")]
     fspec = FeatureSpec(kind, **{field: params.pop(key) for key, field in basis_keys.items() if key in params})
     if imputer_id.endswith("_q"):
-        # pinball_fit needs scipy.linalg. Load it with the imputer, not in its
-        # first fit, so that its OpenBLAS is loaded before a run pins the
-        # thread count of every loaded copy; a run with no quantile head
-        # never loads scipy.
-        import scipy.linalg  # noqa: F401
-
         params.setdefault("quantile_levels", DEFAULT_QUANTILE_LEVELS)
     return functools.partial(impute_time_indexed, fspec=fspec, **params)

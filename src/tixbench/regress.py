@@ -13,14 +13,13 @@ on one basis with one batched numpy LU solve. The quantile head is the linear
 program of Koenker & Bassett (1978) plus a ridge term, solved to a tolerance
 by a primal-dual predictor-corrector interior-point method (Mehrotra 1992),
 the Frisch-Newton method of Portnoy & Koenker (1997), on the rank-r column
-space of the standardized rows (r <= d): 10-20 Newton steps, each one Cholesky
-factorization of an (r+1)x(r+1) matrix W'W per level, W the scaled rows. One
-call fits a sequence of levels on a shared design: every level that has not
-yet converged takes its Newton step in the same vectorized pass, on its row of
-the stacked primal (u, v) and dual (s, z) variables, and a level leaves the
-active set at its own stopping test. It factors and solves with scipy's LAPACK
-wrappers, which ``pinball_fit`` imports when it runs: numpy has no triangular
-solve.
+space of the standardized rows (r <= d): 10-20 Newton steps, each two solves
+with an (r+1)x(r+1) matrix W'W per level, W the scaled rows. One call fits a
+sequence of levels on a shared design: every level that has not yet converged
+takes its Newton step in the same vectorized pass, on its row of the stacked
+primal (u, v) and dual (s, z) variables, each solve one batched numpy LU
+solve of their matrices, and a level leaves the active set at its own
+stopping test.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ _IPM_TOL = 1e-9
 _IPM_MAX_STEPS = 50
 _IPM_STEP_FRACTION = 0.99995
 _IPM_THETA_MIN = 1e-10
-_IPM_JITTER = 1e-12
 
 
 @dataclass(frozen=True)
@@ -214,22 +212,17 @@ def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel:
     to the penalty, this is the fit on [Xs, 1] with penalty lam ||c||^2, as
     in ``ridge_fit``. The levels share Z and step together, each on one row
     of x = (u, v) and of w = (s, z), s and z the dual slacks; each step
-    factors, per level, W'W + 2 lam diag(1, .., 1, 0), W = diag(theta)^-1/2 Z
-    and theta = u/s + v/z, once for both predictor and corrector. The step
-    length keeps every entry of x and w positive.
+    builds, per level, W'W + 2 lam diag(1, .., 1, 0), W = diag(theta)^-1/2 Z
+    and theta = u/s + v/z, and the predictor and the corrector each solve
+    the stack of these matrices with one batched LU solve. The step length
+    keeps every entry of x and w positive.
 
     A level leaves the active set when its gap u's + v'z and its primal and
     dual residuals are each below 1e-9 relative to their scale, or at a step
     cap. Z has full column rank, as the columns of U_r are orthogonal to the
-    constant; still, theta is clamped at 1e-10 and the matrix jittered by
-    1e-12 times its largest diagonal entry, with one refinement solve against
-    the unjittered matrix, for the round-off that singular values near the
-    rank cut leave in it.
+    constant, and LU with partial pivoting solves the normal matrix as it is;
+    theta is clamped at 1e-10. A ``LinAlgError`` from the solve propagates.
     """
-    # Imported here, not at module level: a run with no quantile head never
-    # loads scipy (see ``imputers.make_imputer``).
-    import scipy.linalg
-
     levels = np.atleast_1d(np.asarray(alpha, dtype=float))
     if levels.ndim != 1 or not len(levels) or not np.all((levels > 0.0) & (levels < 1.0)):
         raise ValueError("alpha must be one level or a sequence of levels, each strictly in (0, 1)")
@@ -269,21 +262,12 @@ def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel:
         # W' W with W = Z / sqrt(theta): numpy sends the product of a matrix with its own transpose to syrk.
         for Ni, root in zip(N, np.sqrt(theta)):
             np.matmul(np.divide(Z, root[:, None], out=scaled).T, scaled, out=Ni)
-        N[:, diag, diag] += pen + _IPM_JITTER * (N[:, diag, diag] + pen).max(axis=1, keepdims=True)
-        # Each Ni is symmetric, so Ni.T is Ni in the Fortran order LAPACK factors in place.
-        factors = [scipy.linalg.lapack.dpotrf(Ni.T, overwrite_a=1, clean=0) for Ni in N]
-        if any(info for _, info in factors):
-            raise np.linalg.LinAlgError("the normal matrix of a level is not positive definite")
-
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            return np.array([scipy.linalg.lapack.dpotrs(fac, r)[0] for (fac, _), r in zip(factors, rhs)])
+        N[:, diag, diag] += pen
 
         def newton(c: np.ndarray):
             # The Newton step in which x*w changes by w*c: dx = c - (x/w) dw, with dw = (-da, da).
             q = rp - c[:, :n] + c[:, n:]
-            rhs = rd + (q / theta) @ Z
-            db = solve(rhs)
-            db += solve(rhs - ((db @ Z.T) / theta @ Z + pen * db))
+            db = np.linalg.solve(N, (rd + (q / theta) @ Z)[:, :, None])[:, :, 0]
             dw = np.concatenate((-(da := (q - db @ Z.T) / theta), da), axis=1)
             return db, c - xw * dw, dw
 

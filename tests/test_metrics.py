@@ -264,23 +264,16 @@ def test_import_leaves_scipy_stats_unloaded():
     assert fresh_python("import sys, tixbench; print('scipy.stats' in sys.modules)") == "False\n"
 
 
-def test_point_only_config_leaves_scipy_and_the_pool_unloaded():
-    # scipy is most of the import time and only the quantile heads need it;
-    # a serial run needs no process pool.
+def test_no_config_loads_scipy_or_the_pool():
+    # scipy is most of the import time and no imputer needs it, the quantile
+    # heads included; a serial run needs no process pool.
     demo = Path(__file__).resolve().parents[1] / "configs" / "demo.yaml"
     code = (
-        "import sys, tixbench; from tixbench.harness import load_config; load_config(sys.argv[1]); "
-        "print([m for m in ('scipy', 'concurrent.futures.process') if m in sys.modules])"
-    )
-    assert fresh_python(code, str(demo)) == "[]\n"
-
-
-def test_quantile_config_loads_scipy_linalg():
-    # Loaded with the config, before a run pins the BLAS threads of every loaded copy.
-    code = (
-        "import sys; from tixbench.harness import config_from_dict; before = 'scipy.linalg' in sys.modules; "
+        "import sys, tixbench; from tixbench.harness import config_from_dict, load_config; "
+        "loaded = lambda: [m for m in ('scipy', 'concurrent.futures.process') if m in sys.modules]; "
+        "load_config(sys.argv[1]); print(loaded()); "
         "config_from_dict({'datasets': [{'id': 'd', 'path': 'd.csv', 'steps_per_day': 24}], "
-        "'imputers': [{'id': 'linear'}, {'id': 'tix_fourier_q'}]}); "
-        "print(before, 'scipy.linalg' in sys.modules)"
+        "'imputers': [{'id': 'linear'}, {'id': 'tix_fourier_q'}, {'id': 'tix_random_basis_q'}]}); "
+        "print(loaded())"
     )
-    assert fresh_python(code) == "False True\n"
+    assert fresh_python(code, str(demo)) == "[]\n[]\n"
