@@ -264,16 +264,23 @@ def test_import_leaves_scipy_stats_unloaded():
     assert fresh_python("import sys, tixbench; print('scipy.stats' in sys.modules)") == "False\n"
 
 
-def test_no_config_loads_scipy_or_the_pool():
-    # scipy is most of the import time and no imputer needs it, the quantile
-    # heads included; a serial run needs no process pool.
+def test_point_only_config_leaves_scipy_and_the_pool_unloaded():
+    # scipy is most of the import time and no imputer needs it; a serial run
+    # needs no process pool.
     demo = Path(__file__).resolve().parents[1] / "configs" / "demo.yaml"
     code = (
-        "import sys, tixbench; from tixbench.harness import config_from_dict, load_config; "
-        "loaded = lambda: [m for m in ('scipy', 'concurrent.futures.process') if m in sys.modules]; "
-        "load_config(sys.argv[1]); print(loaded()); "
+        "import sys, tixbench; from tixbench.harness import load_config; load_config(sys.argv[1]); "
+        "print([m for m in ('scipy', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    assert fresh_python(code, str(demo)) == "[]\n"
+
+
+def test_quantile_config_leaves_scipy_unloaded():
+    # The quantile heads solve on numpy alone, so building them loads no scipy.
+    code = (
+        "import sys; from tixbench.harness import config_from_dict; "
         "config_from_dict({'datasets': [{'id': 'd', 'path': 'd.csv', 'steps_per_day': 24}], "
         "'imputers': [{'id': 'linear'}, {'id': 'tix_fourier_q'}, {'id': 'tix_random_basis_q'}]}); "
-        "print(loaded())"
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
     )
-    assert fresh_python(code, str(demo)) == "[]\n[]\n"
+    assert fresh_python(code) == "[]\n"
