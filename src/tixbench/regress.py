@@ -113,33 +113,24 @@ def centred_gram(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _moments(X, y, lam: float, mask, gram, scatter: np.ndarray):
-    """The checked targets of one context, and the column means of its rows and their cross moments with the centred
-    targets; the scatter of the centred rows goes into ``scatter``."""
+    """The column means of one context's rows and their cross moments with its centred checked targets, and the mean,
+    floored std and count of those targets; the scatter of the centred rows goes into ``scatter``."""
     if gram is not None and mask is not None:
         y = _target(y, nv := np.count_nonzero(mask), lam)
         centre, centred, G = gram
         if (n := len(centred)) - nv < nv:
             # Not m = -sum(Xh) / nv: the columns of Xc sum to 0 only up to the rounding of c.
             weights = np.zeros((2, n))
-            weights[0, mask], weights[1, mask] = 1.0 / nv, y - np.mean(y)
+            weights[0, mask], weights[1, mask] = 1.0 / nv, y - (my := np.mean(y))
             m, cross = weights @ centred
             hidden = np.vstack([centred[~mask], np.sqrt(nv) * m])  # so hidden'hidden = Xh'Xh + nv m m'
             np.subtract(G, np.matmul(hidden.T, hidden, out=scatter), out=scatter)
             if not np.any(np.diag(scatter) / nv < 1e-6 * np.diag(G) / n):
-                return y, centre + m, cross
+                return centre + m, cross, my, floored_std(y), nv
     X, y = _inputs(np.array(X) if mask is None else X[mask], y, lam)
     X -= (mx := X.mean(axis=0))
     np.matmul(X.T, X, out=scatter)
-    return y, mx, (y - np.mean(y)) @ X
-
-
-def _lu_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Row t solves A[t] w = rhs[t] by LU; a row whose matrix is singular is NaN."""
-    try:
-        return np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        # One singular matrix fails the whole stack, so each row is solved on its own.
-        return np.concatenate([_lu_solve(a[None], b[None]) for a, b in zip(A, rhs)]) if len(A) > 1 else rhs * np.nan
+    return mx, (y - (my := np.mean(y))) @ X, my, floored_std(y), len(y)
 
 
 def ridge_fit(X, y, lam: float = DEFAULT_LAMBDA, *, mask=None, gram=None) -> LinearModel:
@@ -156,24 +147,28 @@ def ridge_fit(X, y, lam: float = DEFAULT_LAMBDA, *, mask=None, gram=None) -> Lin
     centred column means, unless a column's visible variance is below 1e-6
     times its variance over all rows, where that form loses its digits.
     One batched LU solve serves the (T, d, d) stack of systems, built in
-    place; a head whose system is singular or whose residual is too large
-    (lam = 0 on rank-deficient contexts) takes the exact minimum-norm
-    least-squares solution instead.
+    place; a head whose residual is too large (lam = 0 on rank-deficient
+    contexts) takes the exact minimum-norm least-squares solution instead,
+    and so does every head of a stack in which one system is exactly
+    singular.
     """
     stacked, X = np.ndim(mask) == 2, _rows(X)
     masks, targets = (mask, y) if stacked else ([mask], [y])
     heads, d = len(targets), X.shape[1]
     A = np.empty((heads, d, d))
     moments = [_moments(X, target, lam, rows, gram, A[t]) for t, (rows, target) in enumerate(zip(masks, targets))]
-    targets, mx, cross = zip(*moments)
-    my, sy, counts = (np.array([stat(target) for target in targets]) for stat in (np.mean, floored_std, len))
+    mx, cross, my, sy, counts = (np.array(stat) for stat in zip(*moments))
     sx = np.maximum(np.sqrt(np.diagonal(A, axis1=1, axis2=2) / counts[:, None]), STD_FLOOR)
     A /= sx[:, :, None]
     A /= sx[:, None, :]
     A.reshape(heads, -1)[:, :: d + 1] += lam
-    rhs = np.array(cross) / (sx * sy[:, None])
+    rhs = cross / (sx * sy[:, None])
     tol = 1e-8 * np.maximum(np.linalg.norm(rhs, axis=1), 1.0)
-    ws = _lu_solve(A, rhs)
+    try:
+        ws = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        # One exactly singular system fails the whole stack; NaN sends every head to lstsq.
+        ws = np.full_like(rhs, np.nan)
     # "not <=" also sends a NaN residual to the fallback.
     for t in np.flatnonzero(~(np.linalg.norm(np.matmul(A, ws[:, :, None])[:, :, 0] - rhs, axis=1) <= tol)):
         ws[t] = np.linalg.lstsq(A[t], rhs[t], rcond=None)[0]
@@ -181,7 +176,7 @@ def ridge_fit(X, y, lam: float = DEFAULT_LAMBDA, *, mask=None, gram=None) -> Lin
             raise np.linalg.LinAlgError("normal equations solve did not converge")
 
     w = ws * sy[:, None] / sx
-    b = my - np.sum(w * np.array(mx), axis=1)
+    b = my - np.sum(w * mx, axis=1)
     return LinearModel(w, b) if stacked else LinearModel(w[0], float(b[0]))
 
 

@@ -72,12 +72,10 @@ class SynthSpec:
 def _smooth_path(rng: np.random.Generator, n: int, steps_per_day: int) -> np.ndarray:
     # AR(1) with a correlation time of about half a day, then standardized.
     phi = float(np.exp(-2.0 / steps_per_day))
-    innov = rng.normal(0.0, 1.0, size=n)
-    path = np.empty(n)
-    acc = 0.0
-    for i in range(n):
-        acc = phi * acc + np.sqrt(1.0 - phi * phi) * innov[i]
-        path[i] = acc
+    acc, path = 0.0, []
+    for innov in (np.sqrt(1.0 - phi * phi) * rng.normal(0.0, 1.0, size=n)).tolist():
+        path.append(acc := phi * acc + innov)
+    path = np.array(path)
     std = path.std()
     if std == 0.0:
         return path

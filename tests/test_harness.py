@@ -1412,5 +1412,5 @@ def test_demo_matches_committed_results(tmp_path):
     for new, old in zip(fresh["records"], golden["records"]):
         assert list(new) == list(old)
         assert [new[k] for k in identity] == [old[k] for k in identity]
-        assert new["mae"] == pytest.approx(old["mae"], rel=1e-9, abs=0)
+        assert new["mae"] == pytest.approx(old["mae"], rel=1e-12, abs=0)
         assert new["wql"] == old["wql"]

@@ -231,12 +231,28 @@ class TestRidgeGram:
             w, b = ridge_oracle(X[mask], masked.values[mask], 0.0)
             np.testing.assert_allclose(predict(head(model, t), X), X @ w + b, rtol=0, atol=1e-8)
 
-    def test_only_the_heads_that_fail_a_check_fall_back(self, monkeypatch):
+    def test_the_default_scenarios_at_lam_zero_need_no_lstsq(self, monkeypatch):
+        # On the d = 5 basis every default scenario leaves a full-rank
+        # context, so the one batched solve meets every residual check.
+        rng = np.random.default_rng(5)
+        X, segment = segment_basis(5, rng)
+        window = [apply_scenario(segment, s, seed=5) for s in DEFAULT_SCENARIOS]
+        lstsq_calls = counting_lstsq(monkeypatch)
+        model, _ = gram_fit(X, window, 0.0, monkeypatch)
+        monkeypatch.undo()
+        assert lstsq_calls == []
+        for t, masked in enumerate(window):
+            mask = masked.obs_mask
+            w, b = ridge_oracle(X[mask], masked.values[mask], 0.0)
+            np.testing.assert_allclose(predict(head(model, t), X), X @ w + b, rtol=0, atol=1e-8)
+
+    def test_a_singular_stack_sends_every_head_to_lstsq(self, monkeypatch):
         # At lam = 0, beside the four default scenarios: a head whose hidden
         # blocks cover every row of an indicator column's day, so the
         # downdate fails the variance check and the column, constant on its
         # context, makes the system singular; and a head that hides more
-        # rows than it shows, that day among them, singular as well.
+        # rows than it shows, that day among them, singular as well. One
+        # singular system fails the batched solve of the whole stack.
         rng = np.random.default_rng(11)
         X, segment = segment_basis(5, rng)
         day = np.zeros(len(X), dtype=bool)
@@ -251,9 +267,9 @@ class TestRidgeGram:
         model, downdated = gram_fit(X, window, 0.0, monkeypatch)
         monkeypatch.undo()
         assert downdated == [False, False, True, True, False, False]
-        # One lstsq call per singular head, each on a system whose day column is zero.
-        assert len(lstsq_calls) == 2
-        assert all(not np.any(A[-1]) for A in lstsq_calls)
+        # One lstsq call per head; the systems of the two singular heads have a zero day column.
+        assert len(lstsq_calls) == len(window) == 6
+        assert [not np.any(A[-1]) for A in lstsq_calls] == [False] * 4 + [True] * 2
         for t, masked in enumerate(window):
             mask = masked.obs_mask
             w, b = ridge_oracle(X[mask], masked.values[mask], 0.0)

@@ -55,6 +55,22 @@ class TestGenerate:
         assert set(series.covariates) == {"cov1"}
         np.testing.assert_allclose(series.values, 0.8 * series.covariates["cov1"], atol=1e-12)
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_covariate_path_matches_a_per_tick_reference(self, seed):
+        series = generate(spec_of(Component("covariate_linear", covariate_gain=0.8), seed=seed))
+        # The AR(1) recursion written out tick by tick, then standardized.
+        rng = np.random.default_rng([seed, 0])
+        phi = float(np.exp(-2.0 / 24))
+        innov = rng.normal(0.0, 1.0, size=len(series))
+        path = np.empty(len(series))
+        acc = 0.0
+        for i in range(len(series)):
+            acc = phi * acc + np.sqrt(1.0 - phi * phi) * innov[i]
+            path[i] = acc
+        path = (path - path.mean()) / path.std()
+        assert np.array_equal(series.covariates["cov1"], path)
+        assert np.array_equal(series.values, 0.8 * path)
+
     def test_fully_observed(self):
         series = generate(spec_of(Component("trend", amplitude=1.0)))
         assert series.obs_mask.all()
