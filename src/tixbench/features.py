@@ -44,14 +44,14 @@ class FeatureSpec:
         object.__setattr__(self, "freq_range", tuple(self.freq_range))
         if self.kind not in (HANDCRAFTED_FOURIER, RANDOM_FOURIER):
             raise ValueError(f"unknown feature kind {self.kind!r}")
-        if any(p <= 0 for p in self.periods):
-            raise ValueError("periods must be positive")
+        if not all(0 < p < np.inf for p in self.periods):
+            raise ValueError(f"periods must be positive and finite, got {list(self.periods)}")
         if self.kind == RANDOM_FOURIER:
             object.__setattr__(self, "n_random", whole_number(self.n_random, "n_random", least=1))
             object.__setattr__(self, "seed", whole_number(self.seed, "seed", least=0))
             lo, hi = self.freq_range
-            if not (0 < lo < hi):
-                raise ValueError("freq_range must satisfy 0 < min < max")
+            if not 0 < lo < hi < np.inf:
+                raise ValueError(f"freq_range must be finite with 0 < min < max, got {list(self.freq_range)}")
 
 
 def _normalized_time(ticks) -> tuple[np.ndarray, np.ndarray]:

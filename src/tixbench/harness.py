@@ -73,6 +73,8 @@ class DatasetSpec:
         columns = _sequence(self.covariate_columns, "covariate_columns")
         object.__setattr__(self, "covariate_columns", tuple(columns))
         object.__setattr__(self, "min_std_filter", float(self.min_std_filter))
+        if not math.isfinite(self.min_std_filter):
+            raise ValueError(f"min_std_filter must be finite, got {self.min_std_filter}")
         if (self.path is None) == (self.synth is None) or (self.path is None) != (self.freq is None):
             raise ValueError("needs exactly one of path or synth, and a freq with a path only")
 
@@ -424,8 +426,8 @@ def _record_sort_key(r: ScoreRecord):
     )
 
 
-# The thread API symbols of the OpenBLAS copies that numpy and scipy wheels
-# bundle: a scipy_ prefix, and a 64_ suffix on 64-bit-integer builds.
+# The thread API symbols an OpenBLAS build may export: a scipy_ prefix on
+# the copy numpy wheels bundle, and a 64_ suffix on 64-bit-integer builds.
 _OPENBLAS_THREAD_API = tuple(
     (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
     for prefix in ("scipy_", "")
@@ -434,47 +436,34 @@ _OPENBLAS_THREAD_API = tuple(
 
 
 def _openblas_thread_api() -> list[tuple]:
-    """(getter, setter) of the thread count of each OpenBLAS already loaded.
+    """[(getter, setter)] of the thread count of the OpenBLAS that numpy links, or [] under any other BLAS.
 
-    Libraries are found in /proc/self/maps, so only on Linux; elsewhere, and
-    under MKL, Accelerate or a system BLAS, the list is empty.
+    A handle on numpy's linalg extension resolves symbols in that module and
+    the libraries it links, so it finds numpy's copy and never scipy's.
     """
     # Imported here, not at module level, so that importing the harness
     # costs nothing more.
     import ctypes
-    import os
 
-    try:
-        with open("/proc/self/maps") as fh:
-            # The sixth field, the path, is the only one that can name a library.
-            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return []
-    api = []
-    for path in paths:
-        try:
-            # RTLD_NOLOAD opens only a copy that is already mapped; it never
-            # loads another one.
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_API:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                getter, setter = getattr(lib, get_name), getattr(lib, set_name)
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                api.append((getter, setter))
-                break
-    return api
+    from numpy.linalg import _umath_linalg
+
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for get_name, set_name in _OPENBLAS_THREAD_API:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            getter, setter = getattr(lib, get_name), getattr(lib, set_name)
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return [(getter, setter)]
+    return []
 
 
 # Every fit is small (672 x 129 at most on the demo), so BLAS threads only
-# add synchronisation, and each OpenBLAS copy would start one per CPU.
+# add synchronisation, and numpy's OpenBLAS would start one per CPU.
 # Parallelism comes from --jobs alone. The count is not an option: every
 # caller wants one thread.
 @contextmanager
 def _one_blas_thread():
-    """Pin each loaded OpenBLAS copy to one thread; restore the old counts on exit."""
+    """Pin the OpenBLAS that numpy links to one thread; restore the old count on exit."""
     api = _openblas_thread_api()
     before = [getter() for getter, _ in api]
     for _, setter in api:
@@ -489,7 +478,7 @@ def _one_blas_thread():
 def _score_tasks(run_seed: int, specs: tuple[ImputerSpec, ...], windows: list[tuple]) -> list[ScoreRecord]:
     """Score the tasks of (dataset id, segment, scenarios, test start) windows with ``specs``' imputers, built once."""
     imputers = [(spec.name, make_imputer(spec.id, **spec.params)) for spec in specs]
-    # The imputers load no OpenBLAS copy: the pin covers numpy's, and scipy's only where the caller imported scipy.
+    # The imputers call no BLAS but numpy's, so the pin covers only numpy's copy, also where the caller imported scipy.
     with _one_blas_thread():
         return [r for window in windows for r in _score_window(window, run_seed, imputers)]
 
@@ -504,8 +493,8 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
 
     The tasks run in batches: all in this process at ``jobs`` 1, else about
     four per pool worker. A batch builds each imputer once, then runs its
-    tasks with every loaded OpenBLAS copy on one thread; the old counts come
-    back when the batch ends, also on an error. Parallelism comes from
+    tasks with numpy's OpenBLAS on one thread; the old count comes back when
+    the batch ends, also on an error. Parallelism comes from
     ``jobs`` alone. A ``ValueError`` names every dataset that fails to load,
     and, before any task runs, the grid tick of a missing covariate cell in a
     scored window under an imputer that reads it. ``jobs`` below 1 is a

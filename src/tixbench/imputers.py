@@ -222,7 +222,7 @@ for _tix_id, (_, _basis_keys) in _TIX_BASES.items():
 
 # Param value rules: (test, what a value must be). Levels key the quantile fits.
 _VALUE_RULES = {
-    "lam": (lambda lam: lam >= 0, "must be >= 0"),
+    "lam": (lambda lam: 0 <= lam < np.inf, "must be finite and >= 0"),
     "use_covariates": (lambda flag: isinstance(flag, bool), "must be true or false"),
     "quantile_levels": (
         lambda levels: bool(levels) and all(lo < hi for lo, hi in zip([0.0, *levels], [*levels, 1.0])),

@@ -757,12 +757,22 @@ def blas_threads() -> list[int]:
     return [getter() for getter, _ in harness._openblas_thread_api()]
 
 
+def numpy_names_openblas() -> bool:
+    """Whether numpy's build info names an OpenBLAS; numpy before 1.26 has no such info, and its wheels bundle one."""
+    config = getattr(np.__config__, "CONFIG", None)
+    return config is None or "openblas" in config["Build Dependencies"]["blas"]["name"].lower()
+
+
+# A lookup that finds nothing under an OpenBLAS numpy fails these tests; only another BLAS skips them.
+needs_numpy_openblas = pytest.mark.skipif(not numpy_names_openblas(), reason="numpy's build info names no OpenBLAS")
+
+
 def score_batch_logging_threads(specs, windows):
-    """Score one batch through ``harness._score_tasks``, logging the thread counts of the loaded OpenBLAS copies.
+    """Score one batch through ``harness._score_tasks``, logging the thread count of numpy's OpenBLAS.
 
     Returns the number of records and the counts before the batch, as each
     imputer is built, as each imputer runs, and after the batch. Each build
-    sets every copy loaded by then to two threads, so that a pin to one shows.
+    sets the count to two threads, so that a pin to one shows.
     """
     before, built, running = blas_threads(), [], []
     make_imputer = harness.make_imputer
@@ -788,8 +798,8 @@ def score_batch_logging_threads(specs, windows):
 
 
 # Run in a fresh interpreter with argv = config JSON, jobs, log path: loads
-# the config, sets every loaded OpenBLAS copy to two threads so that a pin to
-# one shows, runs, and logs the thread counts each task reads. Prints the
+# the config, sets numpy's OpenBLAS to two threads so that a pin to one
+# shows, runs, and logs the thread counts each task reads. Prints the
 # OpenBLAS copies mapped with the config, after it and after the run.
 PINNED_QUANTILE_RUN = """
 import json, sys
@@ -823,12 +833,41 @@ print(json.dumps({"with_config": with_config, "after_config": after_config, "aft
 """
 
 
+# Run in a fresh interpreter: maps numpy's OpenBLAS, then scipy's beside it,
+# sets a count through harness._openblas_thread_api that numpy's copy is not
+# at, and prints the count of each mapped copy, by path, before and after.
+PIN_BESIDE_SCIPY = """
+import ctypes, json, os
+import numpy
+from tixbench import harness
+
+def counts():
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line.lower()})
+    found = {}
+    for path in paths:
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        getter = next(getattr(lib, name) for name, _ in harness._OPENBLAS_THREAD_API if hasattr(lib, name))
+        found[path] = getter()
+    return found
+
+numpys = sorted(counts())
+import scipy.linalg
+before = counts()
+api = harness._openblas_thread_api()
+for _, setter in api:
+    setter(2 if before[numpys[0]] == 1 else 1)
+print(json.dumps({"numpys": numpys, "pairs": len(api), "before": before, "after": counts()}))
+"""
+
+
 @pytest.fixture
 def two_blas_threads():
-    """Every loaded OpenBLAS copy at two threads, so that a pin to one shows."""
+    """numpy's OpenBLAS at two threads, so that a pin to one shows."""
+    if not numpy_names_openblas():
+        pytest.skip("numpy's build info names no OpenBLAS")
     api = harness._openblas_thread_api()
-    if not api:
-        pytest.skip("no OpenBLAS copy is loaded")
+    assert len(api) == 1, "numpy's build info names an OpenBLAS, but the lookup found none"
     before = [getter() for getter, _ in api]
     for _, setter in api:
         setter(2)
@@ -861,11 +900,11 @@ class TestBlasThreads:
             run(demo_config(tmp_path))
         assert blas_threads() == two_blas_threads
 
+    @needs_numpy_openblas
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="lists mapped copies from /proc/self/maps")
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_quantile_run_pins_the_copy_it_loads(self, tmp_path, jobs):
         # A fresh interpreter: this one has long since loaded scipy.
-        if not harness._openblas_thread_api():
-            pytest.skip("no OpenBLAS copy is loaded")
         synth = {**SYNTH_DICT, "components": [*SYNTH_DICT["components"], {"kind": "covariate_linear", "covariate_gain": 0.8}]}
         config = {
             "segment": {"len_days": 28, "stride": [14, 14]},
@@ -891,12 +930,11 @@ class TestBlasThreads:
         assert len(in_tasks) >= 2
         assert all(counts == [1] * len(copies["after_config"]) for counts in in_tasks)
 
+    @needs_numpy_openblas
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_pooled_batch_pins_what_its_imputers_load(self, method):
         # A spawned worker starts from a fresh import; the quantile imputer
         # loads no OpenBLAS copy into it, nor into a forked one.
-        if not harness._openblas_thread_api():
-            pytest.skip("no OpenBLAS copy is loaded")
         rng = np.random.default_rng(4)
         seg = make_segment(np.sin(2 * np.pi * np.arange(672) / 24) + 0.1 * rng.normal(size=672), np.ones(672, dtype=bool))
         windows = [("d", seg, DEFAULT_SCENARIOS[:2], 0)]
@@ -908,7 +946,29 @@ class TestBlasThreads:
         assert len(built) == 1 and len(running) == len(windows)
         assert all(counts == [1] * len(after) for counts in running)
         assert after == built[0] == [2] * len(after)
-        assert len(after) == len(before)
+        assert len(after) == len(before) == 1
+
+    @needs_numpy_openblas
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="finds each copy by its path in /proc/self/maps")
+    def test_the_pin_moves_numpys_copy_and_leaves_scipys(self):
+        pytest.importorskip("scipy.linalg")
+        src = str(Path(harness.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", PIN_BESIDE_SCIPY],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        seen = json.loads(out.stdout)
+        (numpys,) = seen["numpys"]
+        others = seen["before"].keys() - {numpys}
+        if not others:
+            pytest.skip("scipy maps no OpenBLAS copy of its own")
+        assert seen["pairs"] == 1
+        assert seen["after"][numpys] != seen["before"][numpys]
+        assert all(seen["after"][path] == seen["before"][path] for path in others)
 
     def test_serial_run_builds_each_imputer_once(self, tmp_path, monkeypatch):
         config = demo_config(tmp_path)
@@ -1326,6 +1386,36 @@ class TestCli:
                 {"datasets": [{"id": "d", "synth": {**SYNTH_DICT, "components": [NAN_AMPLITUDE_SINE]}}]},
                 "synth component: amplitude must be finite, got nan",
                 id="synth_amplitude_nan",
+            ),
+            pytest.param(
+                {"imputers": [{"id": "tix_random_basis", "params": {"freq_range": [0.5, float("inf")]}}]},
+                "imputer 'tix_random_basis': freq_range must be finite with 0 < min < max, got [0.5, inf]",
+                id="freq_range_inf",
+            ),
+            pytest.param(
+                {"imputers": [{"id": "tix_fourier_q", "params": {"lam": float("inf")}}]},
+                "imputer 'tix_fourier_q': lam must be finite and >= 0, got inf",
+                id="lam_inf",
+            ),
+            pytest.param(
+                {"imputers": [{"id": "tix_fourier", "params": {"periods": [float("nan")]}}]},
+                "imputer 'tix_fourier': periods must be positive and finite, got [nan]",
+                id="periods_nan",
+            ),
+            pytest.param(
+                {"imputers": [{"id": "tix_fourier", "params": {"periods": [float("inf")]}}]},
+                "imputer 'tix_fourier': periods must be positive and finite, got [inf]",
+                id="periods_inf",
+            ),
+            pytest.param(
+                {"datasets": [{"id": "d", "synth": SYNTH_DICT, "min_std_filter": float("inf")}]},
+                "dataset 'd': min_std_filter must be finite, got inf",
+                id="min_std_filter_inf",
+            ),
+            pytest.param(
+                {"datasets": [{"id": "d", "synth": SYNTH_DICT, "min_std_filter": float("nan")}]},
+                "dataset 'd': min_std_filter must be finite, got nan",
+                id="min_std_filter_nan",
             ),
         ],
     )
