@@ -13,8 +13,10 @@ the grid itself.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
+from operator import ge, gt, lt
 
 import numpy as np
 
@@ -33,6 +35,25 @@ def whole_number(value, name: str, least: int | None = None) -> int:
     if isinstance(count, bool) or not isinstance(count, Integral) or (least is not None and count < least):
         raise ValueError(f"{name} must be a whole number{'' if least is None else f' >= {least}'}, got {value!r}")
     return int(count)
+
+
+def real_number(value, name: str, least=None, above=None, below=None) -> float:
+    """``value``, an int or a float, as a float within each bound given (>= ``least``, > ``above``, < ``below``);
+    a bool, string, None, sequence, NaN, infinity or int too large for a float is a ``ValueError`` naming ``name``."""
+    # abs() compares even an int too large for a float exactly, and no NaN or infinity passes it.
+    real = isinstance(value, Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    checks = ((">=", ge, least), (">", gt, above), ("<", lt, below))
+    bounds = [(f" {op} {bound}", compare, bound) for op, compare, bound in checks if bound is not None]
+    if not real or not all(compare(value, bound) for _, compare, bound in bounds):
+        raise ValueError(f"{name} must be a finite number{' and'.join(text for text, _, _ in bounds)}, got {value!r}")
+    return float(value)
+
+
+def sequence(raw, where: str, n: int | None = None) -> list:
+    """A list of the items of ``raw``, which must be a list or a tuple, of ``n`` items if given; a string is neither."""
+    if not isinstance(raw, (list, tuple)) or n not in (None, len(raw)):
+        raise ValueError(f"{where}: expected a list{'' if n is None else f' of {n}'}, got {raw!r}")
+    return list(raw)
 
 
 def floored_std(values) -> float:
@@ -136,19 +157,19 @@ class Segment(TimeSeries):
 
 
 def _split_fractions(fractions) -> tuple[float, float, float]:
-    """The split fractions as floats; there must be three, each positive and finite, summing to 1."""
-    fr = tuple(float(f) for f in fractions)
-    if len(fr) != 3 or not all(0 < f < math.inf for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
-        raise ValueError(f"splits must be three finite positive fractions that sum to 1, got {list(fr)}")
+    """The split fractions as floats; there must be three, each positive, summing to 1."""
+    fr = tuple(real_number(f, "splits", above=0) for f in sequence(fractions, "splits", n=3))
+    if abs(sum(fr) - 1.0) > 1e-9:
+        raise ValueError(f"splits must sum to 1, got {list(fr)}")
     return fr
 
 
-def _check_window(len_days, stride) -> int:
-    """The window's day count, a whole number of at least one; its stride range, in days, has 0 < min <= max < inf."""
-    days = whole_number(len_days, "len_days", least=1)
-    if len(stride) != 2 or not 0 < stride[0] <= stride[1] < math.inf:
-        raise ValueError(f"stride needs two finite day counts with 0 < min <= max, got {list(stride)}")
-    return days
+def _check_window(len_days, stride) -> tuple[int, float, float]:
+    """The day count, a whole number >= 1, and stride range in days, 0 < min <= max, of a config's ``segment``."""
+    days = whole_number(len_days, "segment.len_days", least=1)
+    low, high = sequence(stride, "segment.stride", n=2)
+    low = real_number(low, "segment.stride", above=0)
+    return days, low, real_number(high, "segment.stride", least=low)
 
 
 def chrono_split(
@@ -185,7 +206,7 @@ def extract_segments(
     containing no observed position are skipped. Deterministic per seed.
     """
     steps = series.freq.steps_per_day
-    window = _check_window(seg_len_days, (stride_min_days, stride_max_days)) * steps
+    window = _check_window(seg_len_days, (stride_min_days, stride_max_days))[0] * steps
     n = len(series)
     rng = np.random.default_rng(seed)
     segments: list[Segment] = []

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrequencySpec, whole_number
+from .core import FrequencySpec, real_number, sequence, whole_number
 
 HANDCRAFTED_FOURIER = "handcrafted_fourier"
 RANDOM_FOURIER = "random_fourier"
@@ -39,19 +39,17 @@ class FeatureSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Tuples keep the spec hashable, so it can key the basis cache.
-        object.__setattr__(self, "periods", tuple(self.periods))
-        object.__setattr__(self, "freq_range", tuple(self.freq_range))
         if self.kind not in (HANDCRAFTED_FOURIER, RANDOM_FOURIER):
             raise ValueError(f"unknown feature kind {self.kind!r}")
-        if not all(0 < p < np.inf for p in self.periods):
-            raise ValueError(f"periods must be positive and finite, got {list(self.periods)}")
+        # Tuples keep the spec hashable, so it can key the basis cache.
+        periods = tuple(real_number(p, "periods", above=0) for p in sequence(self.periods, "periods"))
+        object.__setattr__(self, "periods", periods)
+        lo, hi = sequence(self.freq_range, "freq_range", n=2)
+        lo = real_number(lo, "freq_range", above=0)
+        object.__setattr__(self, "freq_range", (lo, real_number(hi, "freq_range", above=lo)))
         if self.kind == RANDOM_FOURIER:
             object.__setattr__(self, "n_random", whole_number(self.n_random, "n_random", least=1))
             object.__setattr__(self, "seed", whole_number(self.seed, "seed", least=0))
-            lo, hi = self.freq_range
-            if not 0 < lo < hi < np.inf:
-                raise ValueError(f"freq_range must be finite with 0 < min < max, got {list(self.freq_range)}")
 
 
 def _normalized_time(ticks) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ import yaml
 
 from . import __version__
 from .core import FrequencySpec, TimeSeries, _check_window, _split_fractions, chrono_split, extract_segments
-from .core import floored_std, whole_number
+from .core import floored_std, real_number, sequence, whole_number
 from .imputers import make_imputer
 from .masking import DEFAULT_SCENARIOS, InfeasibleScenario, Scenario, apply_scenario
 from .metrics import ScoreRecord, aggregate, average_ranks, wql, znorm_mae
@@ -70,11 +70,9 @@ class DatasetSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "id", str(self.id))
-        columns = _sequence(self.covariate_columns, "covariate_columns")
+        columns = sequence(self.covariate_columns, "covariate_columns")
         object.__setattr__(self, "covariate_columns", tuple(columns))
-        object.__setattr__(self, "min_std_filter", float(self.min_std_filter))
-        if not math.isfinite(self.min_std_filter):
-            raise ValueError(f"min_std_filter must be finite, got {self.min_std_filter}")
+        object.__setattr__(self, "min_std_filter", real_number(self.min_std_filter, "min_std_filter"))
         if (self.path is None) == (self.synth is None) or (self.path is None) != (self.freq is None):
             raise ValueError("needs exactly one of path or synth, and a freq with a path only")
 
@@ -89,7 +87,8 @@ class ImputerSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "name", str(self.name or self.id))
-        # Building the imputer once checks the id and every param key.
+        # A null params sets none, as a null segment does. Building the imputer once checks the id and each param.
+        object.__setattr__(self, "params", _mapping({} if self.params is None else self.params, "params"))
         make_imputer(self.id, **self.params)
 
 
@@ -112,12 +111,10 @@ class RunConfig:
         object.__setattr__(self, "seed", whole_number(self.seed, "seed"))
         if not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
-        object.__setattr__(self, "stride_days", tuple(float(d) for d in self.stride_days))
         object.__setattr__(self, "splits", _split_fractions(self.splits))
-        try:
-            object.__setattr__(self, "segment_len_days", _check_window(self.segment_len_days, self.stride_days))
-        except ValueError as err:
-            raise ValueError(f"segment.{err}") from None
+        days, *stride = _check_window(self.segment_len_days, self.stride_days)
+        object.__setattr__(self, "segment_len_days", days)
+        object.__setattr__(self, "stride_days", tuple(stride))
         if not self.datasets:
             raise ValueError("datasets must not be empty")
         if not self.imputers:
@@ -142,13 +139,6 @@ def _mapping(raw, where: str) -> dict:
     return dict(raw)
 
 
-def _sequence(raw, where: str) -> list:
-    """A list of the items of ``raw``, which must be a list or a tuple; a string is neither."""
-    if not isinstance(raw, (list, tuple)):
-        raise ValueError(f"{where}: expected a list, got {raw!r}")
-    return list(raw)
-
-
 def _strict(cls, raw, where: str, **resolved):
     """Build ``cls`` from the mapping ``raw`` plus the fields in ``resolved``.
 
@@ -165,7 +155,7 @@ def _strict(cls, raw, where: str, **resolved):
         raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
     try:
         return cls(**raw, **resolved)
-    except (TypeError, ValueError, OverflowError) as err:
+    except (TypeError, ValueError) as err:
         raise ValueError(f"{where}: {err}") from None
 
 
@@ -178,7 +168,7 @@ def synth_from_dict(raw: dict) -> SynthSpec:
     """Build a synthetic-series spec; ``steps_per_day`` and ``seasonal_period`` form its ``freq``."""
     rest = _mapping(raw, "synth")
     freq = _freq(rest, "synth")
-    components = _sequence(rest.pop("components", None) or (), "synth components")
+    components = sequence(rest.pop("components", None) or (), "synth components")
     components = [_strict(Component, c, "synth component") for c in components]
     return _strict(SynthSpec, rest, "synth", freq=freq, components=components)
 
@@ -194,7 +184,7 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> RunConfig:
     base = Path(base_dir) if base_dir is not None else Path(".")
     rest = _mapping(raw, "config")
     datasets = []
-    for entry in _sequence(rest.pop("datasets", None) or (), "datasets"):
+    for entry in sequence(rest.pop("datasets", None) or (), "datasets"):
         d = _mapping(entry, "dataset")
         where = f"dataset {d.get('id')!r}"
         if "synth" in d:
@@ -208,8 +198,8 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> RunConfig:
             d["path"] = str(base / d["path"])
         freq = _freq(d, where) if "path" in d and "synth" not in d else None
         datasets.append(_strict(DatasetSpec, d, "dataset", freq=freq))
-    imputers = [_strict(ImputerSpec, i, "imputer") for i in _sequence(rest.pop("imputers", None) or (), "imputers")]
-    scenarios = [_strict(Scenario, s, "scenario") for s in _sequence(rest.pop("scenarios", None) or (), "scenarios")]
+    imputers = [_strict(ImputerSpec, i, "imputer") for i in sequence(rest.pop("imputers", None) or (), "imputers")]
+    scenarios = [_strict(Scenario, s, "scenario") for s in sequence(rest.pop("scenarios", None) or (), "scenarios")]
     # A segment key that fills no field keeps a dotted name, which the strict
     # check below rejects.
     segment = _mapping(rest.pop("segment", None) or {}, "segment")

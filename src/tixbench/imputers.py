@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import FrequencySpec, Segment, whole_number
+from .core import FrequencySpec, Segment, real_number, sequence, whole_number
 from .features import (
     HANDCRAFTED_FOURIER,
     RANDOM_FOURIER,
@@ -220,15 +220,16 @@ for _tix_id, (_, _basis_keys) in _TIX_BASES.items():
     _PARAMS[f"{_tix_id}_q"] = _PARAMS[_tix_id] | {"quantile_levels"}
 
 
-# Param value rules: (test, what a value must be). Levels key the quantile fits.
-_VALUE_RULES = {
-    "lam": (lambda lam: 0 <= lam < np.inf, "must be finite and >= 0"),
-    "use_covariates": (lambda flag: isinstance(flag, bool), "must be true or false"),
-    "quantile_levels": (
-        lambda levels: bool(levels) and all(lo < hi for lo, hi in zip([0.0, *levels], [*levels, 1.0])),
-        "must be non-empty, strictly inside (0, 1) and strictly increasing",
-    ),
-}
+def _quantile_levels(levels) -> tuple[float, ...]:
+    """The levels, which key the quantile fits, as floats: at least one, each inside (0, 1) and above the one before."""
+    checked = [0.0]
+    for level in sequence(levels, "quantile_levels"):
+        checked.append(real_number(level, "quantile_levels", above=checked[-1], below=1))
+    if len(checked) == 1:
+        raise ValueError(f"quantile_levels must be a non-empty list, got {levels!r}")
+    return tuple(checked[1:])
+
+
 # Counts that no spec checks under the param's name, by least value; a null season is the series' seasonal period.
 _COUNTS = {"season": 1, "basis_seed": 0}
 
@@ -236,7 +237,7 @@ _COUNTS = {"season": 1, "basis_seed": 0}
 def make_imputer(imputer_id: str, **params) -> Callable[[list[Segment]], list[Imputation]]:
     """Look up an imputer by registry id and bind its params; an unknown id or param or a bad value is a ValueError.
     The imputer maps the masked copies of one window to one ``Imputation`` each, in their order."""
-    if imputer_id not in _PARAMS:
+    if not isinstance(imputer_id, str) or imputer_id not in _PARAMS:
         raise ValueError(f"unknown imputer {imputer_id!r}")
     unknown = sorted(params.keys() - _PARAMS[imputer_id])
     if unknown:
@@ -244,10 +245,12 @@ def make_imputer(imputer_id: str, **params) -> Callable[[list[Segment]], list[Im
     for key in params.keys() & _COUNTS:
         if params[key] is not None or key != "season":
             params[key] = whole_number(params[key], key, least=_COUNTS[key])
-    for key in params.keys() & _VALUE_RULES:
-        valid, rule = _VALUE_RULES[key]
-        if not valid(params[key]):
-            raise ValueError(f"{key} {rule}, got {params[key]!r}")
+    if "lam" in params:
+        params["lam"] = real_number(params["lam"], "lam", least=0)
+    if "quantile_levels" in params:
+        params["quantile_levels"] = _quantile_levels(params["quantile_levels"])
+    if not isinstance(params.get("use_covariates", False), bool):
+        raise ValueError(f"use_covariates must be true or false, got {params['use_covariates']!r}")
     if imputer_id == "covar_ridge":
         return functools.partial(impute_covariate_ridge, **params)
     if imputer_id in _LOCAL_IMPUTERS:

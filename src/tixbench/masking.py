@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Segment, round_half_up, whole_number
+from .core import Segment, real_number, round_half_up, whole_number
 
 POINTWISE = "pointwise"
 BLOCKS = "blocks"
@@ -41,10 +41,10 @@ class Scenario:
         object.__setattr__(self, "label", str(self.label))
         if self.kind not in (POINTWISE, BLOCKS):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.kind == POINTWISE and not (0.0 < self.param < 1.0):
-            raise ValueError("pointwise fraction must lie strictly in (0, 1)")
+        if self.kind == POINTWISE:
+            object.__setattr__(self, "param", real_number(self.param, "pointwise param", above=0, below=1))
         if self.kind == BLOCKS:
-            object.__setattr__(self, "param", whole_number(self.param, "blocks parameter", least=1))
+            object.__setattr__(self, "param", whole_number(self.param, "blocks param", least=1))
         if not self.label:
             raise ValueError("scenario label must be nonempty")
 

@@ -10,12 +10,11 @@ carries structure a purely time-based feature basis cannot explain.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrequencySpec, TimeSeries, whole_number
+from .core import FrequencySpec, TimeSeries, real_number, whole_number
 
 SINE = "sine"
 TREND = "trend"
@@ -39,11 +38,10 @@ class Component:
     covariate_gain: float | None = None
 
     def __post_init__(self) -> None:
+        # Every kind reads the amplitude; a field that a kind does not read may be null.
         for name in ("amplitude", "period_ticks", "noise_std", "covariate_gain"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, value := float(getattr(self, name)))
-                if not math.isfinite(value):
-                    raise ValueError(f"{name} must be finite, got {value!r}")
+            if getattr(self, name) is not None or name == "amplitude":
+                object.__setattr__(self, name, real_number(getattr(self, name), name))
         if self.kind not in (SINE, TREND, NOISE, COVARIATE_LINEAR):
             raise ValueError(f"unknown component kind {self.kind!r}")
         if self.kind == SINE and (self.period_ticks is None or self.period_ticks <= 0):

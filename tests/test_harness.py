@@ -18,6 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_segment
 from tixbench import (
@@ -89,7 +91,47 @@ EVERY_LEVEL = {
 
 # A config that runs: one synthetic dataset, one imputer.
 RUN_DICT = {"datasets": [{"id": "d", "synth": SYNTH_DICT}], "imputers": [{"id": "linear"}]}
-NAN_AMPLITUDE_SINE = {"kind": "sine", "amplitude": float("nan"), "period_ticks": 24}
+SINE = {"kind": "sine", "amplitude": 1.0, "period_ticks": 24}
+NAN_AMPLITUDE_SINE = {**SINE, "amplitude": float("nan")}
+
+
+def with_component(component):
+    return {**RUN_DICT, "datasets": [{"id": "d", "synth": {**SYNTH_DICT, "components": [component]}}]}
+
+
+def with_params(imputer_id, params):
+    return {**RUN_DICT, "imputers": [{"id": imputer_id, "params": params}]}
+
+
+# Where each real-valued key sits in a small valid config, plus an imputer's params mapping.
+REAL_KEYS = {
+    "splits": lambda v: {**RUN_DICT, "splits": v},
+    "stride": lambda v: {**RUN_DICT, "segment": {"stride": v}},
+    "min_std_filter": lambda v: {**RUN_DICT, "datasets": [{"id": "d", "synth": SYNTH_DICT, "min_std_filter": v}]},
+    "amplitude": lambda v: with_component({**SINE, "amplitude": v}),
+    "period_ticks": lambda v: with_component({**SINE, "period_ticks": v}),
+    "noise_std": lambda v: with_component({"kind": "noise", "noise_std": v}),
+    "covariate_gain": lambda v: with_component({"kind": "covariate_linear", "covariate_gain": v}),
+    "param": lambda v: {**RUN_DICT, "scenarios": [{"kind": "pointwise", "param": v, "label": "p"}]},
+    "lam": lambda v: with_params("tix_fourier", {"lam": v}),
+    "periods": lambda v: with_params("tix_fourier", {"periods": v}),
+    "freq_range": lambda v: with_params("tix_random_basis", {"freq_range": v}),
+    "quantile_levels": lambda v: with_params("tix_fourier_q", {"quantile_levels": v}),
+    "params": lambda v: with_params("tix_fourier", v),
+}
+# What a YAML value may hold where a number is expected: strings, null, bools, NaN and the infinities, ints on
+# either side of the largest float, tiny floats, and numbers a key takes; or a list of these.
+YAML_SCALARS = st.one_of(
+    st.text(max_size=3),
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.integers(300, 400).map(lambda e: (-1) ** e * 10**e),
+    st.floats(-1e-300, 1e-300),
+    st.floats(0, 1),
+    st.integers(-2, 200),
+)
+YAML_VALUES = st.one_of(YAML_SCALARS, st.lists(YAML_SCALARS, max_size=4))
 
 
 def demo_config(tmp_path, imputers=None, stride=(14.0, 14.0)):
@@ -386,6 +428,26 @@ class TestRunConfig:
         config_from_dict(config(good))
         with pytest.raises(ValueError, match=f"imputer '{imputer_id}': {key} must be"):
             config_from_dict(config(bad))
+
+    @pytest.mark.parametrize("key", sorted(REAL_KEYS))
+    @settings(max_examples=100, derandomize=True, database=None)
+    @given(
+        value=st.one_of(
+            YAML_VALUES, st.dictionaries(st.sampled_from(["lam", "periods", "use_covariates"]), YAML_VALUES)
+        )
+    )
+    def test_real_valued_key_loads_or_is_refused_by_name(self, key, value):
+        # A params mapping may also be refused by the name of a param in it.
+        names = [key, *value] if key == "params" and isinstance(value, dict) else [key]
+        try:
+            config_from_dict(REAL_KEYS[key](value))
+        except ValueError as err:
+            assert any(name in str(err) for name in names), str(err)
+
+    def test_null_params_is_no_params(self):
+        null = config_from_dict(with_params("tix_fourier", None))
+        assert null.imputers[0].params == {}
+        assert config_digest(null) == config_digest(config_from_dict({**RUN_DICT, "imputers": [{"id": "tix_fourier"}]}))
 
     def test_csv_dataset_digests_by_content(self, tmp_path):
         # The same config and CSV in two directories digest alike; one
@@ -1364,7 +1426,7 @@ class TestCli:
             ),
             pytest.param(
                 {"datasets": [{"id": "d", "synth": SYNTH_DICT, "min_std_filter": 10**400}]},
-                "dataset 'd': int too large to convert to float",
+                f"dataset 'd': min_std_filter must be a finite number, got {10**400}",
                 id="min_std_filter_400_digits",
             ),
             pytest.param(
@@ -1374,49 +1436,116 @@ class TestCli:
             ),
             pytest.param(
                 {"segment": {"len_days": 28, "stride": [1, float("inf")]}},
-                "config: segment.stride needs two finite day counts with 0 < min <= max, got [1.0, inf]",
+                "config: segment.stride must be a finite number >= 1.0, got inf",
                 id="stride_inf",
             ),
             pytest.param(
                 {"splits": [float("nan"), 0.5, 0.5]},
-                "config: splits must be three finite positive fractions that sum to 1, got [nan, 0.5, 0.5]",
+                "config: splits must be a finite number > 0, got nan",
                 id="splits_nan",
             ),
             pytest.param(
                 {"datasets": [{"id": "d", "synth": {**SYNTH_DICT, "components": [NAN_AMPLITUDE_SINE]}}]},
-                "synth component: amplitude must be finite, got nan",
+                "synth component: amplitude must be a finite number, got nan",
                 id="synth_amplitude_nan",
             ),
             pytest.param(
                 {"imputers": [{"id": "tix_random_basis", "params": {"freq_range": [0.5, float("inf")]}}]},
-                "imputer 'tix_random_basis': freq_range must be finite with 0 < min < max, got [0.5, inf]",
+                "imputer 'tix_random_basis': freq_range must be a finite number > 0.5, got inf",
                 id="freq_range_inf",
             ),
             pytest.param(
                 {"imputers": [{"id": "tix_fourier_q", "params": {"lam": float("inf")}}]},
-                "imputer 'tix_fourier_q': lam must be finite and >= 0, got inf",
+                "imputer 'tix_fourier_q': lam must be a finite number >= 0, got inf",
                 id="lam_inf",
             ),
             pytest.param(
                 {"imputers": [{"id": "tix_fourier", "params": {"periods": [float("nan")]}}]},
-                "imputer 'tix_fourier': periods must be positive and finite, got [nan]",
+                "imputer 'tix_fourier': periods must be a finite number > 0, got nan",
                 id="periods_nan",
             ),
             pytest.param(
                 {"imputers": [{"id": "tix_fourier", "params": {"periods": [float("inf")]}}]},
-                "imputer 'tix_fourier': periods must be positive and finite, got [inf]",
+                "imputer 'tix_fourier': periods must be a finite number > 0, got inf",
                 id="periods_inf",
             ),
             pytest.param(
                 {"datasets": [{"id": "d", "synth": SYNTH_DICT, "min_std_filter": float("inf")}]},
-                "dataset 'd': min_std_filter must be finite, got inf",
+                "dataset 'd': min_std_filter must be a finite number, got inf",
                 id="min_std_filter_inf",
             ),
             pytest.param(
                 {"datasets": [{"id": "d", "synth": SYNTH_DICT, "min_std_filter": float("nan")}]},
-                "dataset 'd': min_std_filter must be finite, got nan",
+                "dataset 'd': min_std_filter must be a finite number, got nan",
                 id="min_std_filter_nan",
             ),
+            *(
+                pytest.param(
+                    {"imputers": [{"id": "tix_fourier", "params": {"lam": value}}]},
+                    f"imputer 'tix_fourier': lam must be a finite number >= 0, got {value!r}",
+                    id=f"lam_{label}",
+                )
+                for label, value in (("str", "a"), ("null", None), ("list", [1]), ("true", True))
+            ),
+            pytest.param(
+                {"imputers": [{"id": "tix_fourier", "params": {"periods": "ab"}}]},
+                "imputer 'tix_fourier': periods: expected a list, got 'ab'",
+                id="periods_str",
+            ),
+            pytest.param({"splits": "abc"}, "config: splits: expected a list of 3, got 'abc'", id="splits_str"),
+            pytest.param(
+                {"segment": {"stride": ["a", 1]}},
+                "config: segment.stride must be a finite number > 0, got 'a'",
+                id="stride_str",
+            ),
+            pytest.param(
+                {"segment": {"stride": [True, True]}},
+                "config: segment.stride must be a finite number > 0, got True",
+                id="stride_true",
+            ),
+            *(
+                pytest.param(
+                    {"datasets": [{"id": "d", "synth": SYNTH_DICT, "min_std_filter": value}]},
+                    f"dataset 'd': min_std_filter must be a finite number, got {value!r}",
+                    id=f"min_std_filter_{label}",
+                )
+                for label, value in (("str", "a"), ("true", True))
+            ),
+            *(
+                pytest.param(
+                    {"datasets": [{"id": "d", "synth": {**SYNTH_DICT, "components": [{**SINE, "amplitude": value}]}}]},
+                    f"synth component: amplitude must be a finite number, got {value!r}",
+                    id=f"synth_amplitude_{label}",
+                )
+                for label, value in (("str", "a"), ("null", None), ("true", True))
+            ),
+            *(
+                pytest.param(
+                    {"imputers": [{"id": "tix_random_basis", "params": {"freq_range": value}}]},
+                    f"imputer 'tix_random_basis': freq_range: expected a list of 2, got {value!r}",
+                    id=f"freq_range_{label}",
+                )
+                for label, value in (("str", "ab"), ("three", [1, 2, 3]))
+            ),
+            pytest.param(
+                {"imputers": [{"id": "tix_fourier_q", "params": {"quantile_levels": "a"}}]},
+                "imputer 'tix_fourier_q': quantile_levels: expected a list, got 'a'",
+                id="quantile_levels_str",
+            ),
+            pytest.param(
+                {"scenarios": [{"kind": "pointwise", "param": "a", "label": "p"}]},
+                "scenario: pointwise param must be a finite number > 0 and < 1, got 'a'",
+                id="pointwise_param_str",
+            ),
+            *(
+                pytest.param(
+                    {"imputers": [{"id": "tix_fourier", "params": value}]},
+                    f"imputer 'tix_fourier': params: expected a mapping, got {value!r}",
+                    id=f"params_{label}",
+                )
+                for label, value in (("list", [1]), ("str", "a"))
+            ),
+            pytest.param({"imputers": [{"id": ["x"]}]}, "imputer ['x']: unknown imputer ['x']", id="id_list"),
         ],
     )
     def test_bad_config_value_is_an_error_line_before_any_task(self, tmp_path, capsys, monkeypatch, change, message):

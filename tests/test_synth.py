@@ -19,7 +19,7 @@ def spec_of(*components, length_days=28, seed=0, freq=HOURLY):
 def test_component_refuses_a_non_finite_value(kind, field, value):
     # A NaN or infinite value would make every value of the series non-finite, yet observed.
     given = {"period_ticks": 24.0, "noise_std": 0.1, "covariate_gain": 0.8, field: value}
-    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number, got {value!r}$"):
         Component(kind, **given)
 
 
