@@ -34,7 +34,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    raw = read_yaml(args.spec) or {}
+    raw = read_yaml(args.spec)
     # The optional ``id`` names the series; it is no field of the spec.
     series_id = raw.pop("id", Path(args.spec).stem) if isinstance(raw, dict) else None
     series = generate(synth_from_dict(raw), series_id=series_id)

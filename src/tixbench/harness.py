@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from functools import partial
 from pathlib import Path
@@ -87,8 +87,8 @@ class ImputerSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "name", str(self.name or self.id))
-        # A null params sets none, as a null segment does. Building the imputer once checks the id and each param.
-        object.__setattr__(self, "params", _mapping({} if self.params is None else self.params, "params"))
+        # Building the imputer once checks the id and each param.
+        object.__setattr__(self, "params", _section(self.params, "params", {}))
         make_imputer(self.id, **self.params)
 
 
@@ -105,9 +105,6 @@ class RunConfig:
     rank_metric: str = "mae"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "datasets", tuple(self.datasets))
-        object.__setattr__(self, "imputers", tuple(self.imputers))
-        object.__setattr__(self, "scenarios", tuple(self.scenarios) or DEFAULT_SCENARIOS)
         object.__setattr__(self, "seed", whole_number(self.seed, "seed"))
         if not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
@@ -115,28 +112,33 @@ class RunConfig:
         days, *stride = _check_window(self.segment_len_days, self.stride_days)
         object.__setattr__(self, "segment_len_days", days)
         object.__setattr__(self, "stride_days", tuple(stride))
-        if not self.datasets:
-            raise ValueError("datasets must not be empty")
-        if not self.imputers:
-            raise ValueError("imputers must not be empty")
-        labels = [s.label for s in self.scenarios]
-        if len(set(labels)) != len(labels):
-            raise ValueError("scenario labels must be unique")
-        names = [im.name for im in self.imputers]
-        if len(set(names)) != len(names):
-            raise ValueError("imputer names must be unique")
-        ids = [d.id for d in self.datasets]
-        if len(set(ids)) != len(ids):
-            raise ValueError("dataset ids must be unique")
+        # Each list holds at least one entry, and each entry's name tells it from its siblings.
+        for key, name in (("datasets", "id"), ("imputers", "name"), ("scenarios", "label")):
+            object.__setattr__(self, key, tuple(getattr(self, key)))
+            names = [getattr(entry, name) for entry in getattr(self, key)]
+            if not names:
+                raise ValueError(f"{key} must not be empty")
+            if len(set(names)) != len(names):
+                raise ValueError(f"{key[:-1]} {name}s must be unique")
         if self.rank_metric not in ("mae", "wql"):
             raise ValueError("rank_metric must be 'mae' or 'wql'")
 
 
-def _mapping(raw, where: str) -> dict:
-    """A copy of ``raw``, which must be a mapping."""
+def _section(raw, where: str, default):
+    """A config section or entry: missing or null reads as ``default``; else a list, or a mapping like ``default``."""
+    if raw is None:
+        return default
+    if not isinstance(default, dict):
+        return sequence(raw, where)
     if not isinstance(raw, dict):
         raise ValueError(f"{where}: expected a mapping, got {raw!r}")
     return dict(raw)
+
+
+def _named(cls, raw: dict, where: str) -> str:
+    """``where`` and the first of an entry's ``name``, ``id`` and ``label`` that ``cls`` has and ``raw`` sets."""
+    tags = [raw[k] for k in ("name", "id", "label") if raw.get(k) is not None and k in cls.__dataclass_fields__]
+    return f"{where} {tags[0]!r}" if tags else where
 
 
 def _strict(cls, raw, where: str, **resolved):
@@ -144,15 +146,19 @@ def _strict(cls, raw, where: str, **resolved):
 
     Every key of ``raw`` must name a field of ``cls`` that ``resolved`` does
     not set, and every omitted field takes the default that ``cls`` declares.
-    An unknown key, a missing field, or a value that ``cls`` refuses or
-    cannot convert, is a ``ValueError`` that says where it was.
+    An unknown key, a missing or null field that has no default, or a value
+    that ``cls`` refuses or cannot convert, is a ``ValueError`` that says
+    where it was, naming the entry as ``_named`` does.
     """
-    raw = _mapping(raw, where)
-    if "id" in raw:
-        where = f"{where} {raw['id']!r}"
-    unknown = [k for k in raw if k not in {f.name for f in fields(cls)} - resolved.keys()]
+    raw = _section(raw, where, {})
+    where = _named(cls, raw, where)
+    free = [f for f in fields(cls) if f.name not in resolved]
+    unknown = [k for k in raw if k not in {f.name for f in free}]
     if unknown:
         raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
+    missing = [f.name for f in free if raw.get(f.name) is None and MISSING is f.default is f.default_factory]
+    if missing:
+        raise ValueError(f"{where}: missing key {', '.join(map(repr, missing))}")
     try:
         return cls(**raw, **resolved)
     except (TypeError, ValueError) as err:
@@ -164,11 +170,11 @@ def _freq(raw: dict, where: str) -> FrequencySpec:
     return _strict(FrequencySpec, {k: raw.pop(k) for k in ("steps_per_day", "seasonal_period") if k in raw}, where)
 
 
-def synth_from_dict(raw: dict) -> SynthSpec:
+def synth_from_dict(raw) -> SynthSpec:
     """Build a synthetic-series spec; ``steps_per_day`` and ``seasonal_period`` form its ``freq``."""
-    rest = _mapping(raw, "synth")
+    rest = _section(raw, "synth", {})
     freq = _freq(rest, "synth")
-    components = sequence(rest.pop("components", None) or (), "synth components")
+    components = _section(rest.pop("components", None), "synth components", ())
     components = [_strict(Component, c, "synth component") for c in components]
     return _strict(SynthSpec, rest, "synth", freq=freq, components=components)
 
@@ -179,14 +185,14 @@ _CSV_KEYS = ("steps_per_day", "seasonal_period", "timestamp_column", "value_colu
 _SEGMENT_KEYS = {"len_days": "segment_len_days", "stride": "stride_days"}
 
 
-def config_from_dict(raw: dict, base_dir: Path | None = None) -> RunConfig:
+def config_from_dict(raw, base_dir: Path | None = None) -> RunConfig:
     """Build a run config from parsed YAML; CSV paths resolve against ``base_dir``."""
     base = Path(base_dir) if base_dir is not None else Path(".")
-    rest = _mapping(raw, "config")
+    rest = _section(raw, "config", {})
     datasets = []
-    for entry in sequence(rest.pop("datasets", None) or (), "datasets"):
-        d = _mapping(entry, "dataset")
-        where = f"dataset {d.get('id')!r}"
+    for entry in _section(rest.pop("datasets", None), "datasets", ()):
+        d = _section(entry, "dataset", {})
+        where = _named(DatasetSpec, d, "dataset")
         if "synth" in d:
             for key in _CSV_KEYS:
                 if key in d:
@@ -198,13 +204,15 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> RunConfig:
             d["path"] = str(base / d["path"])
         freq = _freq(d, where) if "path" in d and "synth" not in d else None
         datasets.append(_strict(DatasetSpec, d, "dataset", freq=freq))
-    imputers = [_strict(ImputerSpec, i, "imputer") for i in sequence(rest.pop("imputers", None) or (), "imputers")]
-    scenarios = [_strict(Scenario, s, "scenario") for s in sequence(rest.pop("scenarios", None) or (), "scenarios")]
+    imputers = [_strict(ImputerSpec, i, "imputer") for i in _section(rest.pop("imputers", None), "imputers", ())]
+    # A missing or null scenarios list leaves the RunConfig default.
+    if (scenarios := _section(rest.pop("scenarios", None), "scenarios", None)) is not None:
+        rest["scenarios"] = [_strict(Scenario, s, "scenario") for s in scenarios]
     # A segment key that fills no field keeps a dotted name, which the strict
     # check below rejects.
-    segment = _mapping(rest.pop("segment", None) or {}, "segment")
+    segment = _section(rest.pop("segment", None), "segment", {})
     rest.update({_SEGMENT_KEYS.get(k, f"segment.{k}"): v for k, v in segment.items()})
-    return _strict(RunConfig, rest, "config", datasets=datasets, imputers=imputers, scenarios=scenarios)
+    return _strict(RunConfig, rest, "config", datasets=datasets, imputers=imputers)
 
 
 def read_yaml(path):
@@ -221,7 +229,7 @@ def read_yaml(path):
 def load_config(path) -> RunConfig:
     """Parse a YAML run configuration; omitted keys take the protocol defaults."""
     path = Path(path)
-    return config_from_dict(read_yaml(path) or {}, base_dir=path.parent)
+    return config_from_dict(read_yaml(path), base_dir=path.parent)
 
 
 def config_digest(config: RunConfig) -> str:
@@ -533,14 +541,15 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
                     )
             windows.append((ds.id, segment, config.scenarios, test.start))
 
-    if jobs > 1:
+    if jobs > 1 and windows:
         # Imported here: a serial run never loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         # About four batches of whole windows per worker: fewer round trips, still balanced.
         size = max(1, math.ceil(len(windows) / (4 * jobs)))
         chunks = [windows[i : i + size] for i in range(0, len(windows), size)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool starts all its workers at the first submit, so it gets no more than there are batches.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             batches = list(pool.map(partial(_score_tasks, config.seed, config.imputers), chunks))
     else:
         batches = [_score_tasks(config.seed, config.imputers, windows)]

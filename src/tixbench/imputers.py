@@ -16,7 +16,6 @@ two ``tix_`` ids for quantile variants.
 from __future__ import annotations
 
 import functools
-import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -193,10 +192,9 @@ def _each(impute: Callable[[Segment], Imputation], segments: list[Segment]) -> l
     return [impute(segment) for segment in segments]
 
 
-# Registry ids: each local id names its imputer function, whose keyword
-# parameters are the params an entry may set, and which imputes one segment
-# at a time; covar_ridge imputes a window's segments together, as each tix
-# id does. Each tix id names a feature basis, and appending "_q" gives its
+# Registry ids: each local id names its imputer function, which imputes one
+# segment at a time; covar_ridge imputes a window's segments together, as each
+# tix id does. Each tix id names a feature basis, and appending "_q" gives its
 # quantile variant.
 _LOCAL_IMPUTERS = {"linear": impute_linear, "locf": impute_locf, "seasonal_naive": impute_seasonal_naive}
 # Each tix id's basis kind and the params that configure it, by the
@@ -205,18 +203,12 @@ _TIX_BASES = {
     "tix_fourier": (HANDCRAFTED_FOURIER, {"periods": "periods"}),
     "tix_random_basis": (RANDOM_FOURIER, {"n_random": "n_random", "freq_range": "freq_range", "basis_seed": "seed"}),
 }
-
-
-def _keywords(fn) -> frozenset[str]:
-    """The parameters of ``fn`` after the segment."""
-    return frozenset(list(inspect.signature(fn).parameters)[1:])
-
-
-# Computed once: inspecting a signature costs more than the rest of a lookup.
-_PARAMS = {imputer_id: _keywords(fn) for imputer_id, fn in _LOCAL_IMPUTERS.items()}
-_PARAMS["covar_ridge"] = _keywords(impute_covariate_ridge)
+# The params an entry of each id may set: its imputer function's keyword
+# parameters, with a tix id's basis params in place of its fspec, and
+# quantile_levels on the _q ids only.
+_PARAMS = {"linear": set(), "locf": set(), "seasonal_naive": {"season"}, "covar_ridge": {"lam"}}
 for _tix_id, (_, _basis_keys) in _TIX_BASES.items():
-    _PARAMS[_tix_id] = _keywords(impute_time_indexed) - {"fspec", "quantile_levels"} | set(_basis_keys)
+    _PARAMS[_tix_id] = {"lam", "use_covariates", *_basis_keys}
     _PARAMS[f"{_tix_id}_q"] = _PARAMS[_tix_id] | {"quantile_levels"}
 
 

@@ -97,28 +97,35 @@ def grid_quantile_region(y, alpha, n_grid=2001):
 
 def linear_interp_oracle(values, obs_mask, eval_positions):
     """Two-anchor straight line per position, NOCB/LOCF at the edges."""
+    n = len(values)
     out = []
-    vis = [i for i, m in enumerate(obs_mask) if m]
     for t in eval_positions:
-        before = [i for i in vis if i < t]
-        after = [i for i in vis if i > t]
-        if before and after:
-            a, b = before[-1], after[0]
+        # Walk out from t to the nearest visible position on each side.
+        a = t - 1
+        while a >= 0 and not obs_mask[a]:
+            a -= 1
+        b = t + 1
+        while b < n and not obs_mask[b]:
+            b += 1
+        if a >= 0 and b < n:
             w = (t - a) / (b - a)
             out.append((1 - w) * values[a] + w * values[b])
-        elif after:
-            out.append(values[after[0]])
+        elif b < n:
+            out.append(values[b])
         else:
-            out.append(values[before[-1]])
+            out.append(values[a])
     return np.array(out)
 
 
 def locf_oracle(values, obs_mask, eval_positions):
+    first = list(obs_mask).index(True)
     out = []
-    vis = [i for i, m in enumerate(obs_mask) if m]
     for t in eval_positions:
-        before = [i for i in vis if i <= t]
-        out.append(values[before[-1]] if before else values[vis[0]])
+        # Walk back from t to the last visible position; none before t reads the first.
+        a = t
+        while a >= 0 and not obs_mask[a]:
+            a -= 1
+        out.append(values[a if a >= 0 else first])
     return np.array(out)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import copy
 import csv
 import hashlib
@@ -132,6 +133,52 @@ YAML_SCALARS = st.one_of(
     st.integers(-2, 200),
 )
 YAML_VALUES = st.one_of(YAML_SCALARS, st.lists(YAML_SCALARS, max_size=4))
+
+# Where each config section sits in a small valid config, and what it must hold when it is neither missing nor null;
+# "config" is the YAML document itself.
+SECTION_BASE = {"datasets": [{"id": "d", "synth": SYNTH_DICT}], "imputers": [{"id": "tix_fourier", "params": {}}]}
+SECTIONS = {
+    "config": (dict, ()),
+    "datasets": (list, ("datasets",)),
+    "imputers": (list, ("imputers",)),
+    "scenarios": (list, ("scenarios",)),
+    "segment": (dict, ("segment",)),
+    "components": (list, ("datasets", 0, "synth", "components")),
+    "params": (dict, ("imputers", 0, "params")),
+}
+OMITTED = object()
+# Falsy values and scalars a section might be given, and null.
+SECTION_VALUES = st.one_of(
+    st.sampled_from([0, "", [], {}, False, None, 0.0]),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=3),
+)
+
+
+def with_section(path, value):
+    """SECTION_BASE with ``value`` at ``path``, or with the key there removed if ``value`` is OMITTED."""
+    if not path:
+        return {} if value is OMITTED else value
+    raw = copy.deepcopy(SECTION_BASE)
+    *parents, key = path
+    target = raw
+    for step in parents:
+        target = target[step]
+    if value is OMITTED:
+        target.pop(key, None)
+    else:
+        target[key] = value
+    return raw
+
+
+def outcome(raw):
+    """The config loaded from ``raw``, or the message it is refused with."""
+    try:
+        return config_from_dict(raw)
+    except ValueError as err:
+        return str(err)
 
 
 def demo_config(tmp_path, imputers=None, stride=(14.0, 14.0)):
@@ -449,6 +496,21 @@ class TestRunConfig:
         assert null.imputers[0].params == {}
         assert config_digest(null) == config_digest(config_from_dict({**RUN_DICT, "imputers": [{"id": "tix_fourier"}]}))
 
+    @pytest.mark.parametrize("key", sorted(SECTIONS))
+    @settings(max_examples=100, derandomize=True, database=None)
+    @given(value=SECTION_VALUES)
+    def test_section_loads_its_default_or_is_refused_by_name(self, key, value):
+        kind, path = SECTIONS[key]
+        if value is None:
+            assert outcome(with_section(path, None)) == outcome(with_section(path, OMITTED))
+            return
+        try:
+            config_from_dict(with_section(path, value))
+        except ValueError as err:
+            assert isinstance(value, kind) or key in str(err), str(err)
+        else:
+            assert isinstance(value, kind)
+
     def test_csv_dataset_digests_by_content(self, tmp_path):
         # The same config and CSV in two directories digest alike; one
         # changed cell changes the digest.
@@ -600,6 +662,42 @@ class TestRun:
         serial = run(config, jobs=1)
         parallel = run(config, jobs=2)
         assert serial.records == parallel.records
+
+    def test_pool_opens_no_more_workers_than_batches(self, monkeypatch):
+        # The pool forks all its workers at the first submit. A fake records
+        # the worker count and maps in this process; were the fake bypassed,
+        # jobs=16 would fork no more than 16 processes.
+        opened = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        config = config_from_dict(
+            {
+                "segment": {"stride": [14, 14]},
+                "datasets": [{"id": "d", "synth": {**SYNTH_DICT, "length_days": 250}}],
+                "imputers": [{"id": "linear"}],
+            }
+        )
+        serial = run(config, jobs=1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        assert run(config, jobs=16).records == serial.records
+        assert sum(r.scenario_label == "pointwise1" for r in serial.records) == 2  # two windows
+        assert opened == [2]
+        # With every window filtered out there is no batch, and no pool.
+        filtered = replace(config, datasets=(replace(config.datasets[0], min_std_filter=100.0),))
+        assert run(filtered, jobs=16).records == ()
+        assert opened == [2]
 
     def test_ingestion_failure_collects_all(self, tmp_path):
         config = config_from_dict(
@@ -1369,6 +1467,11 @@ class TestCli:
                 "dataset 'd': covariate_columns: expected a list, got 'temp'",
             ),
             ("synth", {**SYNTH_DICT, "components": 5}, "synth components: expected a list, got 5"),
+            ("run", "", "config: datasets must not be empty"),
+            ("run", [], "config: expected a mapping, got []"),
+            ("run", 0, "config: expected a mapping, got 0"),
+            ("synth", [], "synth: expected a mapping, got []"),
+            ("synth", "", "synth: missing key 'steps_per_day'"),
             (
                 "run",
                 "datasets: [{id: d\n",
@@ -1380,7 +1483,20 @@ class TestCli:
                 "{path}: malformed YAML at line 2, column 1: found character '\\t' that cannot start any token",
             ),
         ],
-        ids=["datasets", "imputers", "scenarios", "covariate_columns", "components", "run_yaml", "synth_yaml"],
+        ids=[
+            "datasets",
+            "imputers",
+            "scenarios",
+            "covariate_columns",
+            "components",
+            "run_empty",
+            "run_list",
+            "run_zero",
+            "synth_list",
+            "synth_empty",
+            "run_yaml",
+            "synth_yaml",
+        ],
     )
     def test_config_of_the_wrong_shape_is_an_error_line(self, tmp_path, capsys, command, doc, message):
         path = tmp_path / "cfg.yaml"
@@ -1534,7 +1650,7 @@ class TestCli:
             ),
             pytest.param(
                 {"scenarios": [{"kind": "pointwise", "param": "a", "label": "p"}]},
-                "scenario: pointwise param must be a finite number > 0 and < 1, got 'a'",
+                "scenario 'p': pointwise param must be a finite number > 0 and < 1, got 'a'",
                 id="pointwise_param_str",
             ),
             *(
@@ -1546,6 +1662,35 @@ class TestCli:
                 for label, value in (("list", [1]), ("str", "a"))
             ),
             pytest.param({"imputers": [{"id": ["x"]}]}, "imputer ['x']: unknown imputer ['x']", id="id_list"),
+            pytest.param({"segment": []}, "segment: expected a mapping, got []", id="segment_list"),
+            pytest.param({"segment": 0}, "segment: expected a mapping, got 0", id="segment_zero"),
+            pytest.param({"scenarios": ""}, "scenarios: expected a list, got ''", id="scenarios_str"),
+            pytest.param({"scenarios": 0}, "scenarios: expected a list, got 0", id="scenarios_zero"),
+            pytest.param({"scenarios": []}, "config: scenarios must not be empty", id="scenarios_empty"),
+            pytest.param(
+                {"datasets": [{"id": "d", "synth": {**SYNTH_DICT, "components": 0}}]},
+                "synth components: expected a list, got 0",
+                id="components_zero",
+            ),
+            pytest.param(
+                {"datasets": [{"id": None, "synth": SYNTH_DICT}]}, "dataset: missing key 'id'", id="dataset_id_null"
+            ),
+            pytest.param({"datasets": [{"synth": SYNTH_DICT}]}, "dataset: missing key 'id'", id="dataset_id_missing"),
+            pytest.param(
+                {"scenarios": [{"kind": "pointwise", "param": 0.5, "label": None}]},
+                "scenario: missing key 'label'",
+                id="scenario_label_null",
+            ),
+            pytest.param(
+                {"scenarios": [{"kind": "pointwise", "param": p, "label": label} for p, label in ((0.5, "a"), (2, "b"))]},
+                "scenario 'b': pointwise param must be a finite number > 0 and < 1, got 2",
+                id="second_scenario",
+            ),
+            pytest.param(
+                {"imputers": [{"id": "tix_fourier"}, {"id": "tix_fourier", "name": "cov", "params": {"lam": -1}}]},
+                "imputer 'cov': lam must be a finite number >= 0, got -1",
+                id="named_imputer",
+            ),
         ],
     )
     def test_bad_config_value_is_an_error_line_before_any_task(self, tmp_path, capsys, monkeypatch, change, message):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from tixbench import (
     ridge_fit,
     znorm_mae,
 )
+from tixbench import imputers
 from tixbench.imputers import _time_basis
 from conftest import make_segment
 
@@ -385,3 +387,30 @@ class TestContract:
                 point=np.array([1.0]),
                 quantiles={0.1: np.array([2.0]), 0.9: np.array([1.0])},
             )
+
+
+def test_params_table_matches_the_imputer_signatures():
+    # The declared table of params each id takes cannot drift from the
+    # keyword parameters of the function the id binds them to.
+    def keywords(fn):
+        return set(list(inspect.signature(fn).parameters)[1:])
+
+    derived = {imputer_id: keywords(fn) for imputer_id, fn in imputers._LOCAL_IMPUTERS.items()}
+    derived["covar_ridge"] = keywords(imputers.impute_covariate_ridge)
+    for tix_id, (_, basis_keys) in imputers._TIX_BASES.items():
+        derived[tix_id] = keywords(imputers.impute_time_indexed) - {"fspec", "quantile_levels"} | set(basis_keys)
+        derived[f"{tix_id}_q"] = derived[tix_id] | {"quantile_levels"}
+    assert imputers._PARAMS == derived
+    tix_fourier = {"lam", "use_covariates", "periods"}
+    tix_random_basis = {"lam", "use_covariates", "n_random", "freq_range", "basis_seed"}
+    assert imputers._PARAMS == {
+        "linear": set(),
+        "locf": set(),
+        "seasonal_naive": {"season"},
+        "covar_ridge": {"lam"},
+        "tix_fourier": tix_fourier,
+        "tix_fourier_q": tix_fourier | {"quantile_levels"},
+        "tix_random_basis": tix_random_basis,
+        "tix_random_basis_q": tix_random_basis | {"quantile_levels"},
+    }
+    assert not hasattr(imputers, "inspect")
