@@ -29,7 +29,7 @@ import yaml
 from . import __version__
 from .core import FrequencySpec, TimeSeries, _check_window, _split_fractions, chrono_split, extract_segments
 from .core import floored_std, real_number, sequence, whole_number
-from .imputers import make_imputer
+from .imputers import _checked_params, make_imputer
 from .masking import DEFAULT_SCENARIOS, InfeasibleScenario, Scenario, apply_scenario
 from .metrics import ScoreRecord, aggregate, average_ranks, wql, znorm_mae
 from .synth import Component, SynthSpec
@@ -69,6 +69,8 @@ class DatasetSpec:
     min_std_filter: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.id is None:
+            raise ValueError("dataset id must not be None")
         object.__setattr__(self, "id", str(self.id))
         columns = sequence(self.covariate_columns, "covariate_columns")
         object.__setattr__(self, "covariate_columns", tuple(columns))
@@ -87,9 +89,8 @@ class ImputerSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "name", str(self.name or self.id))
-        # Building the imputer once checks the id and each param.
-        object.__setattr__(self, "params", _section(self.params, "params", {}))
-        make_imputer(self.id, **self.params)
+        # Each param as its rule returns it, so that its spelling does not move config_digest.
+        object.__setattr__(self, "params", _checked_params(self.id, _section(self.params, "params", {})))
 
 
 @dataclass(frozen=True)
@@ -252,18 +253,23 @@ def read_csv_columns(path, timestamp_column: str, columns: tuple[str, ...], pref
     columns that start with ``prefix``, when given, are read too. Timestamps
     are integers within int64 or ISO-8601 datetimes, all of one kind (naive and aware
     datetimes are two), and no two equal. An empty cell is missing (NaN); a
-    cell that is not a finite number (``nan`` and ``inf`` included) is an error.
+    cell that is not a finite number (``nan`` and ``inf`` included) is an error,
+    and so is a file that csv cannot parse, named with the line it stopped at.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty file (header row required)")
-        for col in (timestamp_column, *columns):
-            if col not in reader.fieldnames:
-                raise ValueError(f"{path}: missing column {col!r}")
-        if prefix is not None:
-            columns = (*columns, *(c for c in reader.fieldnames if c.startswith(prefix) and c not in columns))
-        rows = list(reader)
+        try:
+            header, rows = reader.fieldnames, list(reader)
+        except csv.Error as err:
+            # The line of the reader under the DictReader: the DictReader's own lags it by one row.
+            raise ValueError(f"{path}: line {reader.reader.line_num}: {err}") from None
+    if header is None:
+        raise ValueError(f"{path}: empty file (header row required)")
+    for col in (timestamp_column, *columns):
+        if col not in header:
+            raise ValueError(f"{path}: missing column {col!r}")
+    if prefix is not None:
+        columns = (*columns, *(c for c in header if c.startswith(prefix) and c not in columns))
     if not rows:
         raise ValueError(f"{path}: no data rows")
 
@@ -489,14 +495,14 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
     before reporting, so any degree of parallelism reproduces the serial
     output byte for byte.
 
-    The tasks run in batches: all in this process at ``jobs`` 1, else about
-    four per pool worker. A batch builds each imputer once, then runs its
-    tasks with numpy's OpenBLAS on one thread; the old count comes back when
-    the batch ends, also on an error. Parallelism comes from
-    ``jobs`` alone. A ``ValueError`` names every dataset that fails to load,
-    and, before any task runs, the grid tick of a missing covariate cell in a
-    scored window under an imputer that reads it. ``jobs`` below 1 is a
-    ``ValueError`` before any dataset loads.
+    The tasks run in batches: all in this process at ``jobs`` 1 or when they
+    form one batch, else about four per pool worker. A batch builds each
+    imputer once, then runs its tasks with numpy's OpenBLAS on one thread;
+    the old count comes back when the batch ends, also on an error.
+    Parallelism comes from ``jobs`` alone. A ``ValueError`` names every
+    dataset that fails to load, and, before any task runs, the grid tick of a
+    missing covariate cell in a scored window under an imputer that reads
+    it. ``jobs`` below 1 is a ``ValueError`` before any dataset loads.
     """
     jobs = whole_number(jobs, "jobs", least=1)
     failures: dict[str, str] = {}
@@ -541,13 +547,13 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
                     )
             windows.append((ds.id, segment, config.scenarios, test.start))
 
-    if jobs > 1 and windows:
-        # Imported here: a serial run never loads multiprocessing.
+    # About four batches of whole windows per worker: fewer round trips, still balanced.
+    size = max(1, math.ceil(len(windows) / (4 * jobs)))
+    chunks = [windows[i : i + size] for i in range(0, len(windows), size)]
+    if jobs > 1 and len(chunks) > 1:
+        # Imported here: a serial run, or one of a single batch, never loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        # About four batches of whole windows per worker: fewer round trips, still balanced.
-        size = max(1, math.ceil(len(windows) / (4 * jobs)))
-        chunks = [windows[i : i + size] for i in range(0, len(windows), size)]
         # The pool starts all its workers at the first submit, so it gets no more than there are batches.
         with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             batches = list(pool.map(partial(_score_tasks, config.seed, config.imputers), chunks))

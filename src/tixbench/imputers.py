@@ -226,9 +226,9 @@ def _quantile_levels(levels) -> tuple[float, ...]:
 _COUNTS = {"season": 1, "basis_seed": 0}
 
 
-def make_imputer(imputer_id: str, **params) -> Callable[[list[Segment]], list[Imputation]]:
-    """Look up an imputer by registry id and bind its params; an unknown id or param or a bad value is a ValueError.
-    The imputer maps the masked copies of one window to one ``Imputation`` each, in their order."""
+def _checked_params(imputer_id: str, params: dict) -> dict:
+    """``params`` of an entry of ``imputer_id``, each replaced by what its rule returns, a basis param by what
+    ``FeatureSpec`` stores; no default is added. An unknown id or param or a bad value is a ValueError."""
     if not isinstance(imputer_id, str) or imputer_id not in _PARAMS:
         raise ValueError(f"unknown imputer {imputer_id!r}")
     unknown = sorted(params.keys() - _PARAMS[imputer_id])
@@ -243,6 +243,17 @@ def make_imputer(imputer_id: str, **params) -> Callable[[list[Segment]], list[Im
         params["quantile_levels"] = _quantile_levels(params["quantile_levels"])
     if not isinstance(params.get("use_covariates", False), bool):
         raise ValueError(f"use_covariates must be true or false, got {params['use_covariates']!r}")
+    if imputer_id.startswith("tix_"):
+        kind, basis_keys = _TIX_BASES[imputer_id.removesuffix("_q")]
+        fspec = FeatureSpec(kind, **{field: params[key] for key, field in basis_keys.items() if key in params})
+        params.update({key: getattr(fspec, field) for key, field in basis_keys.items() if key in params})
+    return params
+
+
+def make_imputer(imputer_id: str, **params) -> Callable[[list[Segment]], list[Imputation]]:
+    """Look up an imputer by registry id and bind its params; an unknown id or param or a bad value is a ValueError.
+    The imputer maps the masked copies of one window to one ``Imputation`` each, in their order."""
+    params = _checked_params(imputer_id, params)
     if imputer_id == "covar_ridge":
         return functools.partial(impute_covariate_ridge, **params)
     if imputer_id in _LOCAL_IMPUTERS:

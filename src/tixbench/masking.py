@@ -38,6 +38,8 @@ class Scenario:
     label: str
 
     def __post_init__(self) -> None:
+        if self.label is None or not str(self.label):
+            raise ValueError(f"scenario label must be nonempty, got {self.label!r}")
         object.__setattr__(self, "label", str(self.label))
         if self.kind not in (POINTWISE, BLOCKS):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
@@ -45,8 +47,6 @@ class Scenario:
             object.__setattr__(self, "param", real_number(self.param, "pointwise param", above=0, below=1))
         if self.kind == BLOCKS:
             object.__setattr__(self, "param", whole_number(self.param, "blocks param", least=1))
-        if not self.label:
-            raise ValueError("scenario label must be nonempty")
 
 
 DEFAULT_SCENARIOS: tuple[Scenario, ...] = (

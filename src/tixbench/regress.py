@@ -89,18 +89,12 @@ def _inputs(X, y, lam: float) -> tuple[np.ndarray, np.ndarray]:
     return X, _target(y, len(X), lam)
 
 
-def _standardize(X: np.ndarray, y: np.ndarray):
-    """The columns of ``X`` and the target ``y``, centred and scaled (std
-    floored), and the map from coefficients and intercepts on them back to
-    original units."""
-    mx, my = X.mean(axis=0), float(np.mean(y))
-    sx, sy = np.maximum(X.std(axis=0), STD_FLOOR), floored_std(y)
-
-    def to_original(c: np.ndarray, b):
-        w = c * sy / sx
-        return w, my + sy * b - w @ mx
-
-    return (X - mx) / sx, (y - my) / sy, to_original
+def _in_original_units(c: np.ndarray, b, mx, sx, my, sy, single: bool) -> LinearModel:
+    """Heads fitted on columns and target standardized by means ``mx``, ``my`` and floored stds ``sx``, ``sy`` (per
+    head, or shared), coefficients ``c`` (heads, d) and intercepts ``b``, in original units; one head if ``single``."""
+    w = c * np.reshape(sy, (-1, 1)) / sx
+    b = my + sy * b - np.sum(w * mx, axis=1)
+    return LinearModel(w[0], float(b[0])) if single else LinearModel(w, b)
 
 
 def centred_gram(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -174,10 +168,7 @@ def ridge_fit(X, y, lam: float = DEFAULT_LAMBDA, *, mask=None, gram=None) -> Lin
         ws[t] = np.linalg.lstsq(A[t], rhs[t], rcond=None)[0]
         if not np.linalg.norm(A[t] @ ws[t] - rhs[t]) <= tol[t]:
             raise np.linalg.LinAlgError("normal equations solve did not converge")
-
-    w = ws * sy[:, None] / sx
-    b = my - np.sum(w * mx, axis=1)
-    return LinearModel(w, b) if stacked else LinearModel(w[0], float(b[0]))
+    return _in_original_units(ws, 0.0, mx, sx, my, sy, not stacked)
 
 
 def predict(model: LinearModel, X) -> np.ndarray:
@@ -222,8 +213,10 @@ def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel:
     if levels.ndim != 1 or not len(levels) or not np.all((levels > 0.0) & (levels < 1.0)):
         raise ValueError("alpha must be one level or a sequence of levels, each strictly in (0, 1)")
     X, y = _inputs(X, y, lam)
-    Xs, ys, to_original = _standardize(X, y)
-    U, S, Vt = np.linalg.svd(Xs, full_matrices=False)
+    mx, my = X.mean(axis=0), float(np.mean(y))
+    sx, sy = np.maximum(X.std(axis=0), STD_FLOOR), floored_std(y)
+    U, S, Vt = np.linalg.svd((X - mx) / sx, full_matrices=False)
+    ys = (y - my) / sy
     r = int(np.sum(S > 1e-12 * S.max(initial=0.0)))
     n = len(ys)
     Z = np.column_stack([U[:, :r] * S[:r], np.ones(n)])
@@ -279,9 +272,7 @@ def pinball_fit(X, y, alpha, lam: float = DEFAULT_LAMBDA) -> LinearModel:
         x += t * dx
         w += t * dw
     solved[active] = beta
-
-    w, b = to_original(solved[:, :-1] @ Vt[:r], solved[:, -1])
-    return LinearModel(w[0], float(b[0])) if np.ndim(alpha) == 0 else LinearModel(w, b)
+    return _in_original_units(solved[:, :-1] @ Vt[:r], solved[:, -1], mx, sx, my, sy, np.ndim(alpha) == 0)
 
 
 def enforce_noncrossing(quantile_predictions: dict[float, np.ndarray]) -> dict[float, np.ndarray]:

@@ -300,6 +300,32 @@ class TestIngest:
         assert capsys.readouterr().err == f"error: dataset ingestion failed\n  wide: {message}\n"
 
     @pytest.mark.parametrize(
+        "text, line",
+        [
+            pytest.param("timestamp,value\n0,{big}\n", 2, id="first_row"),
+            pytest.param("timestamp,value\n0,1.0\n1,{big}\n", 3, id="second_row"),
+            # A quoted cell runs over two lines; csv stops on the second.
+            pytest.param('timestamp,value\n0,"1\n{big}"\n', 3, id="quoted_over_two_lines"),
+            pytest.param("{big},value\n0,1.0\n", 1, id="header"),
+        ],
+    )
+    def test_field_over_the_csv_limit_names_file_and_line(self, tmp_path, capsys, text, line):
+        # A cell one character over csv's field size limit: both commands end
+        # in one error line naming the file and the line, not a traceback.
+        limit = csv.field_size_limit()
+        path = tmp_path / "wide.csv"
+        path.write_text(text.format(big="1" * (limit + 1)))
+        message = f"{path}: line {line}: field larger than field limit ({limit})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ingest_csv(path, HOURLY)
+        assert cli_main(["score", str(path), str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        cfg = {"datasets": [{"id": "wide", "path": str(path), "steps_per_day": 24}], "imputers": [{"id": "linear"}]}
+        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump({**cfg, "output_dir": str(tmp_path / "out")}))
+        assert cli_main(["run", str(tmp_path / "cfg.yaml")]) == 1
+        assert capsys.readouterr() == ("", f"error: dataset ingestion failed\n  wide: {message}\n")
+
+    @pytest.mark.parametrize(
         "stamps, grid",
         [
             pytest.param([0, 100_000_000], 100_000_001, id="ticks"),
@@ -565,6 +591,24 @@ class TestRunConfig:
         )
         assert config_digest(built) == config_digest(from_yaml)
 
+    @pytest.mark.parametrize(
+        "imputer_id, written, respelled",
+        [
+            ("tix_fourier", {"lam": 10}, {"lam": 10.0}),
+            ("seasonal_naive", {"season": 24}, {"season": 24.0}),
+            ("tix_random_basis", {"n_random": 8}, {"n_random": 8.0}),
+            ("tix_random_basis_q", {"freq_range": [1, 60]}, {"freq_range": (1.0, 60.0)}),
+        ],
+    )
+    def test_respelled_imputer_params_digest_alike(self, imputer_id, written, respelled):
+        # A spec keeps each param as its rule returns it, whether loaded or built in Python, and adds no default.
+        def config(params):
+            return config_from_dict({**RUN_DICT, "imputers": [{"id": imputer_id, "params": params}]})
+
+        assert config_digest(config(written)) == config_digest(config(respelled))
+        assert ImputerSpec(imputer_id, params=written).params == config(respelled).imputers[0].params
+        assert config(written).imputers[0].params.keys() == written.keys()
+
     CSV_ONLY = {
         "steps_per_day": 48,
         "seasonal_period": 12,
@@ -621,6 +665,10 @@ class TestRunConfig:
         freq = from_floats.datasets[0].synth.freq
         counts = (freq.steps_per_day, freq.steps_per_week, freq.seasonal_period, from_floats.segment_len_days)
         assert [type(v) for v in counts] == [int] * 4
+
+    def test_dataset_id_none_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="^dataset id must not be None$"):
+            DatasetSpec(id=None, synth=synth_from_dict(SYNTH_DICT))
 
     def test_dataset_needs_source(self):
         with pytest.raises(ValueError, match="exactly one of path or synth"):
@@ -697,6 +745,10 @@ class TestRun:
         # With every window filtered out there is no batch, and no pool.
         filtered = replace(config, datasets=(replace(config.datasets[0], min_std_filter=100.0),))
         assert run(filtered, jobs=16).records == ()
+        # One window is one batch, which scores in this process, also at jobs=2.
+        ds = config.datasets[0]
+        one = replace(config, datasets=(replace(ds, synth=replace(ds.synth, length_days=150)),))
+        assert sum(r.scenario_label == "pointwise1" for r in run(one, jobs=2).records) == 1
         assert opened == [2]
 
     def test_ingestion_failure_collects_all(self, tmp_path):

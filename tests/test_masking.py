@@ -29,6 +29,12 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario("pointwise", 0.0, "x")
 
+    @pytest.mark.parametrize("label", [None, ""])
+    def test_label_must_be_a_nonempty_name(self, label):
+        # None is refused, not stored as the string 'None'.
+        with pytest.raises(ValueError, match=f"^scenario label must be nonempty, got {label!r}$"):
+            Scenario("pointwise", 0.5, label)
+
     def test_blocks_must_be_whole_days(self):
         with pytest.raises(ValueError):
             Scenario("blocks", 1.5, "x")
