@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -57,11 +58,23 @@ def _cmd_synth(args) -> int:
 def _cmd_score(args) -> int:
     truth_stamps, truth = read_csv_columns(args.truth, args.timestamp_column, (args.value_column,))
     pred_stamps, pred = read_csv_columns(args.pred, args.timestamp_column, (args.value_column,), prefix="q0.")
+    point = pred.pop(args.value_column)
+    columns: dict[float, str] = {}  # the quantile columns by the level each names
+    for column in pred:
+        try:
+            level = float(column[1:])
+        except ValueError:
+            level = math.nan
+        if not 0 < level < 1:
+            raise ValueError(f"{args.pred}: quantile column {column!r} names no level strictly between 0 and 1")
+        if level in columns:
+            raise ValueError(f"{args.pred}: quantile columns {columns[level]!r} and {column!r} name one level, {level}")
+        columns[level] = column
     # Rows pair by equal parsed timestamps; a pair is scored when both values are present.
     pred_row = {s: i for i, s in enumerate(pred_stamps)}
     pairs = [(i, pred_row[s]) for i, s in enumerate(truth_stamps) if s in pred_row]
     ti, pi = np.array(pairs, dtype=int).reshape(-1, 2).T
-    t, p = truth[args.value_column][ti], pred.pop(args.value_column)[pi]
+    t, p = truth[args.value_column][ti], point[pi]
     scored = ~np.isnan(t) & ~np.isnan(p)
     if not scored.any():
         print("error: no overlapping scored timestamps", file=sys.stderr)
@@ -74,7 +87,7 @@ def _cmd_score(args) -> int:
         "znorm_mae": znorm_mae(t, p, std),
         "truth_std": std,
     }
-    levels = {float(c[1:]): q[pi] for c, q in pred.items() if not np.isnan(q[pi]).any()}
+    levels = {level: pred[c][pi] for level, c in columns.items() if not np.isnan(pred[c][pi]).any()}
     # wql divides by the truth's absolute sum, so an all-zero truth leaves it out.
     if levels and t.any():
         result["wql"] = wql_metric(levels, t)

@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from numbers import Integral, Real
-from operator import ge, gt, lt
+from operator import ge, gt, le, lt
 
 import numpy as np
 
@@ -28,12 +28,19 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def whole_number(value, name: str, least: int | None = None) -> int:
-    """``value``, an integer or an integral float (24.0 is 24) of at least ``least`` if given, as an int;
-    anything else, a bool, NaN or an infinity included, is a ``ValueError`` naming ``name``."""
+def _bounds(least=None, above=None, below=None, most=None) -> list[tuple]:
+    """The (text, compare, bound) of each bound given: ``>= least``, ``> above``, ``< below``, ``<= most``."""
+    checks = ((">=", ge, least), (">", gt, above), ("<", lt, below), ("<=", le, most))
+    return [(f" {op} {bound}", compare, bound) for op, compare, bound in checks if bound is not None]
+
+
+def whole_number(value, name: str, least: int | None = None, most: int | None = None) -> int:
+    """``value``, an integer or an integral float (24.0 is 24) within each bound given (>= ``least``, <= ``most``),
+    as an int; anything else, a bool, NaN or an infinity included, is a ``ValueError`` naming ``name``."""
     count = int(value) if isinstance(value, float) and value.is_integer() else value
-    if isinstance(count, bool) or not isinstance(count, Integral) or (least is not None and count < least):
-        raise ValueError(f"{name} must be a whole number{'' if least is None else f' >= {least}'}, got {value!r}")
+    bounds = _bounds(least=least, most=most)
+    if isinstance(count, bool) or not isinstance(count, Integral) or not all(c(count, b) for _, c, b in bounds):
+        raise ValueError(f"{name} must be a whole number{' and'.join(text for text, _, _ in bounds)}, got {value!r}")
     return int(count)
 
 
@@ -42,8 +49,7 @@ def real_number(value, name: str, least=None, above=None, below=None) -> float:
     a bool, string, None, sequence, NaN, infinity or int too large for a float is a ``ValueError`` naming ``name``."""
     # abs() compares even an int too large for a float exactly, and no NaN or infinity passes it.
     real = isinstance(value, Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-    checks = ((">=", ge, least), (">", gt, above), ("<", lt, below))
-    bounds = [(f" {op} {bound}", compare, bound) for op, compare, bound in checks if bound is not None]
+    bounds = _bounds(least, above, below)
     if not real or not all(compare(value, bound) for _, compare, bound in bounds):
         raise ValueError(f"{name} must be a finite number{' and'.join(text for text, _, _ in bounds)}, got {value!r}")
     return float(value)

@@ -21,6 +21,9 @@ from .core import FrequencySpec, real_number, sequence, whole_number
 
 HANDCRAFTED_FOURIER = "handcrafted_fourier"
 RANDOM_FOURIER = "random_fourier"
+# The widest random basis: at n_random = 1024 a window's d = 2049 columns give its stack of four d x d ridge
+# systems (one per default scenario) 4 * 2049**2 * 8 bytes = 134 MB; n_random = 20000 would ask 12.8 GB a Gram.
+MAX_N_RANDOM = 1024
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,7 @@ class FeatureSpec:
         lo = real_number(lo, "freq_range", above=0)
         object.__setattr__(self, "freq_range", (lo, real_number(hi, "freq_range", above=lo)))
         if self.kind == RANDOM_FOURIER:
-            object.__setattr__(self, "n_random", whole_number(self.n_random, "n_random", least=1))
+            object.__setattr__(self, "n_random", whole_number(self.n_random, "n_random", 1, MAX_N_RANDOM))
             object.__setattr__(self, "seed", whole_number(self.seed, "seed", least=0))
 
 

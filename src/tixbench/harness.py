@@ -31,7 +31,7 @@ from .core import FrequencySpec, TimeSeries, _check_window, _split_fractions, ch
 from .core import floored_std, real_number, sequence, whole_number
 from .imputers import _checked_params, make_imputer
 from .masking import DEFAULT_SCENARIOS, InfeasibleScenario, Scenario, apply_scenario
-from .metrics import ScoreRecord, aggregate, average_ranks, wql, znorm_mae
+from .metrics import ScoreRecord, _task_table, aggregate, average_ranks, wql, znorm_mae
 from .synth import Component, SynthSpec
 from .synth import generate as synth_generate
 
@@ -249,12 +249,11 @@ def config_digest(config: RunConfig) -> str:
 def read_csv_columns(path, timestamp_column: str, columns: tuple[str, ...], prefix: str | None = None):
     """The sorted timestamps of a comma-separated file, and one float array per column in their order.
 
-    The header must name ``timestamp_column`` and each of ``columns``; header
-    columns that start with ``prefix``, when given, are read too. Timestamps
-    are integers within int64 or ISO-8601 datetimes, all of one kind (naive and aware
-    datetimes are two), and no two equal. An empty cell is missing (NaN); a
-    cell that is not a finite number (``nan`` and ``inf`` included) is an error,
-    and so is a file that csv cannot parse, named with the line it stopped at.
+    The header must name ``timestamp_column`` and each of ``columns``; header columns that start with
+    ``prefix``, when given, are read too. A column read must be named once. Timestamps are integers
+    within int64 or ISO-8601 datetimes, all of one kind (naive and aware datetimes are two), and no two
+    equal. An empty cell is missing (NaN); a cell that is not a finite number (``nan`` and ``inf``
+    included) is an error, and so is a file that csv cannot parse, named with the line it stopped at.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -265,11 +264,11 @@ def read_csv_columns(path, timestamp_column: str, columns: tuple[str, ...], pref
             raise ValueError(f"{path}: line {reader.reader.line_num}: {err}") from None
     if header is None:
         raise ValueError(f"{path}: empty file (header row required)")
-    for col in (timestamp_column, *columns):
-        if col not in header:
-            raise ValueError(f"{path}: missing column {col!r}")
     if prefix is not None:
         columns = (*columns, *(c for c in header if c.startswith(prefix) and c not in columns))
+    for col in (timestamp_column, *columns):
+        if header.count(col) != 1:
+            raise ValueError(f"{path}: {'repeated' if col in header else 'missing'} column {col!r}")
     if not rows:
         raise ValueError(f"{path}: no data rows")
 
@@ -638,11 +637,8 @@ def report(records, aggregates, ranks, output_dir, meta: dict | None = None) -> 
 
 
 def _render_markdown(aggregates, ranks, meta) -> str:
-    cells = [a for a in aggregates if a.get("level", "dataset_scenario") == "dataset_scenario"]
-    imputers = sorted({a["imputer_id"] for a in cells})
-    table: dict[tuple[str, str], dict[str, float]] = {}
-    for a in cells:
-        table.setdefault((a["dataset"], a["scenario_label"]), {})[a["imputer_id"]] = a["mae"]
+    table = _task_table(a for a in aggregates if a.get("level", "dataset_scenario") == "dataset_scenario")
+    imputers = sorted({name for row in table.values() for name in row})
 
     lines = ["# Imputation benchmark report", ""]
     for note in meta.get("notes", []):
@@ -654,23 +650,10 @@ def _render_markdown(aggregates, ranks, meta) -> str:
     lines.append("")
     lines.append("| dataset | scenario | " + " | ".join(imputers) + " |")
     lines.append("|---|---|" + "---|" * len(imputers))
-    for (dataset, scenario) in sorted(table):
-        row = table[(dataset, scenario)]
-        values = [row.get(name) for name in imputers]
-        present = sorted(v for v in values if v is not None)
-        best = present[0] if present else None
-        second = present[1] if len(present) > 1 else None
-        rendered = []
-        for v in values:
-            if v is None:
-                rendered.append("")
-            elif v == best:
-                rendered.append(f"**{v:.4f}**")
-            elif v == second:
-                rendered.append(f"<u>{v:.4f}</u>")
-            else:
-                rendered.append(f"{v:.4f}")
-        lines.append(f"| {dataset} | {scenario} | " + " | ".join(rendered) + " |")
+    formats = ("**{:.4f}**", "<u>{:.4f}</u>", "{:.4f}")  # by how many scores of the row are lower: 0, 1, more
+    for (dataset, scenario), row in sorted(table.items()):
+        marked = {name: formats[min(sum(s < v for s in row.values()), 2)].format(v) for name, v in row.items()}
+        lines.append(f"| {dataset} | {scenario} | " + " | ".join(marked.get(name, "") for name in imputers) + " |")
     lines.append("")
     if ranks:
         lines.append(f"## Average ranks ({meta.get('rank_metric', 'mae')}, lower is better)")

@@ -39,7 +39,7 @@ DEFAULT_QUANTILE_LEVELS: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7,
 class Imputation:
     """Point (and optionally quantile) estimates at the evaluated positions.
 
-    Values are in original (denormalized) units, ordered by ascending
+    Values are finite, in original (denormalized) units, ordered by ascending
     timestamp of the evaluation positions. Quantile vectors, when present,
     are non-crossing at every timestamp.
     """
@@ -49,11 +49,11 @@ class Imputation:
 
     def __post_init__(self) -> None:
         pt = np.asarray(self.point, dtype=float)
+        qs = {float(a): np.asarray(v, dtype=float) for a, v in (self.quantiles or {}).items()}
         object.__setattr__(self, "point", pt)
-        if not np.all(np.isfinite(pt)):
+        if not all(np.all(np.isfinite(v)) for v in (pt, *qs.values())):
             raise ValueError("imputed values must be finite")
         if self.quantiles is not None:
-            qs = {float(a): np.asarray(v, dtype=float) for a, v in self.quantiles.items()}
             object.__setattr__(self, "quantiles", qs)
             alphas = sorted(qs)
             for a in alphas:

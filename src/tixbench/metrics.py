@@ -111,6 +111,15 @@ def _mid_ranks(values: np.ndarray) -> np.ndarray:
     return 1 + below + (ties - 1) / 2
 
 
+def _task_table(rows: Iterable[dict], metric: str = "mae") -> dict[tuple[str, str], dict[str, float | None]]:
+    """``{(dataset, scenario_label): {imputer_id: score}}`` from rows holding one ``metric`` score per
+    (dataset, scenario_label, imputer_id): the per-task table that ranks and report marks read."""
+    table: dict[tuple[str, str], dict[str, float | None]] = {}
+    for row in rows:
+        table.setdefault((row["dataset"], row["scenario_label"]), {})[row["imputer_id"]] = row[metric]
+    return table
+
+
 def average_ranks(records: Iterable, metric: str = "mae") -> dict[str, float]:
     """Mean rank per imputer across all (dataset, scenario) tasks.
 
@@ -120,25 +129,12 @@ def average_ranks(records: Iterable, metric: str = "mae") -> dict[str, float]:
     """
     if metric not in ("mae", "wql"):
         raise ValueError("metric must be 'mae' or 'wql'")
-    cells = aggregate(records, ("dataset", "scenario_label", "imputer_id"))
-    tasks: dict[tuple, dict[str, float]] = {}
-    imputers: set[str] = set()
-    for row in cells:
-        val = row[metric]
-        if val is None:
-            raise ValueError("incomplete score matrix")
-        tasks.setdefault((row["dataset"], row["scenario_label"]), {})[row["imputer_id"]] = val
-        imputers.add(row["imputer_id"])
-    order = sorted(imputers)
-    totals = {name: 0.0 for name in order}
-    for key in sorted(tasks):
-        scores = tasks[key]
-        if set(scores) != imputers:
-            raise ValueError("incomplete score matrix")
-        ranks = _mid_ranks(np.array([scores[name] for name in order]))
-        for name, rank in zip(order, ranks):
-            totals[name] += float(rank)
-    n_tasks = len(tasks)
-    if n_tasks == 0:
+    table = _task_table(aggregate(records, ("dataset", "scenario_label", "imputer_id")), metric)
+    order = sorted({name for scores in table.values() for name in scores})
+    if any(len(scores) < len(order) or None in scores.values() for scores in table.values()):
+        raise ValueError("incomplete score matrix")
+    if not table:
         return {}
-    return {name: totals[name] / n_tasks for name in order}
+    # Ranks are multiples of 1/2, so their sums, and so the means, are exact in any order.
+    ranks = np.mean([_mid_ranks(np.array([scores[name] for name in order])) for scores in table.values()], axis=0)
+    return dict(zip(order, ranks.tolist()))

@@ -33,6 +33,12 @@ class TestWholeNumber:
         with pytest.raises(ValueError, match=r"^n must be a whole number >= 1, got "):
             whole_number(value, "n", least=1)
 
+    @pytest.mark.parametrize("value", [5, 5.0, 10**400, float("inf")], ids=["int", "float", "huge_int", "inf"])
+    def test_most_bounds_from_above(self, value):
+        assert whole_number(4.0, "n", least=1, most=4) == 4
+        with pytest.raises(ValueError, match=r"^n must be a whole number >= 1 and <= 4, got "):
+            whole_number(value, "n", least=1, most=4)
+
     def test_no_least_admits_negatives(self):
         assert whole_number(-3, "n") == -3
         with pytest.raises(ValueError, match=r"^n must be a whole number, got 0.5$"):

@@ -14,6 +14,7 @@ from tixbench import (
     predict,
     stack_covariates,
 )
+from tixbench.features import MAX_N_RANDOM
 from conftest import HOURLY
 
 
@@ -66,6 +67,11 @@ class TestRandomFourier:
     def test_zero_components_rejected(self):
         with pytest.raises(ValueError):
             FeatureSpec(kind="random_fourier", n_random=0)
+
+    def test_width_bounded_by_max_n_random(self):
+        assert FeatureSpec(kind="random_fourier", n_random=MAX_N_RANDOM).n_random == 1024
+        with pytest.raises(ValueError, match=r"^n_random must be a whole number >= 1 and <= 1024, got 1025$"):
+            FeatureSpec(kind="random_fourier", n_random=MAX_N_RANDOM + 1)
 
     def test_deterministic_per_spec(self):
         spec = FeatureSpec(kind="random_fourier", n_random=8, seed=13)

@@ -37,6 +37,7 @@ from tixbench import (
     generate,
     harness,
     impute_linear,
+    imputers,
     make_imputer,
 )
 from tixbench.cli import main as cli_main
@@ -324,6 +325,35 @@ class TestIngest:
         (tmp_path / "cfg.yaml").write_text(yaml.safe_dump({**cfg, "output_dir": str(tmp_path / "out")}))
         assert cli_main(["run", str(tmp_path / "cfg.yaml")]) == 1
         assert capsys.readouterr() == ("", f"error: dataset ingestion failed\n  wide: {message}\n")
+
+    @pytest.mark.parametrize(
+        "header, dataset, commands",
+        [
+            pytest.param(("timestamp", "value", "value"), {}, ("score", "run"), id="value"),
+            pytest.param(("timestamp", "value", "timestamp"), {}, ("score", "run"), id="timestamp"),
+            pytest.param(("timestamp", "value", "temp", "temp"), {"covariate_columns": ["temp"]}, ("run",), id="covariate"),
+            pytest.param(("timestamp", "value", "q0.9", "q0.9"), {}, ("score",), id="quantile"),
+        ],
+    )
+    def test_repeated_column_read_names_file_and_column(self, tmp_path, capsys, header, dataset, commands):
+        # csv.DictReader would read a repeated name from its last copy: score would
+        # take the second value column, whose errors differ from the first's.
+        path = write_csv(tmp_path / "d.csv", [[t, *range(len(header) - 1)] for t in range(2)], header)
+        message = f"{path}: repeated column {header[-1]!r}"
+        truth = write_csv(tmp_path / "t.csv", [[0, 0.0], [1, 0.0]])
+        cfg = {"datasets": [{"id": "d", "path": str(path), "steps_per_day": 24, **dataset}], "imputers": [{"id": "linear"}]}
+        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump({**cfg, "output_dir": str(tmp_path / "out")}))
+        argv = {"score": ["score", str(truth), str(path)], "run": ["run", str(tmp_path / "cfg.yaml")]}
+        expected = {"score": f"error: {message}\n", "run": f"error: dataset ingestion failed\n  d: {message}\n"}
+        for command in commands:
+            assert cli_main(argv[command]) == 1
+            assert capsys.readouterr() == ("", expected[command])
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_column_not_read_is_no_error(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "d.csv", [[0, 1.0, 5, 6], [1, 2.0, 7, 8]], ("timestamp", "value", "note", "note"))
+        assert cli_main(["score", str(path), str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["mae"] == 0.0
 
     @pytest.mark.parametrize(
         "stamps, grid",
@@ -1232,6 +1262,28 @@ class TestReport:
         assert "<u>0.2000</u>" in table_line
         assert "| 0.3000 |" in table_line
 
+    @pytest.mark.parametrize(
+        "scores, line",
+        [
+            pytest.param({"a": 0.1, "b": 0.1, "c": 0.3}, "| d | s | **0.1000** | **0.1000** | 0.3000 |", id="tied_best"),
+            pytest.param(
+                {"a": 0.1, "b": 0.2, "c": 0.2}, "| d | s | **0.1000** | <u>0.2000</u> | <u>0.2000</u> |", id="tied_second"
+            ),
+            pytest.param({"a": 0.2, "c": 0.1}, "| d | s | <u>0.2000</u> |  | **0.1000** |", id="missing_cell"),
+        ],
+    )
+    def test_best_marking_under_ties_and_gaps(self, tmp_path, scores, line):
+        # A score with no score of its row lower is bold, one with exactly one lower is underlined;
+        # a second task gives every imputer a column.
+        rows = [("s", name, mae) for name, mae in scores.items()] + [("t", name, 0.5) for name in "abc"]
+        aggregates = [
+            {"level": "dataset_scenario", "dataset": "d", "scenario_label": s, "imputer_id": name, "mae": mae}
+            for s, name, mae in rows
+        ]
+        paths = report([], aggregates, {}, tmp_path / "out")
+        lines = paths["markdown"].read_text().splitlines()
+        assert [row for row in lines if row.startswith("| d |")] == [line, "| d | t | **0.5000** | **0.5000** | **0.5000** |"]
+
     def test_random_basis_caveat_recorded(self, tmp_path):
         config = demo_config(tmp_path, imputers=[{"id": "tix_random_basis"}, {"id": "linear"}])
         bench = run(config)
@@ -1482,19 +1534,23 @@ class TestCli:
         assert capsys.readouterr() == ("", "error: no overlapping scored timestamps\n")
 
     @pytest.mark.parametrize(
-        "level, message",
-        [("q0.0", "alpha must lie strictly in (0, 1)"), ("q0.x", "could not convert string to float: '0.x'")],
+        "levels, message",
+        [
+            pytest.param(("q0.0", "q0.9"), "quantile column 'q0.0' names no level strictly between 0 and 1", id="q0.0"),
+            pytest.param(("q0.x", "q0.9"), "quantile column 'q0.x' names no level strictly between 0 and 1", id="q0.x"),
+            pytest.param(("q0.1", "q0.10"), "quantile columns 'q0.1' and 'q0.10' name one level, 0.1", id="q0.1-q0.10"),
+        ],
     )
-    def test_score_with_a_bad_quantile_column_is_an_error_line(self, tmp_path, capsys, level, message):
-        # Beside a valid q0.9, the bad column fails the whole score: no output without its wql.
+    def test_score_with_a_bad_quantile_column_is_an_error_line(self, tmp_path, capsys, levels, message):
+        # Beside a valid column, the bad one fails the whole score: no output without its wql.
         truth = write_csv(tmp_path / "t.csv", [[0, 2.0], [1, 4.0]])
         pred = write_csv(
             tmp_path / "p.csv",
             [[0, 2.0, 1.0, 3.0], [1, 4.0, 3.0, 5.0]],
-            header=("timestamp", "value", level, "q0.9"),
+            header=("timestamp", "value", *levels),
         )
         assert cli_main(["score", str(truth), str(pred)]) == 1
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert capsys.readouterr() == ("", f"error: {pred}: {message}\n")
 
     def test_score_of_an_all_zero_truth_leaves_out_wql(self, tmp_path, capsys):
         # The weighted quantile loss divides by the truth's absolute sum.
@@ -1574,7 +1630,7 @@ class TestCli:
             ),
             pytest.param(
                 {"imputers": [{"id": "tix_random_basis", "params": {"n_random": 4.5}}]},
-                "imputer 'tix_random_basis': n_random must be a whole number >= 1, got 4.5",
+                "imputer 'tix_random_basis': n_random must be a whole number >= 1 and <= 1024, got 4.5",
                 id="n_random",
             ),
             pytest.param(
@@ -1752,6 +1808,21 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.yaml").write_text(yaml.safe_dump({**RUN_DICT, "output_dir": "out", **change}))
         assert cli_main(["run", "cfg.yaml"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+    def test_n_random_above_its_bound_is_an_error_line_before_any_basis(self, tmp_path, capsys, monkeypatch):
+        # n_random sizes a d = 2 * n_random + 1 basis and its d x d Gram: 20000 would ask
+        # 12.8 GB for one. The guard makes a regression fail before it allocates.
+        def no_basis(*args):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr(imputers, "random_fourier_basis", no_basis)
+        monkeypatch.chdir(tmp_path)
+        change = {"imputers": [{"id": "tix_random_basis", "params": {"n_random": 20000}}]}
+        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump({**RUN_DICT, "output_dir": "out", **change}))
+        assert cli_main(["run", "cfg.yaml"]) == 1
+        message = "imputer 'tix_random_basis': n_random must be a whole number >= 1 and <= 1024, got 20000"
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
 

@@ -388,6 +388,14 @@ class TestContract:
                 quantiles={0.1: np.array([2.0]), 0.9: np.array([1.0])},
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_quantiles_rejected_at_construction(self, bad):
+        # A NaN compares false, so the crossing check alone would pass it.
+        from tixbench import Imputation
+
+        with pytest.raises(ValueError, match="^imputed values must be finite$"):
+            Imputation(np.ones(2), {0.1: [bad, 1.0], 0.9: [2.0, 2.0]})
+
 
 def test_params_table_matches_the_imputer_signatures():
     # The declared table of params each id takes cannot drift from the
