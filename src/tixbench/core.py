@@ -189,7 +189,7 @@ def chrono_split(
     fr = _split_fractions(fractions)
     n = len(series)
     if n < 3:
-        raise ValueError("series too short to split")
+        raise ValueError(f"series too short to split: {n} ticks")
     # The 1e-9 nudge keeps exact ratios (e.g. thirds) from landing one short
     # of their integer boundary through float rounding.
     b1 = int(math.floor(n * fr[0] + 1e-9))

@@ -498,53 +498,50 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
     form one batch, else about four per pool worker. A batch builds each
     imputer once, then runs its tasks with numpy's OpenBLAS on one thread;
     the old count comes back when the batch ends, also on an error.
-    Parallelism comes from ``jobs`` alone. A ``ValueError`` names every
-    dataset that fails to load, and, before any task runs, the grid tick of a
-    missing covariate cell in a scored window under an imputer that reads
-    it. ``jobs`` below 1 is a ``ValueError`` before any dataset loads.
+    Parallelism comes from ``jobs`` alone. Before any task runs, one
+    ``ValueError`` names every dataset that cannot run, in order of id, each
+    with its first failure: it fails to load, has no covariate channel for
+    ``covar_ridge``, yields no segment, or has a missing covariate cell (named
+    by its grid tick) in a scored window under an imputer that reads it.
+    ``jobs`` below 1 is a ``ValueError`` before any dataset loads.
     """
     jobs = whole_number(jobs, "jobs", least=1)
-    failures: dict[str, str] = {}
-    loaded: list[tuple[DatasetSpec, TimeSeries]] = []
-    for ds in config.datasets:
-        try:
-            loaded.append((ds, load_dataset(ds)))
-        except Exception as err:
-            failures[ds.id] = str(err)
-    if failures:
-        raise ValueError("dataset ingestion failed" + "".join(f"\n  {k}: {v}" for k, v in sorted(failures.items())))
     # The entries that read every covariate channel of each window they impute.
     readers = [spec for spec in config.imputers if spec.id == "covar_ridge" or spec.params.get("use_covariates")]
     ridge = next((spec for spec in readers if spec.id == "covar_ridge"), None)
+    failures: dict[str, str] = {}
     windows = []
-    for ds, series in loaded:
-        if ridge and not series.covariates:
-            raise ValueError(f"imputer {ridge.name!r} needs a covariate channel, but dataset {ds.id!r} has none")
-        _, _, test = chrono_split(series, config.splits)
-        segments = extract_segments(
-            test,
-            seg_len_days=config.segment_len_days,
-            stride_min_days=config.stride_days[0],
-            stride_max_days=config.stride_days[1],
-            seed=stable_seed(config.seed, ds.id, "segments"),
-        )
-        if not segments:
-            window = config.segment_len_days * test.freq.steps_per_day
-            raise ValueError(
-                f"dataset {ds.id!r} yields no segment: its test slice of {len(test)} ticks holds no"
-                f" {window}-tick ({config.segment_len_days}-day) window with an observed value"
+    for ds in config.datasets:
+        # The except takes what bad input raises, so that a bug still ends in a traceback.
+        try:
+            series = load_dataset(ds)
+            if ridge and not series.covariates:
+                raise ValueError(f"has no covariate channel, which imputer {ridge.name!r} needs")
+            _, _, test = chrono_split(series, config.splits)
+            segments = extract_segments(
+                test, config.segment_len_days, *config.stride_days, seed=stable_seed(config.seed, ds.id, "segments")
             )
-        if ds.min_std_filter > 0:
-            segments = [s for s in segments if floored_std(s.values[s.obs_mask]) >= ds.min_std_filter]
-        for segment in segments:
-            for name in sorted(segment.covariates) if readers else ():
-                gaps = np.flatnonzero(~np.isfinite(segment.covariates[name]))
-                if gaps.size:
-                    raise ValueError(
-                        f"dataset {ds.id!r}: covariate {name!r} has no value at tick"
-                        f" {test.start + segment.start + gaps[0]}, which imputer {readers[0].name!r} reads"
-                    )
-            windows.append((ds.id, segment, config.scenarios, test.start))
+            if not segments:
+                window = config.segment_len_days * test.freq.steps_per_day
+                raise ValueError(
+                    f"its test slice of {len(test)} ticks holds no {window}-tick"
+                    f" ({config.segment_len_days}-day) window with an observed value"
+                )
+            if ds.min_std_filter > 0:
+                segments = [s for s in segments if floored_std(s.values[s.obs_mask]) >= ds.min_std_filter]
+            for segment in segments:
+                for name in sorted(segment.covariates) if readers else ():
+                    gaps = np.flatnonzero(~np.isfinite(segment.covariates[name]))
+                    if gaps.size:
+                        raise ValueError(
+                            f"covariate {name!r} has no value at tick {test.start + segment.start + gaps[0]},"
+                            f" which imputer {readers[0].name!r} reads"
+                        )
+                windows.append((ds.id, segment, config.scenarios, test.start))
+        except (ValueError, OSError, MemoryError) as err:
+            failures[ds.id] = str(err)
+    if failures:
+        raise ValueError("dataset ingestion failed" + "".join(f"\n  {k}: {v}" for k, v in sorted(failures.items())))
 
     # About four batches of whole windows per worker: fewer round trips, still balanced.
     size = max(1, math.ceil(len(windows) / (4 * jobs)))

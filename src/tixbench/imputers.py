@@ -53,6 +53,8 @@ class Imputation:
         object.__setattr__(self, "point", pt)
         if not all(np.all(np.isfinite(v)) for v in (pt, *qs.values())):
             raise ValueError("imputed values must be finite")
+        if not all(0 < a < 1 for a in qs):
+            raise ValueError(f"quantile levels must lie strictly between 0 and 1, got {list(qs)}")
         if self.quantiles is not None:
             object.__setattr__(self, "quantiles", qs)
             alphas = sorted(qs)

@@ -20,6 +20,9 @@ SINE = "sine"
 TREND = "trend"
 NOISE = "noise"
 COVARIATE_LINEAR = "covariate_linear"
+# The most ticks a spec's grid may hold: 1e7 is 80 MB per channel, far above the 4,800 ticks of the demo
+# and the 6,720 of the largest test, so the bound refuses at load only a length too large to generate.
+MAX_SYNTH_TICKS = 10**7
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,8 @@ class SynthSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "length_days", whole_number(self.length_days, "length_days", least=28))
+        most = MAX_SYNTH_TICKS // self.freq.steps_per_day
+        object.__setattr__(self, "length_days", whole_number(self.length_days, "length_days", least=28, most=most))
         object.__setattr__(self, "seed", whole_number(self.seed, "seed", least=0))
         if not self.components:
             raise ValueError("need at least one component")

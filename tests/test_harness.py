@@ -33,6 +33,7 @@ from tixbench import (
     SynthSpec,
     aggregate,
     apply_scenario,
+    cli,
     floored_std,
     generate,
     harness,
@@ -433,7 +434,10 @@ class TestIngest:
         series = ingest_csv(path, HOURLY, covariate_columns=("temp",))
         assert np.isnan(series.covariates["temp"][150])
         monkeypatch.setattr(harness, "_score_tasks", no_task)
-        message = "dataset 'gap': covariate 'temp' has no value at tick 150, which imputer 'covar_ridge' reads"
+        message = (
+            "dataset ingestion failed\n"
+            "  gap: covariate 'temp' has no value at tick 150, which imputer 'covar_ridge' reads"
+        )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run(gap_config(path, [{"id": "linear"}, {"id": "covar_ridge"}]), jobs=jobs)
 
@@ -444,7 +448,10 @@ class TestIngest:
         path = write_csv(tmp_path / "a.csv", gap_rows(stamp, 150), header=("timestamp", "value", "temp"))
         monkeypatch.setattr(harness, "_score_tasks", no_task)
         imputers = [{"id": "tix_fourier"}, {"id": "tix_fourier", "name": "with_cov", "params": {"use_covariates": True}}]
-        message = "dataset 'gap': covariate 'temp' has no value at tick 150, which imputer 'with_cov' reads"
+        message = (
+            "dataset ingestion failed\n"
+            "  gap: covariate 'temp' has no value at tick 150, which imputer 'with_cov' reads"
+        )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run(gap_config(path, imputers))
 
@@ -973,7 +980,7 @@ class TestRun:
         config = config_from_dict(
             {"datasets": [{"id": "d", "synth": synth}], "imputers": [{"id": "linear"}, {"id": "covar_ridge"}]}
         )
-        message = "^imputer 'covar_ridge' needs a covariate channel, but dataset 'd' has none$"
+        message = "^dataset ingestion failed\n  d: has no covariate channel, which imputer 'covar_ridge' needs$"
         with pytest.raises(ValueError, match=message):
             run(config)
 
@@ -988,11 +995,55 @@ class TestRun:
         config = config_from_dict({"datasets": datasets, "imputers": [{"id": "linear"}]})
         _, _, test = harness.chrono_split(harness.load_dataset(config.datasets[1]), config.splits)
         message = (
-            f"^dataset 'short' yields no segment: its test slice of {len(test)} ticks holds no"
+            f"^dataset ingestion failed\n  short: its test slice of {len(test)} ticks holds no"
             r" 672-tick \(28-day\) window with an observed value$"
         )
         with pytest.raises(ValueError, match=message):
             run(config)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_dataset_that_cannot_run_is_named_before_any_task(self, tmp_path, monkeypatch, jobs):
+        # Four ways to fail, listed out of id order: a missing file, a CSV too
+        # short to split, a synth whose test slice holds no 28-day window, and
+        # a covariate gap in a scored window under a use_covariates entry.
+        monkeypatch.setattr(harness, "_score_tasks", no_task)
+        gap = write_csv(tmp_path / "gap.csv", gap_rows(lambda t: t, 150), header=("timestamp", "value", "temp"))
+        pair = write_csv(tmp_path / "pair.csv", [[0, 1.0], [1, 2.0]])
+        datasets = [
+            {"id": "short", "synth": {**SYNTH_DICT, "length_days": 28}},
+            {"id": "pair", "path": str(pair), "steps_per_day": 24},
+            {"id": "gap", "path": str(gap), "steps_per_day": 24, "covariate_columns": ["temp"]},
+            {"id": "ghost", "path": str(tmp_path / "ghost.csv"), "steps_per_day": 24},
+        ]
+        imputers = [{"id": "tix_fourier", "name": "with_cov", "params": {"use_covariates": True}}]
+        config = config_from_dict({"datasets": datasets, "imputers": imputers, "splits": [0.05, 0.05, 0.9]})
+        message = (
+            "dataset ingestion failed\n"
+            "  gap: covariate 'temp' has no value at tick 150, which imputer 'with_cov' reads\n"
+            f"  ghost: [Errno 2] No such file or directory: '{tmp_path / 'ghost.csv'}'\n"
+            "  pair: series too short to split: 2 ticks\n"
+            "  short: its test slice of 605 ticks holds no 672-tick (28-day) window with an observed value"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(config, jobs=jobs)
+
+    def test_incomplete_score_matrix_leaves_ranks_out(self, tmp_path, capsys):
+        # linear gives no quantiles, so wql ranks have a hole in every task:
+        # the run still scores and reports, with a note in place of the ranks.
+        cfg = {
+            "datasets": [{"id": "d", "synth": {**SYNTH_DICT, "length_days": 150}}],
+            "imputers": [{"id": "linear"}, {"id": "tix_fourier_q"}],
+            "rank_metric": "wql",
+            "output_dir": str(tmp_path / "out"),
+        }
+        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(cfg))
+        assert cli_main(["run", str(tmp_path / "cfg.yaml")]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("scored ") and "best average rank" not in out
+        results = json.loads((tmp_path / "out" / "results.json").read_text())
+        assert results["records"] and results["ranks"] == {}
+        assert results["meta"]["notes"][-1] == "ranks unavailable: incomplete score matrix"
+        assert "Average ranks" not in (tmp_path / "out" / "report.md").read_text()
 
 
 def blas_threads() -> list[int]:
@@ -1436,7 +1487,8 @@ class TestCli:
         cfg_path.write_text(yaml.safe_dump(cfg))
         assert cli_main(["run", str(cfg_path)]) == 1
         assert capsys.readouterr().err == (
-            "error: dataset 'gap': covariate 'temp' has no value at tick 150, which imputer 'covar_ridge' reads\n"
+            "error: dataset ingestion failed\n"
+            "  gap: covariate 'temp' has no value at tick 150, which imputer 'covar_ridge' reads\n"
         )
         cfg_path.write_text(yaml.safe_dump({**cfg, "imputers": [{"id": "covar_ridge", "params": {"lamda": 1}}]}))
         assert cli_main(["run", str(cfg_path)]) == 1
@@ -1635,7 +1687,7 @@ class TestCli:
             ),
             pytest.param(
                 {"datasets": [{"id": "d", "synth": {**SYNTH_DICT, "length_days": 150.5}}]},
-                "synth: length_days must be a whole number >= 28, got 150.5",
+                "synth: length_days must be a whole number >= 28 and <= 416666, got 150.5",
                 id="synth_length_days",
             ),
             pytest.param(
@@ -1825,6 +1877,37 @@ class TestCli:
         message = "imputer 'tix_random_basis': n_random must be a whole number >= 1 and <= 1024, got 20000"
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    def test_synth_length_above_its_bound_is_an_error_line_before_a_grid(self, tmp_path, capsys, monkeypatch, command):
+        # length_days * steps_per_day sizes the generated grid: 1e12 days
+        # would ask 175 TiB. The guards make a regression fail before it allocates.
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was generated")
+
+        monkeypatch.setattr(harness, "synth_generate", no_grid)
+        monkeypatch.setattr(cli, "generate", no_grid)
+        monkeypatch.chdir(tmp_path)
+        synth = {**SYNTH_DICT, "length_days": 10**12}
+        run_doc = {**RUN_DICT, "datasets": [{"id": "d", "synth": synth}], "output_dir": "out"}
+        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(run_doc if command == "run" else synth))
+        assert cli_main([command, "cfg.yaml"] + (["-o", "d.csv"] if command == "synth" else [])) == 1
+        message = f"synth: length_days must be a whole number >= 28 and <= 416666, got {10**12}"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+    def test_run_names_a_csv_too_short_to_split(self, tmp_path, capsys):
+        write_csv(tmp_path / "pair.csv", [[0, 1.0], [1, 2.0]])
+        cfg = {
+            "datasets": [{"id": "pair", "path": "pair.csv", "steps_per_day": 24}],
+            "imputers": [{"id": "linear"}],
+            "output_dir": str(tmp_path / "out"),
+        }
+        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(cfg))
+        assert cli_main(["run", str(tmp_path / "cfg.yaml")]) == 1
+        err = "error: dataset ingestion failed\n  pair: series too short to split: 2 ticks\n"
+        assert capsys.readouterr() == ("", err)
+        assert not (tmp_path / "out").exists()
 
     def test_score_rejects_a_non_finite_score(self, tmp_path, capsys):
         # Finite cells whose errors overflow: the score must not print

@@ -396,6 +396,13 @@ class TestContract:
         with pytest.raises(ValueError, match="^imputed values must be finite$"):
             Imputation(np.ones(2), {0.1: [bad, 1.0], 0.9: [2.0, 2.0]})
 
+    @pytest.mark.parametrize("levels", [(1.5, -2), (0.0,), (1.0,), (np.nan,)], ids=["outside", "zero", "one", "nan"])
+    def test_levels_outside_the_open_unit_interval_rejected_at_construction(self, levels):
+        from tixbench import Imputation
+
+        with pytest.raises(ValueError, match="^quantile levels must lie strictly between 0 and 1, got "):
+            Imputation(np.ones(1), {a: [1.0 - i] for i, a in enumerate(levels)})
+
 
 def test_params_table_matches_the_imputer_signatures():
     # The declared table of params each id takes cannot drift from the
