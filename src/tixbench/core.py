@@ -170,9 +170,14 @@ def _split_fractions(fractions) -> tuple[float, float, float]:
     return fr
 
 
+# The most days one segment window may span: 10,000 (27 years), far above the 28 of the demo, the bench and the tests.
+# A longer one is a slip, which would load and end in a no-segment line quoting a window of hundreds of digits.
+MAX_SEGMENT_DAYS = 10_000
+
+
 def _check_window(len_days, stride) -> tuple[int, float, float]:
-    """The day count, a whole number >= 1, and stride range in days, 0 < min <= max, of a config's ``segment``."""
-    days = whole_number(len_days, "segment.len_days", least=1)
+    """A segment's day count, a whole number in [1, MAX_SEGMENT_DAYS], and stride range in days, 0 < min <= max."""
+    days = whole_number(len_days, "segment.len_days", least=1, most=MAX_SEGMENT_DAYS)
     low, high = sequence(stride, "segment.stride", n=2)
     low = real_number(low, "segment.stride", above=0)
     return days, low, real_number(high, "segment.stride", least=low)

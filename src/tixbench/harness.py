@@ -249,31 +249,30 @@ def config_digest(config: RunConfig) -> str:
 def read_csv_columns(path, timestamp_column: str, columns: tuple[str, ...], prefix: str | None = None):
     """The sorted timestamps of a comma-separated file, and one float array per column in their order.
 
-    The header must name ``timestamp_column`` and each of ``columns``; header columns that start with
-    ``prefix``, when given, are read too. A column read must be named once. Timestamps are integers
-    within int64 or ISO-8601 datetimes, all of one kind (naive and aware datetimes are two), and no two
-    equal. An empty cell is missing (NaN); a cell that is not a finite number (``nan`` and ``inf``
-    included) is an error, and so is a file that csv cannot parse, named with the line it stopped at.
+    The header must name ``timestamp_column`` and each of ``columns``; header columns that start with ``prefix``,
+    when given, are read too. A column read must be named once. Timestamps are integers within int64 or ISO-8601
+    datetimes, all of one kind (naive and aware datetimes are two), and no two equal. An empty cell, or one past the
+    end of a short row, is missing (NaN); a cell that is not a finite number (``nan`` and ``inf`` included) is an
+    error, and so, after any header fault, is a file that csv cannot parse, named with the line it stopped at.
     """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            header, rows = reader.fieldnames, list(reader)
+            if (header := next(reader, None)) is None:
+                raise ValueError(f"{path}: empty file (header row required)")
+            if prefix is not None:
+                columns = (*columns, *(c for c in header if c.startswith(prefix) and c not in columns))
+            for col in (timestamp_column, *columns):
+                if header.count(col) != 1:
+                    raise ValueError(f"{path}: {'repeated' if col in header else 'missing'} column {col!r}")
+            at = [header.index(col) for col in (timestamp_column, *columns)]
+            rows = [[row[i].strip() if i < len(row) else "" for i in at] for row in reader if row]
         except csv.Error as err:
-            # The line of the reader under the DictReader: the DictReader's own lags it by one row.
-            raise ValueError(f"{path}: line {reader.reader.line_num}: {err}") from None
-    if header is None:
-        raise ValueError(f"{path}: empty file (header row required)")
-    if prefix is not None:
-        columns = (*columns, *(c for c in header if c.startswith(prefix) and c not in columns))
-    for col in (timestamp_column, *columns):
-        if header.count(col) != 1:
-            raise ValueError(f"{path}: {'repeated' if col in header else 'missing'} column {col!r}")
+            raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
 
-    def _stamp(row):
-        text = (row.get(timestamp_column) or "").strip()
+    def _stamp(text):
         try:
             stamp = int(text)
         except ValueError:
@@ -285,8 +284,7 @@ def read_csv_columns(path, timestamp_column: str, columns: tuple[str, ...], pref
             raise ValueError(f"{path}: timestamp cell {text!r} in column {timestamp_column!r} is beyond int64")
         return stamp
 
-    def _cell(row, col):
-        text = (row.get(col) or "").strip()
+    def _cell(text, col):
         if not text:
             return math.nan
         try:
@@ -297,13 +295,13 @@ def read_csv_columns(path, timestamp_column: str, columns: tuple[str, ...], pref
             raise ValueError(f"{path}: non-finite cell {text!r} in column {col!r}")
         return value
 
-    stamps = [_stamp(r) for r in rows]
+    stamps = [_stamp(r[0]) for r in rows]
     if len({(type(s), getattr(s, "tzinfo", None) is None) for s in stamps}) > 1:
         raise ValueError(f"{path}: mixed timestamp formats")
     if len(set(stamps)) != len(stamps):
         raise ValueError(f"{path}: duplicate timestamps")
     stamps, rows = zip(*sorted(zip(stamps, rows), key=lambda pair: pair[0]))
-    return stamps, {c: np.array([_cell(r, c) for r in rows]) for c in columns}
+    return stamps, {c: np.array([_cell(r[k], c) for r in rows]) for k, c in enumerate(columns, 1)}
 
 
 def ingest_csv(

@@ -64,7 +64,9 @@ class SynthSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(self.components))
-        most = MAX_SYNTH_TICKS // self.freq.steps_per_day
+        # The 28 days of the shortest grid must fit: a longer day would leave length_days no value to take.
+        steps = whole_number(self.freq.steps_per_day, "steps_per_day", least=1, most=MAX_SYNTH_TICKS // 28)
+        most = MAX_SYNTH_TICKS // steps
         object.__setattr__(self, "length_days", whole_number(self.length_days, "length_days", least=28, most=most))
         object.__setattr__(self, "seed", whole_number(self.seed, "seed", least=0))
         if not self.components:

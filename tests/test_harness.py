@@ -327,6 +327,33 @@ class TestIngest:
         assert cli_main(["run", str(tmp_path / "cfg.yaml")]) == 1
         assert capsys.readouterr() == ("", f"error: dataset ingestion failed\n  wide: {message}\n")
 
+    def test_header_fault_is_named_before_a_field_over_the_csv_limit(self, tmp_path, capsys):
+        # The columns to read are picked from a sound header, so its fault comes first.
+        path = tmp_path / "wide.csv"
+        path.write_text(f"timestamp,other\n0,1.0\n1,{'1' * (csv.field_size_limit() + 1)}\n")
+        message = f"{path}: missing column 'value'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ingest_csv(path, HOURLY)
+        assert cli_main(["score", str(path), str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_rows_keep_only_the_cells_read(self, tmp_path, capsys):
+        # A blank line, which is no row; extra trailing fields; short rows, whose missing cells
+        # are empty; and unread columns, one with no name, holding cells that are no number.
+        path = tmp_path / "rough.csv"
+        path.write_text("timestamp,value,temp,note,\n0,1.0,5.0,nan,x\n\n1,2.0,6.0,x,,extra,fields\n2\n3,4.0\n")
+        series = ingest_csv(path, HOURLY, covariate_columns=("temp",))
+        nan = np.nan
+        np.testing.assert_array_equal(series.values, [1.0, 2.0, nan, 4.0])
+        np.testing.assert_array_equal(series.obs_mask, [True, True, False, True])
+        np.testing.assert_array_equal(series.covariates["temp"], [5.0, 6.0, nan, nan])
+        # score pairs rows by timestamp: the short row at 3 scores, the one at 2 has no value.
+        clean = write_csv(tmp_path / "clean.csv", [[0, 1.5], [1, 2.0], [2, 3.0], [3, 4.0]])
+        for truth, pred in ((path, clean), (clean, path)):
+            assert cli_main(["score", str(truth), str(pred)]) == 0
+            scored = json.loads(capsys.readouterr().out)
+            assert (scored["n_points"], scored["mae"]) == (3, 0.5 / 3)
+
     @pytest.mark.parametrize(
         "header, dataset, commands",
         [
@@ -1716,6 +1743,11 @@ class TestCli:
                 id="stride_inf",
             ),
             pytest.param(
+                {"segment": {"len_days": 1.0e300}},
+                "config: segment.len_days must be a whole number >= 1 and <= 10000, got 1e+300",
+                id="len_days_1e300",
+            ),
+            pytest.param(
                 {"splits": [float("nan"), 0.5, 0.5]},
                 "config: splits must be a finite number > 0, got nan",
                 id="splits_nan",
@@ -1878,23 +1910,39 @@ class TestCli:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
 
-    @pytest.mark.parametrize("command", ["run", "synth"])
-    def test_synth_length_above_its_bound_is_an_error_line_before_a_grid(self, tmp_path, capsys, monkeypatch, command):
-        # length_days * steps_per_day sizes the generated grid: 1e12 days
-        # would ask 175 TiB. The guards make a regression fail before it allocates.
+    @staticmethod
+    def refused_before_a_grid(tmp_path, capsys, monkeypatch, command, synth, message):
+        """``tixbench run`` or ``synth`` on ``synth`` prints ``error: <message>``, with guards that fail a regression
+        before it allocates a grid, and writes nothing."""
+
         def no_grid(*args, **kwargs):
             raise AssertionError("a grid was generated")
 
         monkeypatch.setattr(harness, "synth_generate", no_grid)
         monkeypatch.setattr(cli, "generate", no_grid)
         monkeypatch.chdir(tmp_path)
-        synth = {**SYNTH_DICT, "length_days": 10**12}
         run_doc = {**RUN_DICT, "datasets": [{"id": "d", "synth": synth}], "output_dir": "out"}
         (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(run_doc if command == "run" else synth))
         assert cli_main([command, "cfg.yaml"] + (["-o", "d.csv"] if command == "synth" else [])) == 1
-        message = f"synth: length_days must be a whole number >= 28 and <= 416666, got {10**12}"
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    def test_synth_length_above_its_bound_is_an_error_line_before_a_grid(self, tmp_path, capsys, monkeypatch, command):
+        # length_days * steps_per_day sizes the generated grid: 1e12 days would ask 175 TiB.
+        synth = {**SYNTH_DICT, "length_days": 10**12}
+        message = f"synth: length_days must be a whole number >= 28 and <= 416666, got {10**12}"
+        self.refused_before_a_grid(tmp_path, capsys, monkeypatch, command, synth, message)
+
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    def test_synth_steps_per_day_above_its_bound_is_an_error_line_before_a_grid(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # A million ticks a day leaves no room for 28 days under the grid bound: the error names
+        # steps_per_day, not a length_days bound that no value can meet.
+        synth = {**SYNTH_DICT, "length_days": 200, "steps_per_day": 10**6}
+        message = "synth: steps_per_day must be a whole number >= 1 and <= 357142, got 1000000"
+        self.refused_before_a_grid(tmp_path, capsys, monkeypatch, command, synth, message)
 
     def test_run_names_a_csv_too_short_to_split(self, tmp_path, capsys):
         write_csv(tmp_path / "pair.csv", [[0, 1.0], [1, 2.0]])
