@@ -21,6 +21,9 @@ from operator import ge, gt, le, lt
 import numpy as np
 
 STD_FLOOR = 1e-8
+# The largest magnitude a loaded value may have. Stds and Grams square deviations and sum them over a window, which
+# overflows from about 1e154; at 1e100 no window is long enough to overflow, and no measured quantity comes near it.
+MAX_MAGNITUDE = 1e100
 
 
 def round_half_up(x: float) -> int:

@@ -28,7 +28,7 @@ import yaml
 
 from . import __version__
 from .core import FrequencySpec, TimeSeries, _check_window, _split_fractions, chrono_split, extract_segments
-from .core import floored_std, real_number, sequence, whole_number
+from .core import MAX_MAGNITUDE, floored_std, real_number, sequence, whole_number
 from .imputers import _checked_params, make_imputer
 from .masking import DEFAULT_SCENARIOS, InfeasibleScenario, Scenario, apply_scenario
 from .metrics import ScoreRecord, _task_table, aggregate, average_ranks, wql, znorm_mae
@@ -321,7 +321,7 @@ def ingest_csv(
     ``MAX_TICKS_PER_ROW`` ticks a row is refused before it is built. Empty
     cells mean missing: in the target they clear the observation mask, in
     covariates they stay NaN. A cell that is not a finite number (``nan``
-    and ``inf`` included) is an error.
+    and ``inf`` included), or whose magnitude is above ``MAX_MAGNITUDE``, is an error.
     """
     path = Path(path)
     stamps, columns = read_csv_columns(path, timestamp_column, (value_column, *covariate_columns))
@@ -342,6 +342,9 @@ def ingest_csv(
     ticks = np.array(offsets, dtype=np.int64) // step
     grid = {c: np.full(n, np.nan) for c in columns}
     for c, column in columns.items():
+        if (big := np.flatnonzero(np.abs(column) > MAX_MAGNITUDE)).size:
+            at = f"cell {float(column[big[0]])!r} in column {c!r} at timestamp {stamps[big[0]]}"
+            raise ValueError(f"{path}: {at} is above the bound {MAX_MAGNITUDE:g} on a value's magnitude")
         grid[c][ticks] = column
     values, covariates = grid[value_column], {c: grid[c] for c in covariate_columns}
     return TimeSeries(series_id or path.stem, values, ~np.isnan(values), freq, covariates)

@@ -78,20 +78,16 @@ def impute_linear(segment: Segment) -> Imputation:
     return Imputation(point=point)
 
 
-def _locf_values(segment: Segment, positions: np.ndarray) -> np.ndarray:
-    vis = np.flatnonzero(segment.obs_mask)
-    vals = segment.values[vis]
-    idx = np.searchsorted(vis, positions, side="right") - 1
-    out = np.where(idx >= 0, vals[np.maximum(idx, 0)], vals[0])
-    return out
+def _locf_values(values: np.ndarray, vis: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    # The clamp at 0 is the NOCB start: a position before the first visible one takes its value.
+    return values[vis[np.maximum(np.searchsorted(vis, positions, side="right") - 1, 0)]]
 
 
 def impute_locf(segment: Segment) -> Imputation:
     """Copy the most recent visible value; a leading gap copies the first
     visible value backward once (NOCB initialization)."""
-    evals = np.flatnonzero(segment.eval_mask)
-    point = _locf_values(segment, evals)
-    return Imputation(point=point)
+    vis, evals = np.flatnonzero(segment.obs_mask), np.flatnonzero(segment.eval_mask)
+    return Imputation(point=_locf_values(segment.values, vis, evals))
 
 
 def impute_seasonal_naive(segment: Segment, season: int | None = None) -> Imputation:
@@ -119,7 +115,7 @@ def impute_seasonal_naive(segment: Segment, season: int | None = None) -> Imputa
     has_after = after < class_start + n
     use_before = has_before & (~has_after | (keys - before <= after - keys))
     found = has_before | has_after
-    point = _locf_values(segment, evals)
+    point = _locf_values(segment.values, vis, evals)
     point[found] = segment.values[np.where(use_before, before, after)[found] - class_start[found]]
     return Imputation(point=point)
 

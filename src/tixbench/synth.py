@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrequencySpec, TimeSeries, real_number, whole_number
+from .core import MAX_MAGNITUDE, FrequencySpec, TimeSeries, real_number, whole_number
 
 SINE = "sine"
 TREND = "trend"
@@ -86,8 +86,9 @@ def _smooth_path(rng: np.random.Generator, n: int, steps_per_day: int) -> np.nda
     return (path - path.mean()) / std
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def generate(spec: SynthSpec, series_id: str = "synth") -> TimeSeries:
-    """Materialize a fully-observed series (and covariates) from a spec."""
+    """Materialize a fully-observed series (and covariates); a |value| above ``MAX_MAGNITUDE`` is an error."""
     n = spec.length_days * spec.freq.steps_per_day
     t = np.arange(n, dtype=float)
     values = np.zeros(n)
@@ -106,6 +107,9 @@ def generate(spec: SynthSpec, series_id: str = "synth") -> TimeSeries:
             path = _smooth_path(rng, n, spec.freq.steps_per_day)
             covariates[f"cov{n_cov}"] = path
             values += comp.covariate_gain * path
+    # Covariates are standardized, so only values can pass the bound; it refuses an overflow's inf or NaN in silence.
+    if not (peak := float(np.max(np.abs(values)))) <= MAX_MAGNITUDE:
+        raise ValueError(f"synth values reach {peak:g}, above the bound {MAX_MAGNITUDE:g} on a value's magnitude")
     return TimeSeries(
         id=series_id,
         values=values,

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_segment
@@ -208,6 +209,65 @@ def gap_config(path, imputers):
     """A run of ``imputers`` on the CSV at ``path``, whose test slice starts at tick 134 of 1344."""
     dataset = {"id": "gap", "path": str(path), "steps_per_day": 24, "covariate_columns": ["temp"]}
     return config_from_dict({"datasets": [dataset], "imputers": imputers, "splits": [0.05, 0.05, 0.9]})
+
+
+# What a whole-input draw may configure: imputer entries of every kind, some reading the covariate, and scenarios.
+DRAWN_IMPUTERS = [
+    {"id": "linear"},
+    {"id": "locf"},
+    {"id": "seasonal_naive"},
+    {"id": "tix_fourier", "params": {"lam": 0.0}},
+    {"id": "tix_fourier", "name": "tix_fourier_cov", "params": {"use_covariates": True}},
+    {"id": "tix_fourier_q", "params": {"quantile_levels": [0.1, 0.5, 0.9]}},
+    {"id": "tix_random_basis", "params": {"n_random": 4}},
+    {"id": "tix_random_basis_q", "params": {"n_random": 4, "use_covariates": True, "quantile_levels": [0.5]}},
+    {"id": "covar_ridge"},
+]
+DRAWN_SCENARIOS = [
+    {"kind": "pointwise", "param": 0.3, "label": "p3"},
+    {"kind": "pointwise", "param": 0.9, "label": "p9"},
+    {"kind": "blocks", "param": 1, "label": "b1"},
+    {"kind": "blocks", "param": 2, "label": "b2"},
+]
+
+
+@st.composite
+def drawn_column(draw, n):
+    """``n`` CSV cells of one column at one scale, 1e-300 to 1e300: stretches of varied, constant and zero values,
+    with empty cells."""
+    # Half the scales lie within a few powers of ten of 1, so that most draws run, and the other half anywhere.
+    scale = 10.0 ** draw(st.one_of(st.integers(-3, 3), st.integers(-300, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    cells = []
+    while len(cells) < n:
+        kind, size = draw(st.sampled_from(["varied", "constant", "zero"])), draw(st.integers(1, n))
+        unit = {"varied": rng.normal(0.0, 5.0, size), "constant": np.full(size, 3.0), "zero": np.zeros(size)}[kind]
+        cells += list(scale * unit)
+    empty = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+    return ["" if hole else repr(float(cell)) for cell, hole in zip(cells, empty)]
+
+
+@st.composite
+def whole_inputs(draw):
+    """The rows of a small CSV with a value column and a covariate ``temp``, and a config that runs it."""
+    steps = draw(st.sampled_from([4, 6]))
+    n = steps * draw(st.integers(10, 40))
+    rows = list(zip(range(n), draw(drawn_column(n)), draw(drawn_column(n))))
+    dataset = {"id": "drawn", "steps_per_day": steps, "covariate_columns": ["temp"]}
+    dataset["min_std_filter"] = draw(st.sampled_from([0.0, 0.0, 0.0, 1e-300, 1e-8, 1.0, 1e200]))
+    stride = sorted(draw(st.lists(st.sampled_from([0.25, 1, 2]), min_size=2, max_size=2)))
+    config = {
+        "seed": draw(st.integers(0, 3)),
+        "segment": {"len_days": draw(st.integers(1, 3)), "stride": stride},
+        "datasets": [dataset],
+        "scenarios": draw(st.lists(st.sampled_from(DRAWN_SCENARIOS), min_size=1, unique_by=lambda s: s["label"])),
+        "imputers": draw(
+            st.lists(
+                st.sampled_from(DRAWN_IMPUTERS), min_size=1, max_size=4, unique_by=lambda i: i.get("name", i["id"])
+            )
+        ),
+    }
+    return rows, config
 
 
 class TestIngest:
@@ -1072,6 +1132,24 @@ class TestRun:
         assert results["meta"]["notes"][-1] == "ranks unavailable: incomplete score matrix"
         assert "Average ranks" not in (tmp_path / "out" / "report.md").read_text()
 
+    # The test rewrites its one CSV under tmp_path for each example.
+    @settings(
+        max_examples=200, derandomize=True, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(drawn=whole_inputs())
+    def test_whole_input_scores_finitely_or_is_refused_by_name(self, tmp_path, drawn):
+        # A CSV and a config drawn together: the run scores every task it runs finitely, or one ValueError names the
+        # dataset (and so its file). Any RuntimeWarning, such as an overflow, fails the test.
+        rows, raw = drawn
+        path = write_csv(tmp_path / "drawn.csv", rows, header=("timestamp", "value", "temp"))
+        raw["datasets"][0]["path"] = str(path)
+        try:
+            records = run(config_from_dict(raw)).records
+        except ValueError as err:
+            assert "drawn" in str(err), str(err)
+        else:
+            assert all(math.isfinite(r.mae) and (r.wql is None or math.isfinite(r.wql)) for r in records)
+
 
 def blas_threads() -> list[int]:
     return [getter() for getter, _ in harness._openblas_thread_api()]
@@ -1883,6 +1961,12 @@ class TestCli:
                 "imputer 'cov': lam must be a finite number >= 0, got -1",
                 id="named_imputer",
             ),
+            pytest.param(
+                {"scenarios": [{"kind": "gaps", "param": 1, "label": "g"}]},
+                "scenario 'g': unknown scenario kind 'gaps'",
+                id="scenario_kind",
+            ),
+            pytest.param({"rank_metric": "rmse"}, "config: rank_metric must be 'mae' or 'wql'", id="rank_metric"),
         ],
     )
     def test_bad_config_value_is_an_error_line_before_any_task(self, tmp_path, capsys, monkeypatch, change, message):
@@ -1956,6 +2040,66 @@ class TestCli:
         err = "error: dataset ingestion failed\n  pair: series too short to split: 2 ticks\n"
         assert capsys.readouterr() == ("", err)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty file (header row required)"),
+            ("timestamp,value\n", "no data rows"),
+            ("timestamp,value\n0,1.0\n1,abc\n", "non-numeric cell 'abc' in column 'value'"),
+        ],
+        ids=["empty", "header_only", "non_numeric"],
+    )
+    def test_unreadable_csv_is_an_error_line_naming_the_file(self, tmp_path, capsys, text, message):
+        (truth := tmp_path / "t.csv").write_text(text)
+        pred = write_csv(tmp_path / "p.csv", [[0, 1.0], [1, 2.0]])
+        assert cli_main(["score", str(truth), str(pred)]) == 1
+        assert capsys.readouterr() == ("", f"error: {truth}: {message}\n")
+
+    @pytest.mark.parametrize("column", ["value", "temp"])
+    def test_csv_cell_above_the_magnitude_bound_is_an_error_line_before_any_task(self, tmp_path, capsys, column):
+        # Near 1e300 the square in a std overflows: a run that read these values scored every linear and locf record
+        # 0.0 and exited 0. The bound covers every column read, the covariate included.
+        rows = [[t, 1.0 + t % 24, 1.0 + t % 24] for t in range(400)]
+        for row in rows:
+            row[("value", "temp").index(column) + 1] = 1e300 * (1.0 + 0.1 * np.sin(row[0] / 3))
+        write_csv(tmp_path / "big.csv", rows, header=("timestamp", "value", "temp"))
+        cfg = {
+            "datasets": [{"id": "big", "path": "big.csv", "steps_per_day": 24, "covariate_columns": ["temp"]}],
+            "segment": {"len_days": 3, "stride": [1, 1]},
+            "imputers": [{"id": "linear"}, {"id": "locf"}],
+            "output_dir": str(tmp_path / "out"),
+        }
+        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(cfg))
+        assert cli_main(["run", str(tmp_path / "cfg.yaml")]) == 1
+        message = f"cell 1e+300 in column {column!r} at timestamp 0 is above the bound 1e+100 on a value's magnitude"
+        err = f"error: dataset ingestion failed\n  big: {tmp_path / 'big.csv'}: {message}\n"
+        assert capsys.readouterr() == ("", err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    @pytest.mark.parametrize(
+        "component, peak",
+        [
+            # A sine of amplitude 1e300 peaks at 1e300 at tick 6; a run of it scored every record 0.0 and exited 0.
+            ({"kind": "sine", "amplitude": 1.0e300, "period_ticks": 24}, "1e+300"),
+            # A slope of 1e306 a tick overflows to inf by tick 180, with no overflow warning on the way.
+            ({"kind": "trend", "amplitude": 1.0e306}, "inf"),
+        ],
+        ids=["sine", "trend"],
+    )
+    def test_synth_values_above_the_magnitude_bound_are_an_error_line(
+        self, tmp_path, capsys, monkeypatch, command, component, peak
+    ):
+        monkeypatch.chdir(tmp_path)
+        synth = {**SYNTH_DICT, "components": [component]}
+        run_doc = {**RUN_DICT, "datasets": [{"id": "d", "synth": synth}], "output_dir": "out"}
+        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(run_doc if command == "run" else synth))
+        assert cli_main([command, "cfg.yaml"] + (["-o", "d.csv"] if command == "synth" else [])) == 1
+        message = f"synth values reach {peak}, above the bound 1e+100 on a value's magnitude"
+        heading = "dataset ingestion failed\n  d: " if command == "run" else ""
+        assert capsys.readouterr() == ("", f"error: {heading}{message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
 
     def test_score_rejects_a_non_finite_score(self, tmp_path, capsys):
         # Finite cells whose errors overflow: the score must not print

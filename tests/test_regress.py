@@ -34,6 +34,28 @@ def level_heads(model):
     return [LinearModel(w, float(b)) for w, b in zip(model.weights, model.intercept)]
 
 
+# Both heads, as fit(X, y, lam): the ridge head, and the pinball head at the median.
+BOTH_FITS = [ridge_fit, lambda X, y, lam: pinball_fit(X, y, 0.5, lam)]
+
+
+@pytest.mark.parametrize("fit", BOTH_FITS, ids=["ridge_fit", "pinball_fit"])
+@pytest.mark.parametrize(
+    "y, message",
+    [(np.ones(2), "X and y must have matching row counts"), (np.array([1.0, np.nan, 2.0]), "non-finite inputs")],
+    ids=["row_counts", "nan_target"],
+)
+def test_bad_target_is_refused_by_its_message(fit, y, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fit(np.arange(6.0).reshape(3, 2), y, 0.1)
+
+
+@pytest.mark.parametrize("fit", BOTH_FITS, ids=["ridge_fit", "pinball_fit"])
+def test_coefficients_that_overflow_are_refused(fit):
+    # The std of a target near 1e300 overflows to inf, and so the weights in original units read inf * 0 = NaN.
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="^model coefficients must be finite$"):
+        fit(np.arange(6.0)[:, None], 1e300 * np.array([1.0, 2.0, 1.0, 3.0, 1.0, 2.0]), 0.1)
+
+
 @pytest.mark.parametrize("d", [1, 5, 129])
 @pytest.mark.parametrize("lam", [0.0, 1e-3, 10.0])
 def test_both_heads_fit_one_row(d, lam):
@@ -156,23 +178,27 @@ def segment_basis(d, rng):
     return X, make_segment(values, np.ones(len(ticks), dtype=bool))
 
 
+# numpy's own lstsq, for fits that a test's patched lstsq must not see.
+NUMPY_LSTSQ = np.linalg.lstsq
+
+
 def gram_fit(X, segments, lam, monkeypatch):
     """One stacked ridge fit, head t on the visible rows of segment t, through
     the Gram of all rows, and per segment whether it took the downdate rather
-    than the moments of its visible rows."""
+    than the moments of its visible rows. Only the downdate reads the Gram's
+    G, so a head took it if and only if its weights move when G is scaled by
+    1 + 2**-40; 1 + 2**-20 would flip the variance check of the downdate of
+    a column constant on its visible rows. The refit
+    runs under numpy's own lstsq, so a patched one sees the first fit only."""
     targets = [segment.values[segment.obs_mask] for segment in segments]
-    direct, inputs = [], regress._inputs
-
-    def spied(rows, y, lam):
-        direct.append(y)
-        return inputs(rows, y, lam)
-
+    masks = np.array([segment.obs_mask for segment in segments])
+    centre, centred, G = gram = centred_gram(X)
+    model = ridge_fit(X, targets, lam, mask=masks, gram=gram)
     with monkeypatch.context() as patch:
-        patch.setattr(regress, "_inputs", spied)
-        masks = np.array([segment.obs_mask for segment in segments])
-        model = ridge_fit(X, targets, lam, mask=masks, gram=centred_gram(X))
+        patch.setattr(np.linalg, "lstsq", NUMPY_LSTSQ)
+        refit = ridge_fit(X, targets, lam, mask=masks, gram=(centre, centred, G * (1 + 2**-40)))
     assert model.weights.shape == (len(segments), X.shape[1])
-    return model, [not any(y is seen for seen in direct) for y in targets]
+    return model, [not np.array_equal(w, moved) for w, moved in zip(model.weights, refit.weights)]
 
 
 def head(model, t):
