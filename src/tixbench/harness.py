@@ -370,53 +370,52 @@ def _score_task(args) -> list[ScoreRecord]:
     # One task: a masked segment, and a (name, imputation of it) pair per configured imputer.
     ds_id, masked, scenario, imputations = args
     truth, std = masked.values[masked.eval_mask], floored_std(masked.values[masked.obs_mask])
+    maes = znorm_mae(truth, np.array([imputation.point for _, imputation in imputations]), std)
     records = []
-    for name, imputation in imputations:
-        mae = znorm_mae(truth, imputation.point, std)
+    for (name, imputation), mae in zip(imputations, maes):
         # wql divides by the held-out truth's absolute sum, so an all-zero truth leaves it empty.
         wql_value = wql(imputation.quantiles, truth) if imputation.quantiles is not None and truth.any() else None
-        records.append(
-            ScoreRecord(
-                dataset=ds_id,
-                imputer_id=name,
-                scenario_label=scenario.label,
-                n_points=len(truth),
-                mae=mae,
-                wql=wql_value,
-            )
-        )
+        records.append(ScoreRecord(ds_id, name, scenario.label, len(truth), mae, wql_value))
     return records
 
 
 def _score_window(window, run_seed: int, imputers: list[tuple]) -> list[ScoreRecord]:
     """Mask a (dataset id, segment, scenarios, test start) window under each scenario, impute its masked copies with
-    one call per (name, built imputer) pair of ``imputers``, and score each task. Test start is the grid tick of the
-    test slice's first row: an error names the window by its grid ticks, while the mask seed hashes segment.start.
-    A ``ValueError`` re-runs the window one task and imputer at a time, so that the error names the first to fail."""
+    one call per distinct built imputer of the (name, built imputer) pairs of ``imputers``, and score each task. Test
+    start is the grid tick of the test slice's first row: an error names the window by its grid ticks, while the mask
+    seed hashes segment.start. A ``ValueError`` re-runs the window one task and imputer at a time, so that the error
+    names the first to fail; a score that is not finite is a ``ValueError`` named alike."""
     ds_id, segment, scenarios, test_start = window
+    first = test_start + segment.start
+    where = f"dataset {ds_id!r}, ticks {first}-{first + len(segment) - 1}"
     tasks = []
     for scenario in scenarios:
         mask_seed = stable_seed(run_seed, ds_id, segment.start, scenario.label)
         with suppress(InfeasibleScenario):
             tasks.append((scenario, apply_scenario(segment, scenario, mask_seed)))
+    if not tasks:
+        return []
+    copies = [masked for _, masked in tasks]
     try:
-        columns = [(name, imputer([masked for _, masked in tasks]) if tasks else []) for name, imputer in imputers]
+        columns = {imputer: imputer(copies) for imputer in dict.fromkeys(imputer for _, imputer in imputers)}
     except ValueError:
         for scenario, masked in tasks:
             for name, imputer in imputers:
                 try:
                     imputer([masked])
                 except ValueError as err:
-                    first = test_start + segment.start
-                    ticks = f"{first}-{first + len(segment) - 1}"
-                    where = f"dataset {ds_id!r}, ticks {ticks}, scenario {scenario.label!r}, imputer {name!r}"
-                    raise ValueError(f"{where}: {err}") from err
+                    raise ValueError(f"{where}, scenario {scenario.label!r}, imputer {name!r}: {err}") from err
         raise
-    return [
+    records = [
         r
         for t, (scenario, masked) in enumerate(tasks)
-        for r in _score_task((ds_id, masked, scenario, [(name, column[t]) for name, column in columns]))
+        for r in _score_task((ds_id, masked, scenario, [(name, columns[imputer][t]) for name, imputer in imputers]))
     ]
+    for r in records:
+        if not (math.isfinite(r.mae) and math.isfinite(r.wql or 0)):
+            task = f"scenario {r.scenario_label!r}, imputer {r.imputer_id!r}"
+            raise ValueError(f"{where}, {task}: a score is not finite: mae {r.mae}, wql {r.wql}")
+    return records
 
 
 def _record_sort_key(r: ScoreRecord):
@@ -480,11 +479,20 @@ def _one_blas_thread():
 
 
 def _score_tasks(run_seed: int, specs: tuple[ImputerSpec, ...], windows: list[tuple]) -> list[ScoreRecord]:
-    """Score the tasks of (dataset id, segment, scenarios, test start) windows with ``specs``' imputers, built once."""
-    imputers = [(spec.name, make_imputer(spec.id, **spec.params)) for spec in specs]
+    """Score the tasks of (dataset id, segment, scenarios, test start) windows with ``specs``' imputers, built once.
+
+    On a window, entries whose ids and params are equal once ``use_covariates`` is dropped where it is false or the
+    window has no covariate channel share one partial of the first one's imputer, which ``_score_window`` runs once."""
+    built = [make_imputer(spec.id, **spec.params) for spec in specs]
+    imputers = {}
+    for covariates in (False, True):
+        first = {}
+        for spec, imputer in zip(specs, built):
+            key = (spec.id, *sorted(p for p in spec.params.items() if p[0] != "use_covariates" or covariates and p[1]))
+            imputers.setdefault(covariates, []).append((spec.name, first.setdefault(key, partial(imputer))))
     # The imputers call no BLAS but numpy's, so the pin covers only numpy's copy, also where the caller imported scipy.
     with _one_blas_thread():
-        return [r for window in windows for r in _score_window(window, run_seed, imputers)]
+        return [r for w in windows for r in _score_window(w, run_seed, imputers[bool(w[1].covariates)])]
 
 
 def run(config: RunConfig, jobs: int = 1) -> BenchReport:
@@ -597,10 +605,9 @@ def report(records, aggregates, ranks, output_dir, meta: dict | None = None) -> 
 
     results.json carries a content digest computed with the wall-clock
     timestamp removed, so identically-seeded runs are comparable byte for
-    byte after dropping ``meta.generated_at``.
+    byte after dropping its one ``"generated_at"`` line: it holds one value
+    a line. A payload JSON cannot hold is a ``ValueError`` before any write.
     """
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     meta = dict(meta or {})
     payload = {
         "meta": meta,
@@ -616,8 +623,11 @@ def report(records, aggregates, ranks, output_dir, meta: dict | None = None) -> 
     meta["content_digest"] = hashlib.sha256(stable.encode()).hexdigest()
     meta.setdefault("generated_at", datetime.now(timezone.utc).isoformat())
 
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     json_path = out / "results.json"
-    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    # With no indent, json writes through its C encoder.
+    json_path.write_text(json.dumps(payload, separators=(",\n", ": "), sort_keys=True, allow_nan=False) + "\n")
 
     csv_path = out / "results.csv"
     with open(csv_path, "w", newline="") as fh:

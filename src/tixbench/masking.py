@@ -9,7 +9,7 @@ sees the remaining context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +89,7 @@ def apply_scenario(segment: Segment, scenario: Scenario, seed: int) -> Segment:
         chosen = rng.choice(visible, size=round_half_up(scenario.param * len(visible)), replace=False)
     else:
         steps = segment.freq.steps_per_day
-        feasible = [d for d in range(len(segment) // steps) if obs[d * steps : (d + 1) * steps].all()]
+        feasible = np.flatnonzero(obs[: len(obs) // steps * steps].reshape(-1, steps).all(axis=1)).tolist()
         if len(feasible) < scenario.param:
             raise InfeasibleScenario("infeasible block scenario")
         days = _pick_block_days(rng, feasible, scenario.param)
@@ -100,4 +100,8 @@ def apply_scenario(segment: Segment, scenario: Scenario, seed: int) -> Segment:
 
     obs[chosen] = False
     evl[chosen] = True
-    return replace(segment, obs_mask=obs, eval_mask=evl)
+    # The copy skips the validation that ``segment`` passed, since its checks hold by construction: the chosen
+    # positions are distinct and visible, so the masks stay disjoint, some position stays visible and no length moves.
+    masked = object.__new__(type(segment))
+    vars(masked).update(vars(segment), obs_mask=obs, eval_mask=evl)
+    return masked

@@ -33,15 +33,16 @@ class ScoreRecord:
             raise ValueError("scores must be nonnegative")
 
 
-def znorm_mae(truth, pred, std: float) -> float:
-    """Mean absolute error divided by ``std``, the ``floored_std`` of the visible context."""
+def znorm_mae(truth, pred, std: float) -> float | list[float]:
+    """Mean absolute error divided by ``std``, the ``floored_std`` of the visible context. A 2-D ``pred`` stacks one
+    prediction per row and gives a list of one score per row, each bit for bit the score of its row alone."""
     t = np.asarray(truth, dtype=float)
     p = np.asarray(pred, dtype=float)
-    if t.shape != p.shape:
+    if t.ndim != 1 or p.ndim not in (1, 2) or p.shape[-1] != t.size:
         raise ValueError("length mismatch")
     if t.size < 1:
         raise ValueError("nothing to score")
-    return float(np.mean(np.abs(t - p)) / std)
+    return (np.mean(np.abs(t - p), axis=-1) / std).tolist()
 
 
 def quantile_loss(q, x, alpha: float):

@@ -1274,6 +1274,81 @@ def two_blas_threads():
         setter(count)
 
 
+SHARED_ENTRIES = [
+    {"id": "tix_fourier"},
+    {"id": "tix_fourier", "name": "tix_fourier_cov", "params": {"use_covariates": True}},
+    {"id": "tix_fourier", "name": "tix_fourier_again"},
+]
+
+
+def shared_config(imputers=SHARED_ENTRIES):
+    """Two datasets, ``plain`` without a covariate channel and ``cov`` with one, under ``imputers``."""
+    cov = {**SYNTH_DICT, "components": [{"kind": "covariate_linear", "covariate_gain": 0.8}, *SYNTH_DICT["components"]]}
+    return config_from_dict(
+        {
+            "segment": {"len_days": 28, "stride": [14, 14]},
+            "datasets": [{"id": "plain", "synth": SYNTH_DICT}, {"id": "cov", "synth": cov}],
+            "imputers": imputers,
+        }
+    )
+
+
+def scores(records, imputer, dataset=None):
+    """The (dataset, scenario, n_points, mae bits, wql) of ``imputer``'s records, optionally of one dataset."""
+    return [
+        (r.dataset, r.scenario_label, r.n_points, r.mae.hex(), r.wql)
+        for r in records
+        if r.imputer_id == imputer and dataset in (None, r.dataset)
+    ]
+
+
+class TestSharedColumns:
+    def test_entries_of_one_effective_spec_run_once_and_keep_their_bits(self, monkeypatch):
+        config = shared_config()
+        calls = []
+
+        def counted(imputer_id, **params):
+            index, imputer = len(calls), make_imputer(imputer_id, **params)
+            calls.append([])
+            return lambda segments: calls[index].append(bool(segments[0].covariates)) or imputer(segments)
+
+        monkeypatch.setattr(harness, "make_imputer", counted)
+        records = run(config).records
+        monkeypatch.undo()
+        # Each dataset's 56-day test slice holds three 28-day windows at a 14-day stride. The plain entry runs on
+        # every window, the covariate entry on the covariate windows only, the third never.
+        assert calls == [[False] * 3 + [True] * 3, [True] * 3, []]
+        assert scores(records, "tix_fourier_again") == scores(records, "tix_fourier")
+        assert scores(records, "tix_fourier_cov", "plain") == scores(records, "tix_fourier", "plain")
+        assert scores(records, "tix_fourier_cov", "cov") != scores(records, "tix_fourier", "cov")
+        # Each entry scores as it does alone in a run, bit for bit, at --jobs 1 and 2.
+        for entry in SHARED_ENTRIES:
+            alone = run(shared_config([entry])).records
+            assert scores(records, entry.get("name", entry["id"])) == scores(alone, entry.get("name", entry["id"]))
+        assert list(map(repr, run(config, jobs=2).records)) == list(map(repr, records))
+
+    @pytest.mark.parametrize(
+        "refuses, dataset, imputer",
+        [(lambda params: True, "plain", "tix_fourier"), (lambda params: "use_covariates" in params, "cov", "tix_fourier_cov")],
+    )
+    def test_error_names_the_first_configured_entry_that_fails(self, monkeypatch, refuses, dataset, imputer):
+        # On the plain windows the covariate entry shares the plain entry's imputer, so only a cov window runs its own.
+        def build(imputer_id, **params):
+            imputer = make_imputer(imputer_id, **params)
+
+            def impute(segments):
+                if refuses(params):
+                    raise ValueError("refused")
+                return imputer(segments)
+
+            return impute
+
+        monkeypatch.setattr(harness, "make_imputer", build)
+        where = f"dataset '{dataset}', ticks \\d+-\\d+, scenario 'pointwise1', imputer '{imputer}'"
+        with pytest.raises(ValueError, match=f"^{where}: refused$"):
+            run(shared_config())
+
+
 class TestBlasThreads:
     def test_tasks_run_on_one_thread_and_counts_come_back(self, tmp_path, monkeypatch, two_blas_threads):
         seen = []
@@ -1452,7 +1527,7 @@ class TestReport:
         ranks = {"b": 2.0, "a": 1.0}
         meta = {"seed": 0, "notes": ["n"], "generated_at": "2000-01-01T00:00:00+00:00"}
         paths = report(records, aggregates, ranks, tmp_path, meta=meta)
-        # results.json as dataclasses.asdict and json.dump wrote it.
+        # results.json as dataclasses.asdict and json.dump wrote it, one value a line.
         payload = {
             "meta": dict(meta),
             "records": [asdict(r) for r in records],
@@ -1463,8 +1538,25 @@ class TestReport:
         stable = json.dumps({**payload, "meta": without_time}, sort_keys=True, allow_nan=False)
         payload["meta"]["content_digest"] = hashlib.sha256(stable.encode()).hexdigest()
         expected = io.StringIO()
-        json.dump(payload, expected, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(payload, expected, separators=(",\n", ": "), sort_keys=True, allow_nan=False)
         assert paths["json"].read_bytes() == (expected.getvalue() + "\n").encode()
+
+    def test_results_json_has_one_value_a_line_and_one_volatile_line(self, tmp_path):
+        # What the CI compares: two runs' results.json without their "generated_at" line, as
+        # grep -v '"generated_at"' leaves them. A changed mae line makes them differ.
+        config = demo_config(tmp_path)
+        texts = [run_and_report(config, output_dir=tmp_path / name)[1]["json"].read_text() for name in "ab"]
+
+        def stripped(lines):
+            return [line for line in lines if '"generated_at"' not in line]
+
+        a, b = (text.splitlines(keepends=True) for text in texts)
+        assert a != b and stripped(a) == stripped(b)
+        assert len(stripped(a)) == len(a) - 1
+        last_mae = max(i for i, line in enumerate(a) if line.startswith('"mae": '))
+        edited = a[:last_mae] + ['"mae": 12345.0,\n'] + a[last_mae + 1 :]
+        assert stripped(edited) != stripped(b)
+        assert json.loads("".join(edited))["records"][-1]["mae"] == 12345.0
 
     def test_content_digest_excludes_wallclock(self, tmp_path):
         config = demo_config(tmp_path)
@@ -1510,6 +1602,29 @@ class TestCli:
         scored = json.loads(capsys.readouterr().out)
         assert scored["n_points"] == 3
         assert scored["mae"] == pytest.approx(1.0 / 3.0)
+
+    def test_a_score_that_is_not_finite_names_its_task_and_writes_nothing(self, tmp_path, capsys):
+        # A held-out day near 1e-300 beside predictions near 1e99: wql overflows to inf. Every value is
+        # within the 1e100 bound on what a run loads.
+        rows = [[t, (1e-300 if t // 24 % 3 == 0 else 1e99) * (1.0 + 0.1 * (t % 5))] for t in range(40 * 24)]
+        write_csv(tmp_path / "tiny.csv", rows)
+        cfg = {
+            "datasets": [{"id": "tiny", "path": "tiny.csv", "steps_per_day": 24}],
+            "segment": {"len_days": 3, "stride": [1, 1]},
+            "scenarios": [{"kind": "blocks", "param": 1, "label": "day"}],
+            "imputers": [{"id": "tix_fourier_q"}],
+        }
+        cfg_path = tmp_path / "tiny.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        assert cli_main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(
+            r"error: dataset 'tiny', ticks \d+-\d+, scenario 'day', imputer 'tix_fourier_q': "
+            r"a score is not finite: mae \S+, wql inf\n",
+            captured.err,
+        )
+        assert "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "out").exists()
 
     def test_seed_flag_changes_results(self, tmp_path, capsys):
         cfg = {

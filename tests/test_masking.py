@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tixbench import DEFAULT_SCENARIOS, InfeasibleScenario, Scenario, apply_scenario, floored_std
+from tixbench import DEFAULT_SCENARIOS, InfeasibleScenario, Scenario, Segment, apply_scenario, floored_std
 from conftest import make_segment
 
 POINTWISE_HALF = Scenario("pointwise", 0.5, "pointwise1")
@@ -211,3 +211,33 @@ def test_pointwise_draw_that_would_hide_every_visible_point_is_infeasible():
     obs[20] = True
     masked = apply_scenario(make_segment(np.zeros(48), obs), POINTWISE_HALF, seed=0)
     assert masked.obs_mask.sum() == masked.eval_mask.sum() == 1
+
+
+@pytest.mark.parametrize("scenario", DEFAULT_SCENARIOS, ids=lambda s: s.label)
+def test_masked_copy_is_built_without_a_second_validation(scenario, monkeypatch):
+    # The masked copy's invariants hold by construction, so building it runs
+    # no Segment validation; it shares the arrays it does not change.
+    rng = np.random.default_rng(6)
+    obs = rng.random(672) > 0.05
+    obs[24:48] = False
+    evl = np.zeros(672, dtype=bool)
+    evl[30] = True
+    seg = make_segment(rng.normal(size=672), obs, evl, covariates={"c": rng.normal(size=672)})
+    before = seg.obs_mask.copy(), seg.eval_mask.copy()
+    validated = []
+    check = Segment.__post_init__
+    monkeypatch.setattr(Segment, "__post_init__", lambda self: validated.append(self) or check(self))
+    masked = apply_scenario(seg, scenario, seed=3)
+    assert validated == []
+    assert type(masked) is Segment
+    # The spy sees a Segment built the checked way, and the copy passes the checks it skipped.
+    assert Segment(**vars(masked)) == masked and len(validated) == 1
+    assert masked.values is seg.values and masked.covariates is seg.covariates
+    assert (masked.id, masked.freq, masked.start) == (seg.id, seg.freq, seg.start)
+    assert len(masked.obs_mask) == len(masked.eval_mask) == len(seg)
+    assert not np.any(masked.obs_mask & masked.eval_mask) and np.any(masked.obs_mask)
+    # Only visible positions moved, each from one mask to the other; the input's masks are untouched.
+    hidden = masked.eval_mask & ~before[1]
+    assert hidden.any() and not np.any(hidden & ~before[0])
+    assert np.array_equal(masked.obs_mask, before[0] & ~hidden)
+    assert np.array_equal(seg.obs_mask, before[0]) and np.array_equal(seg.eval_mask, before[1])

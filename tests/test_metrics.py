@@ -284,3 +284,29 @@ def test_quantile_config_leaves_scipy_unloaded():
         "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
     )
     assert fresh_python(code) == "[]\n"
+
+
+class TestZnormMaeStack:
+    @settings(max_examples=100, derandomize=True, database=None)
+    @given(
+        rows=st.integers(1, 8),
+        n=st.integers(1, 700),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-6, 1.0, 1e6, 1e90]),
+        std=st.floats(1e-8, 1e8),
+    )
+    def test_stack_scores_each_row_as_alone_bit_for_bit(self, rows, n, seed, scale, std):
+        rng = np.random.default_rng(seed)
+        truth = scale * rng.normal(size=n)
+        stack = truth + scale * rng.normal(size=(rows, n)) * rng.random((rows, 1))
+        scores = znorm_mae(truth, stack, std)
+        assert type(scores) is list and len(scores) == rows
+        alone = [znorm_mae(truth, row, std) for row in stack]
+        assert all(type(s) is float for s in alone)
+        assert [s.hex() for s in scores] == [s.hex() for s in alone]
+
+    def test_a_stack_of_another_length_is_a_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            znorm_mae([1.0, 2.0], [[1.0, 2.0, 3.0]], 1.0)
+        with pytest.raises(ValueError, match="length mismatch"):
+            znorm_mae([1.0, 2.0], np.zeros((1, 1, 2)), 1.0)
