@@ -77,8 +77,7 @@ def _cmd_score(args) -> int:
     t, p = truth[args.value_column][ti], point[pi]
     scored = ~np.isnan(t) & ~np.isnan(p)
     if not scored.any():
-        print("error: no overlapping scored timestamps", file=sys.stderr)
-        return 1
+        raise ValueError("no overlapping scored timestamps")
     t, p, pi = t[scored], p[scored], pi[scored]
     std = floored_std(t)
     result = {

@@ -58,10 +58,12 @@ def real_number(value, name: str, least=None, above=None, below=None) -> float:
     return float(value)
 
 
-def sequence(raw, where: str, n: int | None = None) -> list:
-    """A list of the items of ``raw``, which must be a list or a tuple, of ``n`` items if given; a string is neither."""
+def sequence(raw, where: str, n: int | None = None, most: int | None = None) -> list:
+    """``raw``, a list or a tuple (not a string), as a list of ``n`` items if given, and at most ``most`` if given."""
     if not isinstance(raw, (list, tuple)) or n not in (None, len(raw)):
         raise ValueError(f"{where}: expected a list{'' if n is None else f' of {n}'}, got {raw!r}")
+    if most is not None and len(raw) > most:
+        raise ValueError(f"{where}: expected a list of at most {most} items, got {len(raw)}")
     return list(raw)
 
 

@@ -21,8 +21,8 @@ from .core import FrequencySpec, real_number, sequence, whole_number
 
 HANDCRAFTED_FOURIER = "handcrafted_fourier"
 RANDOM_FOURIER = "random_fourier"
-# The widest random basis: at n_random = 1024 a window's d = 2049 columns give its stack of four d x d ridge
-# systems (one per default scenario) 4 * 2049**2 * 8 bytes = 134 MB; n_random = 20000 would ask 12.8 GB a Gram.
+# The widest basis: n_random = 1024, or as many periods, gives a window d = 2049 columns and its stack of four d x d
+# ridge systems (one per default scenario) 4 * 2049**2 * 8 bytes = 134 MB; n_random = 20000 would ask 12.8 GB a Gram.
 MAX_N_RANDOM = 1024
 
 
@@ -45,8 +45,8 @@ class FeatureSpec:
         if self.kind not in (HANDCRAFTED_FOURIER, RANDOM_FOURIER):
             raise ValueError(f"unknown feature kind {self.kind!r}")
         # Tuples keep the spec hashable, so it can key the basis cache.
-        periods = tuple(real_number(p, "periods", above=0) for p in sequence(self.periods, "periods"))
-        object.__setattr__(self, "periods", periods)
+        periods = sequence(self.periods, "periods", most=MAX_N_RANDOM)
+        object.__setattr__(self, "periods", tuple(real_number(p, "periods", above=0) for p in periods))
         lo, hi = sequence(self.freq_range, "freq_range", n=2)
         lo = real_number(lo, "freq_range", above=0)
         object.__setattr__(self, "freq_range", (lo, real_number(hi, "freq_range", above=lo)))

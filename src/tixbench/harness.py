@@ -74,6 +74,10 @@ class DatasetSpec:
         object.__setattr__(self, "id", str(self.id))
         columns = sequence(self.covariate_columns, "covariate_columns")
         object.__setattr__(self, "covariate_columns", tuple(columns))
+        # A covariate read from the value column would hand the held-out truth to every covariate head.
+        names = [self.timestamp_column, self.value_column, *columns]
+        for twice in (name for i, name in enumerate(names) if name in names[:i]):
+            raise ValueError(f"column {twice!r} is named twice among timestamp, value and covariate columns")
         object.__setattr__(self, "min_std_filter", real_number(self.min_std_filter, "min_std_filter"))
         if (self.path is None) == (self.synth is None) or (self.path is None) != (self.freq is None):
             raise ValueError("needs exactly one of path or synth, and a freq with a path only")
@@ -383,11 +387,9 @@ def _score_window(window, run_seed: int, imputers: list[tuple]) -> list[ScoreRec
     """Mask a (dataset id, segment, scenarios, test start) window under each scenario, impute its masked copies with
     one call per distinct built imputer of the (name, built imputer) pairs of ``imputers``, and score each task. Test
     start is the grid tick of the test slice's first row: an error names the window by its grid ticks, while the mask
-    seed hashes segment.start. A ``ValueError`` re-runs the window one task and imputer at a time, so that the error
-    names the first to fail; a score that is not finite is a ``ValueError`` named alike."""
+    seed hashes segment.start. A ``ValueError`` from imputing or scoring re-runs the window one task and imputer at a
+    time, so that the error names the first to fail."""
     ds_id, segment, scenarios, test_start = window
-    first = test_start + segment.start
-    where = f"dataset {ds_id!r}, ticks {first}-{first + len(segment) - 1}"
     tasks = []
     for scenario in scenarios:
         mask_seed = stable_seed(run_seed, ds_id, segment.start, scenario.label)
@@ -398,24 +400,21 @@ def _score_window(window, run_seed: int, imputers: list[tuple]) -> list[ScoreRec
     copies = [masked for _, masked in tasks]
     try:
         columns = {imputer: imputer(copies) for imputer in dict.fromkeys(imputer for _, imputer in imputers)}
+        return [
+            r
+            for t, (scenario, masked) in enumerate(tasks)
+            for r in _score_task((ds_id, masked, scenario, [(name, columns[imputer][t]) for name, imputer in imputers]))
+        ]
     except ValueError:
+        first = test_start + segment.start
         for scenario, masked in tasks:
             for name, imputer in imputers:
                 try:
-                    imputer([masked])
+                    _score_task((ds_id, masked, scenario, [(name, imputer([masked])[0])]))
                 except ValueError as err:
-                    raise ValueError(f"{where}, scenario {scenario.label!r}, imputer {name!r}: {err}") from err
+                    task = f"ticks {first}-{first + len(segment) - 1}, scenario {scenario.label!r}, imputer {name!r}"
+                    raise ValueError(f"dataset {ds_id!r}, {task}: {err}") from err
         raise
-    records = [
-        r
-        for t, (scenario, masked) in enumerate(tasks)
-        for r in _score_task((ds_id, masked, scenario, [(name, columns[imputer][t]) for name, imputer in imputers]))
-    ]
-    for r in records:
-        if not (math.isfinite(r.mae) and math.isfinite(r.wql or 0)):
-            task = f"scenario {r.scenario_label!r}, imputer {r.imputer_id!r}"
-            raise ValueError(f"{where}, {task}: a score is not finite: mae {r.mae}, wql {r.wql}")
-    return records
 
 
 def _record_sort_key(r: ScoreRecord):

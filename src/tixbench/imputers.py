@@ -33,6 +33,10 @@ from .features import (
 from .regress import DEFAULT_LAMBDA, centred_gram, enforce_noncrossing, pinball_fit, predict, ridge_fit
 
 DEFAULT_QUANTILE_LEVELS: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+# The most levels an entry may set: 99, every percentile. pinball_fit stacks one (r+1)^2 normal matrix per level,
+# r <= min(d, visible rows), so 99 levels ask at most 99 * 2050**2 * 8 bytes = 3.3 GB at the widest basis and 359 MB
+# on a 28-day hourly window, where 100,000 levels would ask 362 GB.
+MAX_QUANTILE_LEVELS = 99
 
 
 @dataclass(frozen=True)
@@ -213,7 +217,7 @@ for _tix_id, (_, _basis_keys) in _TIX_BASES.items():
 def _quantile_levels(levels) -> tuple[float, ...]:
     """The levels, which key the quantile fits, as floats: at least one, each inside (0, 1) and above the one before."""
     checked = [0.0]
-    for level in sequence(levels, "quantile_levels"):
+    for level in sequence(levels, "quantile_levels", most=MAX_QUANTILE_LEVELS):
         checked.append(real_number(level, "quantile_levels", above=checked[-1], below=1))
     if len(checked) == 1:
         raise ValueError(f"quantile_levels must be a non-empty list, got {levels!r}")

@@ -9,6 +9,7 @@ mid-rank ties, and averages ranks per imputer across tasks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -29,6 +30,8 @@ class ScoreRecord:
     def __post_init__(self) -> None:
         if self.n_points < 1:
             raise ValueError("n_points must be >= 1")
+        if not (math.isfinite(self.mae) and math.isfinite(self.wql or 0)):
+            raise ValueError(f"a score is not finite: mae {self.mae}, wql {self.wql}")
         if self.mae < 0 or (self.wql is not None and self.wql < 0):
             raise ValueError("scores must be nonnegative")
 

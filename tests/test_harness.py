@@ -1766,6 +1766,34 @@ class TestCli:
         where = f"dataset 'demo', ticks {test.start}-{test.start + 28 * 24 - 1}, scenario 'b', imputer 'linear'"
         assert str(err.value) == f"{where}: imputed values must be finite"
 
+    def test_an_imputation_of_the_wrong_length_is_named_by_its_task(self, tmp_path, capsys, monkeypatch):
+        # One entry imputes one value short. The window's stacked score then fails inside numpy with a message
+        # that names nothing; the one failure path re-scores the window one task and imputer at a time.
+        def short(segments):
+            return [Imputation(impute_linear(segment).point[:-1]) for segment in segments]
+
+        def build(imputer_id, **params):
+            return short if imputer_id == "locf" else make_imputer(imputer_id, **params)
+
+        monkeypatch.setattr(harness, "make_imputer", build)
+        doc = {
+            "segment": {"len_days": 28, "stride": [14, 14]},
+            "datasets": [{"id": "d", "synth": SYNTH_DICT}],
+            "imputers": [{"id": "linear"}, {"id": "locf", "name": "short"}],
+        }
+        config = config_from_dict(doc)
+        _, _, test = harness.chrono_split(harness.load_dataset(config.datasets[0]), config.splits)
+        ticks = f"{test.start}-{test.start + 28 * 24 - 1}"
+        message = f"dataset 'd', ticks {ticks}, scenario 'pointwise1', imputer 'short': length mismatch"
+        with pytest.raises(ValueError) as err:
+            run(config)
+        assert str(err.value) == message
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump({**doc, "output_dir": "out"}))
+        assert cli_main(["run", "cfg.yaml"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
     def test_score_with_quantile_columns(self, tmp_path, capsys):
         truth = write_csv(tmp_path / "t.csv", [[0, 2.0], [1, 4.0]])
         pred = write_csv(
@@ -2108,6 +2136,68 @@ class TestCli:
         message = "imputer 'tix_random_basis': n_random must be a whole number >= 1 and <= 1024, got 20000"
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+    @pytest.mark.parametrize(
+        "covariates, twice",
+        [
+            pytest.param(["value"], "value", id="value"),
+            pytest.param(["timestamp"], "timestamp", id="timestamp"),
+            pytest.param(["temp", "temp"], "temp", id="covariate_twice"),
+        ],
+    )
+    def test_a_column_named_twice_is_an_error_line_before_any_load(
+        self, tmp_path, capsys, monkeypatch, covariates, twice
+    ):
+        # A covariate read from the value column would hand every covariate head the held-out truth.
+        monkeypatch.setattr(harness, "load_dataset", no_task)
+        monkeypatch.chdir(tmp_path)
+        dataset = {"id": "d", "path": "d.csv", "steps_per_day": 24, "covariate_columns": covariates}
+        imputer = {"id": "tix_fourier", "params": {"use_covariates": True}}
+        doc = {"datasets": [dataset], "imputers": [imputer], "output_dir": "out"}
+        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(doc))
+        assert cli_main(["run", "cfg.yaml"]) == 1
+        message = f"dataset 'd': column {twice!r} is named twice among timestamp, value and covariate columns"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+    @pytest.mark.parametrize(
+        "imputer, message",
+        [
+            pytest.param(
+                {"id": "tix_fourier", "params": {"periods": list(range(1, 5001))}},
+                "imputer 'tix_fourier': periods: expected a list of at most 1024 items, got 5000",
+                id="periods",
+            ),
+            pytest.param(
+                {"id": "tix_fourier_q", "params": {"quantile_levels": [k / 101 for k in range(1, 101)]}},
+                "imputer 'tix_fourier_q': quantile_levels: expected a list of at most 99 items, got 100",
+                id="quantile_levels",
+            ),
+        ],
+    )
+    def test_a_list_param_above_its_bound_is_an_error_line_before_any_fit(
+        self, tmp_path, capsys, monkeypatch, imputer, message
+    ):
+        # 5000 periods size a d = 10001 basis, and its d x d Grams ask 3.2 GB for the default four scenarios;
+        # each quantile level adds a (d + 1) x (d + 1) pinball system. The guards fail a regression before it allocates.
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a basis was built or a head was fitted")
+
+        for name in ("handcrafted_features", "random_fourier_basis", "pinball_fit"):
+            monkeypatch.setattr(imputers, name, no_fit)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump({**RUN_DICT, "imputers": [imputer], "output_dir": "out"}))
+        assert cli_main(["run", "cfg.yaml"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+    @pytest.mark.parametrize(
+        "key, values",
+        [("periods", list(range(1, 1025))), ("quantile_levels", [k / 100 for k in range(1, 100)])],
+        ids=["periods", "quantile_levels"],
+    )
+    def test_a_list_param_at_its_bound_loads(self, key, values):
+        assert len(ImputerSpec("tix_fourier_q", params={key: values}).params[key]) == len(values)
 
     @staticmethod
     def refused_before_a_grid(tmp_path, capsys, monkeypatch, command, synth, message):

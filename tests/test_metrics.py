@@ -29,6 +29,35 @@ def rec(dataset, imputer, scenario, mae, wql_value=None, n=10):
     )
 
 
+class TestScoreRecord:
+    @pytest.mark.parametrize(
+        "n, mae, wql_value, message",
+        [
+            pytest.param(0, 0.5, None, "n_points must be >= 1", id="no_points"),
+            pytest.param(10, -0.5, None, "scores must be nonnegative", id="negative_mae"),
+            pytest.param(10, 0.5, -0.25, "scores must be nonnegative", id="negative_wql"),
+            *(
+                pytest.param(10, *scores, f"a score is not finite: mae {scores[0]}, wql {scores[1]}", id=name)
+                for name, scores in {
+                    "nan_mae": (float("nan"), None),
+                    "inf_mae": (float("inf"), 0.25),
+                    "minus_inf_mae": (float("-inf"), None),
+                    "nan_wql": (0.5, float("nan")),
+                    "inf_wql": (0.5, float("inf")),
+                    "minus_inf_wql": (0.5, float("-inf")),
+                }.items()
+            ),
+        ],
+    )
+    def test_refuses(self, n, mae, wql_value, message):
+        with pytest.raises(ValueError) as err:
+            rec("d", "m", "s", mae, wql_value, n=n)
+        assert str(err.value) == message
+
+    def test_keeps_a_finite_score_and_no_wql(self):
+        assert rec("d", "m", "s", 0.0, None, n=1).wql is None
+
+
 class TestZnormMae:
     def test_identity_is_zero(self):
         v = np.array([1.0, 2.0, 3.0])
