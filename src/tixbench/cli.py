@@ -42,7 +42,7 @@ def _cmd_synth(args) -> int:
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     cov_names = sorted(series.covariates)
-    with open(out, "w", newline="") as fh:
+    with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([DatasetSpec.timestamp_column, DatasetSpec.value_column, *cov_names])
         for i in range(len(series)):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 from contextlib import contextmanager, suppress
@@ -220,11 +221,20 @@ def config_from_dict(raw, base_dir: Path | None = None) -> RunConfig:
     return _strict(RunConfig, rest, "config", datasets=datasets, imputers=imputers)
 
 
-def read_yaml(path):
-    """The document of a YAML file; malformed YAML is a ``ValueError`` naming the file."""
+def _read_text(path) -> str:
+    """The text of a UTF-8 file; a byte that is not UTF-8 is a ``ValueError`` naming the file and its line."""
+    data = Path(path).read_bytes()
     try:
-        with open(path) as fh:
-            return yaml.safe_load(fh)
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise ValueError(f"{path}: line {line}: byte {data[err.start]:#04x} is not UTF-8") from None
+
+
+def read_yaml(path):
+    """The document of a UTF-8 YAML file; malformed YAML is a ``ValueError`` naming the file."""
+    try:
+        return yaml.safe_load(_read_text(path))
     except yaml.YAMLError as err:
         mark = getattr(err, "problem_mark", None)
         at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -259,20 +269,19 @@ def read_csv_columns(path, timestamp_column: str, columns: tuple[str, ...], pref
     end of a short row, is missing (NaN); a cell that is not a finite number (``nan`` and ``inf`` included) is an
     error, and so, after any header fault, is a file that csv cannot parse, named with the line it stopped at.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            if (header := next(reader, None)) is None:
-                raise ValueError(f"{path}: empty file (header row required)")
-            if prefix is not None:
-                columns = (*columns, *(c for c in header if c.startswith(prefix) and c not in columns))
-            for col in (timestamp_column, *columns):
-                if header.count(col) != 1:
-                    raise ValueError(f"{path}: {'repeated' if col in header else 'missing'} column {col!r}")
-            at = [header.index(col) for col in (timestamp_column, *columns)]
-            rows = [[row[i].strip() if i < len(row) else "" for i in at] for row in reader if row]
-        except csv.Error as err:
-            raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        if (header := next(reader, None)) is None:
+            raise ValueError(f"{path}: empty file (header row required)")
+        if prefix is not None:
+            columns = (*columns, *(c for c in header if c.startswith(prefix) and c not in columns))
+        for col in (timestamp_column, *columns):
+            if header.count(col) != 1:
+                raise ValueError(f"{path}: {'repeated' if col in header else 'missing'} column {col!r}")
+        at = [header.index(col) for col in (timestamp_column, *columns)]
+        rows = [[row[i].strip() if i < len(row) else "" for i in at] for row in reader if row]
+    except csv.Error as err:
+        raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
 
@@ -626,10 +635,11 @@ def report(records, aggregates, ranks, output_dir, meta: dict | None = None) -> 
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / "results.json"
     # With no indent, json writes through its C encoder.
-    json_path.write_text(json.dumps(payload, separators=(",\n", ": "), sort_keys=True, allow_nan=False) + "\n")
+    text = json.dumps(payload, separators=(",\n", ": "), sort_keys=True, allow_nan=False) + "\n"
+    json_path.write_text(text, encoding="utf-8")
 
     csv_path = out / "results.csv"
-    with open(csv_path, "w", newline="") as fh:
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dataset", "imputer_id", "scenario_label", "n_points", "mae", "wql"])
         for r in records:
@@ -638,7 +648,7 @@ def report(records, aggregates, ranks, output_dir, meta: dict | None = None) -> 
             )
 
     md_path = out / "report.md"
-    with open(md_path, "w") as fh:
+    with open(md_path, "w", encoding="utf-8") as fh:
         fh.write(_render_markdown(aggregates, ranks, meta))
     return {"json": json_path, "csv": csv_path, "markdown": md_path}
 

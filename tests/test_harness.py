@@ -23,6 +23,8 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cli_cases
+from cli_cases import RUN_DICT, SINE, SYNTH_DICT
 from conftest import make_segment
 from tixbench import (
     DEFAULT_SCENARIOS,
@@ -34,7 +36,6 @@ from tixbench import (
     SynthSpec,
     aggregate,
     apply_scenario,
-    cli,
     floored_std,
     generate,
     harness,
@@ -70,17 +71,6 @@ def write_csv(path, rows, header=("timestamp", "value")):
     return path
 
 
-SYNTH_DICT = {
-    "length_days": 280,
-    "steps_per_day": 24,
-    "seed": 5,
-    "components": [
-        {"kind": "sine", "amplitude": 1.0, "period_ticks": 24},
-        {"kind": "noise", "noise_std": 0.1},
-    ],
-}
-
-
 # One entry at every level of a config, each of which is checked for unknown keys.
 EVERY_LEVEL = {
     "segment": {"len_days": 28, "stride": [14, 14]},
@@ -91,12 +81,6 @@ EVERY_LEVEL = {
         {"id": "tix_random_basis", "params": {"n_random": 8}},
     ],
 }
-
-
-# A config that runs: one synthetic dataset, one imputer.
-RUN_DICT = {"datasets": [{"id": "d", "synth": SYNTH_DICT}], "imputers": [{"id": "linear"}]}
-SINE = {"kind": "sine", "amplitude": 1.0, "period_ticks": 24}
-NAN_AMPLITUDE_SINE = {**SINE, "amplitude": float("nan")}
 
 
 def with_component(component):
@@ -1603,29 +1587,6 @@ class TestCli:
         assert scored["n_points"] == 3
         assert scored["mae"] == pytest.approx(1.0 / 3.0)
 
-    def test_a_score_that_is_not_finite_names_its_task_and_writes_nothing(self, tmp_path, capsys):
-        # A held-out day near 1e-300 beside predictions near 1e99: wql overflows to inf. Every value is
-        # within the 1e100 bound on what a run loads.
-        rows = [[t, (1e-300 if t // 24 % 3 == 0 else 1e99) * (1.0 + 0.1 * (t % 5))] for t in range(40 * 24)]
-        write_csv(tmp_path / "tiny.csv", rows)
-        cfg = {
-            "datasets": [{"id": "tiny", "path": "tiny.csv", "steps_per_day": 24}],
-            "segment": {"len_days": 3, "stride": [1, 1]},
-            "scenarios": [{"kind": "blocks", "param": 1, "label": "day"}],
-            "imputers": [{"id": "tix_fourier_q"}],
-        }
-        cfg_path = tmp_path / "tiny.yaml"
-        cfg_path.write_text(yaml.safe_dump(cfg))
-        assert cli_main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 1
-        captured = capsys.readouterr()
-        assert re.fullmatch(
-            r"error: dataset 'tiny', ticks \d+-\d+, scenario 'day', imputer 'tix_fourier_q': "
-            r"a score is not finite: mae \S+, wql inf\n",
-            captured.err,
-        )
-        assert "Traceback" not in captured.err + captured.out
-        assert not (tmp_path / "out").exists()
-
     def test_seed_flag_changes_results(self, tmp_path, capsys):
         cfg = {
             "seed": 3,
@@ -1642,34 +1603,6 @@ class TestCli:
         b = json.loads((tmp_path / "s4" / "results.json").read_text())
         assert a["meta"]["seed"] == 3 and b["meta"]["seed"] == 4
         assert a["meta"]["content_digest"] != b["meta"]["content_digest"]
-
-    @pytest.mark.parametrize("command", ["score", "synth"])
-    def test_missing_input_file_is_an_error_line(self, tmp_path, capsys, command):
-        missing = tmp_path / "nosuch.csv"
-        pred = write_csv(tmp_path / "pred.csv", [[0, 1.0]])
-        argv = ["score", str(missing), str(pred)] if command == "score" else ["synth", str(missing), "-o", str(pred)]
-        assert cli_main(argv) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
-
-    def test_run_reports_ingestion_failures(self, tmp_path, capsys):
-        # Listed out of order: the error lines follow the sorted dataset ids.
-        cfg = {
-            "datasets": [
-                {"id": "ghost", "path": str(tmp_path / "ghost.csv"), "steps_per_day": 24},
-                {"id": "absent", "path": str(tmp_path / "absent.csv"), "steps_per_day": 24},
-            ],
-            "imputers": [{"id": "linear"}],
-            "output_dir": str(tmp_path / "out"),
-        }
-        cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(yaml.safe_dump(cfg))
-        assert cli_main(["run", str(cfg_path)]) == 1
-        assert capsys.readouterr().err == (
-            "error: dataset ingestion failed\n"
-            f"  absent: [Errno 2] No such file or directory: '{tmp_path / 'absent.csv'}'\n"
-            f"  ghost: [Errno 2] No such file or directory: '{tmp_path / 'ghost.csv'}'\n"
-        )
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_run_refuses_jobs_below_one(self, tmp_path, capsys, monkeypatch, jobs):
@@ -1690,29 +1623,6 @@ class TestCli:
         spec_path.write_text(yaml.safe_dump({**SYNTH_DICT, "lenght_days": 30}))
         assert cli_main(["synth", str(spec_path), "-o", str(tmp_path / "b.csv")]) == 1
         assert "error: synth: unknown key 'lenght_days'" in capsys.readouterr().err
-
-    def test_run_reports_config_and_run_errors(self, tmp_path, capsys):
-        # The empty covariate cell at tick 150 falls inside the first window
-        # of the test slice, so the run refuses covar_ridge before any task.
-        rows = [[t, float(t), "" if t == 150 else 1.0] for t in range(1344)]
-        write_csv(tmp_path / "gap.csv", rows, header=("timestamp", "value", "temp"))
-        dataset = {"id": "gap", "path": "gap.csv", "steps_per_day": 24, "covariate_columns": ["temp"]}
-        cfg = {
-            "datasets": [dataset],
-            "imputers": [{"id": "covar_ridge"}],
-            "splits": [0.05, 0.05, 0.9],
-            "output_dir": str(tmp_path / "out"),
-        }
-        cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(yaml.safe_dump(cfg))
-        assert cli_main(["run", str(cfg_path)]) == 1
-        assert capsys.readouterr().err == (
-            "error: dataset ingestion failed\n"
-            "  gap: covariate 'temp' has no value at tick 150, which imputer 'covar_ridge' reads\n"
-        )
-        cfg_path.write_text(yaml.safe_dump({**cfg, "imputers": [{"id": "covar_ridge", "params": {"lamda": 1}}]}))
-        assert cli_main(["run", str(cfg_path)]) == 1
-        assert "unknown param 'lamda'" in capsys.readouterr().err
 
     def test_failed_ridge_solve_names_its_window(self, tmp_path, capsys, monkeypatch):
         # A solve that fails and a least-squares fallback that misses the
@@ -1806,52 +1716,6 @@ class TestCli:
         assert "wql" in scored
         assert scored["wql_levels"] == [0.1, 0.9]
 
-    @pytest.mark.parametrize(
-        "file, column, text",
-        [(f, "value", t) for f in ("truth", "pred") for t in NON_FINITE]
-        + [("pred", "q0.9", t) for t in NON_FINITE]
-        + [("truth", "timestamp", "0"), ("pred", "timestamp", "0")],
-    )
-    def test_score_rejects_bad_cells(self, tmp_path, capsys, file, column, text):
-        # Both files follow the ingestion rules: only an empty cell is
-        # missing, and a repeated timestamp is an error.
-        header = ("timestamp", "value", "q0.9")
-        good = [[0, 2.0, 3.0], [1, 4.0, 5.0], [2, 3.0, 4.0]]
-        bad = copy.deepcopy(good)
-        bad[1][header.index(column)] = text
-        truth = write_csv(tmp_path / "t.csv", [r[:2] for r in (bad if file == "truth" else good)], header[:2])
-        pred = write_csv(tmp_path / "p.csv", bad if file == "pred" else good, header)
-        message = "duplicate timestamps" if column == "timestamp" else f"non-finite cell {text!r} in column {column!r}"
-        assert cli_main(["score", str(truth), str(pred)]) == 1
-        out, err = capsys.readouterr()
-        assert (out, err) == ("", f"error: {truth if file == 'truth' else pred}: {message}\n")
-
-    def test_score_without_a_shared_scored_timestamp_is_an_error_line(self, tmp_path, capsys):
-        # Timestamp 1 is in both files, but its truth is missing.
-        truth = write_csv(tmp_path / "t.csv", [[0, 1.0], [1, ""]])
-        pred = write_csv(tmp_path / "p.csv", [[1, 2.0], [2, 3.0]])
-        assert cli_main(["score", str(truth), str(pred)]) == 1
-        assert capsys.readouterr() == ("", "error: no overlapping scored timestamps\n")
-
-    @pytest.mark.parametrize(
-        "levels, message",
-        [
-            pytest.param(("q0.0", "q0.9"), "quantile column 'q0.0' names no level strictly between 0 and 1", id="q0.0"),
-            pytest.param(("q0.x", "q0.9"), "quantile column 'q0.x' names no level strictly between 0 and 1", id="q0.x"),
-            pytest.param(("q0.1", "q0.10"), "quantile columns 'q0.1' and 'q0.10' name one level, 0.1", id="q0.1-q0.10"),
-        ],
-    )
-    def test_score_with_a_bad_quantile_column_is_an_error_line(self, tmp_path, capsys, levels, message):
-        # Beside a valid column, the bad one fails the whole score: no output without its wql.
-        truth = write_csv(tmp_path / "t.csv", [[0, 2.0], [1, 4.0]])
-        pred = write_csv(
-            tmp_path / "p.csv",
-            [[0, 2.0, 1.0, 3.0], [1, 4.0, 3.0, 5.0]],
-            header=("timestamp", "value", *levels),
-        )
-        assert cli_main(["score", str(truth), str(pred)]) == 1
-        assert capsys.readouterr() == ("", f"error: {pred}: {message}\n")
-
     def test_score_of_an_all_zero_truth_leaves_out_wql(self, tmp_path, capsys):
         # The weighted quantile loss divides by the truth's absolute sum.
         truth = write_csv(tmp_path / "t.csv", [[0, 0.0], [1, 0.0]])
@@ -1860,460 +1724,12 @@ class TestCli:
         assert json.loads(capsys.readouterr().out) == {"mae": 1.0, "n_points": 2, "truth_std": 1e-8, "znorm_mae": 1e8}
 
     @pytest.mark.parametrize(
-        "command, doc, message",
-        [
-            ("run", {**RUN_DICT, "datasets": 5}, "datasets: expected a list, got 5"),
-            ("run", {**RUN_DICT, "imputers": "linear"}, "imputers: expected a list, got 'linear'"),
-            (
-                "run",
-                {**RUN_DICT, "scenarios": {"kind": "blocks"}},
-                "scenarios: expected a list, got {'kind': 'blocks'}",
-            ),
-            (
-                "run",
-                {**RUN_DICT, "datasets": [{"id": "d", "path": "d.csv", "steps_per_day": 24, "covariate_columns": "temp"}]},
-                "dataset 'd': covariate_columns: expected a list, got 'temp'",
-            ),
-            ("synth", {**SYNTH_DICT, "components": 5}, "synth components: expected a list, got 5"),
-            ("run", "", "config: datasets must not be empty"),
-            ("run", [], "config: expected a mapping, got []"),
-            ("run", 0, "config: expected a mapping, got 0"),
-            ("synth", [], "synth: expected a mapping, got []"),
-            ("synth", "", "synth: missing key 'steps_per_day'"),
-            (
-                "run",
-                "datasets: [{id: d\n",
-                "{path}: malformed YAML at line 2, column 1: expected ',' or '}', but got '<stream end>'",
-            ),
-            (
-                "synth",
-                "length_days: 28\n\tseed: 1\n",
-                "{path}: malformed YAML at line 2, column 1: found character '\\t' that cannot start any token",
-            ),
-        ],
-        ids=[
-            "datasets",
-            "imputers",
-            "scenarios",
-            "covariate_columns",
-            "components",
-            "run_empty",
-            "run_list",
-            "run_zero",
-            "synth_list",
-            "synth_empty",
-            "run_yaml",
-            "synth_yaml",
-        ],
-    )
-    def test_config_of_the_wrong_shape_is_an_error_line(self, tmp_path, capsys, command, doc, message):
-        path = tmp_path / "cfg.yaml"
-        path.write_text(doc if isinstance(doc, str) else yaml.safe_dump(doc))
-        argv = [command, str(path), "-o" if command == "synth" else "--output-dir", str(tmp_path / "out")]
-        assert cli_main(argv) == 1
-        assert capsys.readouterr() == ("", f"error: {message.replace('{path}', str(path))}\n")
-
-    @pytest.mark.parametrize(
-        "change, message",
-        [
-            pytest.param({"output_dir": 5}, "config: output_dir must be a string, got 5", id="output_dir"),
-            pytest.param({"seed": [1, 2]}, "config: seed must be a whole number, got [1, 2]", id="seed"),
-            pytest.param(
-                {"datasets": [{"id": "c", "path": 5, "steps_per_day": 24}]},
-                "dataset 'c': path must be a string, got 5",
-                id="path",
-            ),
-            pytest.param(
-                {"imputers": [{"id": "tix_random_basis", "params": {"basis_seed": "a"}}]},
-                "imputer 'tix_random_basis': basis_seed must be a whole number >= 0, got 'a'",
-                id="basis_seed",
-            ),
-            pytest.param(
-                {"imputers": [{"id": "tix_random_basis", "params": {"n_random": 4.5}}]},
-                "imputer 'tix_random_basis': n_random must be a whole number >= 1 and <= 1024, got 4.5",
-                id="n_random",
-            ),
-            pytest.param(
-                {"datasets": [{"id": "d", "synth": {**SYNTH_DICT, "length_days": 150.5}}]},
-                "synth: length_days must be a whole number >= 28 and <= 416666, got 150.5",
-                id="synth_length_days",
-            ),
-            pytest.param(
-                {"datasets": [{"id": "d", "synth": {**SYNTH_DICT, "seed": "a"}}]},
-                "synth: seed must be a whole number >= 0, got 'a'",
-                id="synth_seed",
-            ),
-            pytest.param(
-                {"imputers": [{"id": "tix_fourier", "params": {"use_covariates": "no"}}]},
-                "imputer 'tix_fourier': use_covariates must be true or false, got 'no'",
-                id="use_covariates",
-            ),
-            pytest.param(
-                {"datasets": [{"id": "d", "synth": SYNTH_DICT, "min_std_filter": 10**400}]},
-                f"dataset 'd': min_std_filter must be a finite number, got {10**400}",
-                id="min_std_filter_400_digits",
-            ),
-            pytest.param(
-                {"imputers": [{"id": "seasonal_naive", "params": {"season": 2.5}}]},
-                "imputer 'seasonal_naive': season must be a whole number >= 1, got 2.5",
-                id="season",
-            ),
-            pytest.param(
-                {"segment": {"len_days": 28, "stride": [1, float("inf")]}},
-                "config: segment.stride must be a finite number >= 1.0, got inf",
-                id="stride_inf",
-            ),
-            pytest.param(
-                {"segment": {"len_days": 1.0e300}},
-                "config: segment.len_days must be a whole number >= 1 and <= 10000, got 1e+300",
-                id="len_days_1e300",
-            ),
-            pytest.param(
-                {"splits": [float("nan"), 0.5, 0.5]},
-                "config: splits must be a finite number > 0, got nan",
-                id="splits_nan",
-            ),
-            pytest.param(
-                {"datasets": [{"id": "d", "synth": {**SYNTH_DICT, "components": [NAN_AMPLITUDE_SINE]}}]},
-                "synth component: amplitude must be a finite number, got nan",
-                id="synth_amplitude_nan",
-            ),
-            pytest.param(
-                {"imputers": [{"id": "tix_random_basis", "params": {"freq_range": [0.5, float("inf")]}}]},
-                "imputer 'tix_random_basis': freq_range must be a finite number > 0.5, got inf",
-                id="freq_range_inf",
-            ),
-            pytest.param(
-                {"imputers": [{"id": "tix_fourier_q", "params": {"lam": float("inf")}}]},
-                "imputer 'tix_fourier_q': lam must be a finite number >= 0, got inf",
-                id="lam_inf",
-            ),
-            pytest.param(
-                {"imputers": [{"id": "tix_fourier", "params": {"periods": [float("nan")]}}]},
-                "imputer 'tix_fourier': periods must be a finite number > 0, got nan",
-                id="periods_nan",
-            ),
-            pytest.param(
-                {"imputers": [{"id": "tix_fourier", "params": {"periods": [float("inf")]}}]},
-                "imputer 'tix_fourier': periods must be a finite number > 0, got inf",
-                id="periods_inf",
-            ),
-            pytest.param(
-                {"datasets": [{"id": "d", "synth": SYNTH_DICT, "min_std_filter": float("inf")}]},
-                "dataset 'd': min_std_filter must be a finite number, got inf",
-                id="min_std_filter_inf",
-            ),
-            pytest.param(
-                {"datasets": [{"id": "d", "synth": SYNTH_DICT, "min_std_filter": float("nan")}]},
-                "dataset 'd': min_std_filter must be a finite number, got nan",
-                id="min_std_filter_nan",
-            ),
-            *(
-                pytest.param(
-                    {"imputers": [{"id": "tix_fourier", "params": {"lam": value}}]},
-                    f"imputer 'tix_fourier': lam must be a finite number >= 0, got {value!r}",
-                    id=f"lam_{label}",
-                )
-                for label, value in (("str", "a"), ("null", None), ("list", [1]), ("true", True))
-            ),
-            pytest.param(
-                {"imputers": [{"id": "tix_fourier", "params": {"periods": "ab"}}]},
-                "imputer 'tix_fourier': periods: expected a list, got 'ab'",
-                id="periods_str",
-            ),
-            pytest.param({"splits": "abc"}, "config: splits: expected a list of 3, got 'abc'", id="splits_str"),
-            pytest.param(
-                {"segment": {"stride": ["a", 1]}},
-                "config: segment.stride must be a finite number > 0, got 'a'",
-                id="stride_str",
-            ),
-            pytest.param(
-                {"segment": {"stride": [True, True]}},
-                "config: segment.stride must be a finite number > 0, got True",
-                id="stride_true",
-            ),
-            *(
-                pytest.param(
-                    {"datasets": [{"id": "d", "synth": SYNTH_DICT, "min_std_filter": value}]},
-                    f"dataset 'd': min_std_filter must be a finite number, got {value!r}",
-                    id=f"min_std_filter_{label}",
-                )
-                for label, value in (("str", "a"), ("true", True))
-            ),
-            *(
-                pytest.param(
-                    {"datasets": [{"id": "d", "synth": {**SYNTH_DICT, "components": [{**SINE, "amplitude": value}]}}]},
-                    f"synth component: amplitude must be a finite number, got {value!r}",
-                    id=f"synth_amplitude_{label}",
-                )
-                for label, value in (("str", "a"), ("null", None), ("true", True))
-            ),
-            *(
-                pytest.param(
-                    {"imputers": [{"id": "tix_random_basis", "params": {"freq_range": value}}]},
-                    f"imputer 'tix_random_basis': freq_range: expected a list of 2, got {value!r}",
-                    id=f"freq_range_{label}",
-                )
-                for label, value in (("str", "ab"), ("three", [1, 2, 3]))
-            ),
-            pytest.param(
-                {"imputers": [{"id": "tix_fourier_q", "params": {"quantile_levels": "a"}}]},
-                "imputer 'tix_fourier_q': quantile_levels: expected a list, got 'a'",
-                id="quantile_levels_str",
-            ),
-            pytest.param(
-                {"scenarios": [{"kind": "pointwise", "param": "a", "label": "p"}]},
-                "scenario 'p': pointwise param must be a finite number > 0 and < 1, got 'a'",
-                id="pointwise_param_str",
-            ),
-            *(
-                pytest.param(
-                    {"imputers": [{"id": "tix_fourier", "params": value}]},
-                    f"imputer 'tix_fourier': params: expected a mapping, got {value!r}",
-                    id=f"params_{label}",
-                )
-                for label, value in (("list", [1]), ("str", "a"))
-            ),
-            pytest.param({"imputers": [{"id": ["x"]}]}, "imputer ['x']: unknown imputer ['x']", id="id_list"),
-            pytest.param({"segment": []}, "segment: expected a mapping, got []", id="segment_list"),
-            pytest.param({"segment": 0}, "segment: expected a mapping, got 0", id="segment_zero"),
-            pytest.param({"scenarios": ""}, "scenarios: expected a list, got ''", id="scenarios_str"),
-            pytest.param({"scenarios": 0}, "scenarios: expected a list, got 0", id="scenarios_zero"),
-            pytest.param({"scenarios": []}, "config: scenarios must not be empty", id="scenarios_empty"),
-            pytest.param(
-                {"datasets": [{"id": "d", "synth": {**SYNTH_DICT, "components": 0}}]},
-                "synth components: expected a list, got 0",
-                id="components_zero",
-            ),
-            pytest.param(
-                {"datasets": [{"id": None, "synth": SYNTH_DICT}]}, "dataset: missing key 'id'", id="dataset_id_null"
-            ),
-            pytest.param({"datasets": [{"synth": SYNTH_DICT}]}, "dataset: missing key 'id'", id="dataset_id_missing"),
-            pytest.param(
-                {"scenarios": [{"kind": "pointwise", "param": 0.5, "label": None}]},
-                "scenario: missing key 'label'",
-                id="scenario_label_null",
-            ),
-            pytest.param(
-                {"scenarios": [{"kind": "pointwise", "param": p, "label": label} for p, label in ((0.5, "a"), (2, "b"))]},
-                "scenario 'b': pointwise param must be a finite number > 0 and < 1, got 2",
-                id="second_scenario",
-            ),
-            pytest.param(
-                {"imputers": [{"id": "tix_fourier"}, {"id": "tix_fourier", "name": "cov", "params": {"lam": -1}}]},
-                "imputer 'cov': lam must be a finite number >= 0, got -1",
-                id="named_imputer",
-            ),
-            pytest.param(
-                {"scenarios": [{"kind": "gaps", "param": 1, "label": "g"}]},
-                "scenario 'g': unknown scenario kind 'gaps'",
-                id="scenario_kind",
-            ),
-            pytest.param({"rank_metric": "rmse"}, "config: rank_metric must be 'mae' or 'wql'", id="rank_metric"),
-        ],
-    )
-    def test_bad_config_value_is_an_error_line_before_any_task(self, tmp_path, capsys, monkeypatch, change, message):
-        # Each value is refused at load; a run that used it would fail
-        # mid-run, end in a traceback or read it as something else.
-        monkeypatch.setattr(harness, "_score_tasks", no_task)
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump({**RUN_DICT, "output_dir": "out", **change}))
-        assert cli_main(["run", "cfg.yaml"]) == 1
-        assert capsys.readouterr() == ("", f"error: {message}\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
-
-    def test_n_random_above_its_bound_is_an_error_line_before_any_basis(self, tmp_path, capsys, monkeypatch):
-        # n_random sizes a d = 2 * n_random + 1 basis and its d x d Gram: 20000 would ask
-        # 12.8 GB for one. The guard makes a regression fail before it allocates.
-        def no_basis(*args):
-            raise AssertionError("a basis was built")
-
-        monkeypatch.setattr(imputers, "random_fourier_basis", no_basis)
-        monkeypatch.chdir(tmp_path)
-        change = {"imputers": [{"id": "tix_random_basis", "params": {"n_random": 20000}}]}
-        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump({**RUN_DICT, "output_dir": "out", **change}))
-        assert cli_main(["run", "cfg.yaml"]) == 1
-        message = "imputer 'tix_random_basis': n_random must be a whole number >= 1 and <= 1024, got 20000"
-        assert capsys.readouterr() == ("", f"error: {message}\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
-
-    @pytest.mark.parametrize(
-        "covariates, twice",
-        [
-            pytest.param(["value"], "value", id="value"),
-            pytest.param(["timestamp"], "timestamp", id="timestamp"),
-            pytest.param(["temp", "temp"], "temp", id="covariate_twice"),
-        ],
-    )
-    def test_a_column_named_twice_is_an_error_line_before_any_load(
-        self, tmp_path, capsys, monkeypatch, covariates, twice
-    ):
-        # A covariate read from the value column would hand every covariate head the held-out truth.
-        monkeypatch.setattr(harness, "load_dataset", no_task)
-        monkeypatch.chdir(tmp_path)
-        dataset = {"id": "d", "path": "d.csv", "steps_per_day": 24, "covariate_columns": covariates}
-        imputer = {"id": "tix_fourier", "params": {"use_covariates": True}}
-        doc = {"datasets": [dataset], "imputers": [imputer], "output_dir": "out"}
-        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(doc))
-        assert cli_main(["run", "cfg.yaml"]) == 1
-        message = f"dataset 'd': column {twice!r} is named twice among timestamp, value and covariate columns"
-        assert capsys.readouterr() == ("", f"error: {message}\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
-
-    @pytest.mark.parametrize(
-        "imputer, message",
-        [
-            pytest.param(
-                {"id": "tix_fourier", "params": {"periods": list(range(1, 5001))}},
-                "imputer 'tix_fourier': periods: expected a list of at most 1024 items, got 5000",
-                id="periods",
-            ),
-            pytest.param(
-                {"id": "tix_fourier_q", "params": {"quantile_levels": [k / 101 for k in range(1, 101)]}},
-                "imputer 'tix_fourier_q': quantile_levels: expected a list of at most 99 items, got 100",
-                id="quantile_levels",
-            ),
-        ],
-    )
-    def test_a_list_param_above_its_bound_is_an_error_line_before_any_fit(
-        self, tmp_path, capsys, monkeypatch, imputer, message
-    ):
-        # 5000 periods size a d = 10001 basis, and its d x d Grams ask 3.2 GB for the default four scenarios;
-        # each quantile level adds a (d + 1) x (d + 1) pinball system. The guards fail a regression before it allocates.
-        def no_fit(*args, **kwargs):
-            raise AssertionError("a basis was built or a head was fitted")
-
-        for name in ("handcrafted_features", "random_fourier_basis", "pinball_fit"):
-            monkeypatch.setattr(imputers, name, no_fit)
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump({**RUN_DICT, "imputers": [imputer], "output_dir": "out"}))
-        assert cli_main(["run", "cfg.yaml"]) == 1
-        assert capsys.readouterr() == ("", f"error: {message}\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
-
-    @pytest.mark.parametrize(
         "key, values",
         [("periods", list(range(1, 1025))), ("quantile_levels", [k / 100 for k in range(1, 100)])],
         ids=["periods", "quantile_levels"],
     )
     def test_a_list_param_at_its_bound_loads(self, key, values):
         assert len(ImputerSpec("tix_fourier_q", params={key: values}).params[key]) == len(values)
-
-    @staticmethod
-    def refused_before_a_grid(tmp_path, capsys, monkeypatch, command, synth, message):
-        """``tixbench run`` or ``synth`` on ``synth`` prints ``error: <message>``, with guards that fail a regression
-        before it allocates a grid, and writes nothing."""
-
-        def no_grid(*args, **kwargs):
-            raise AssertionError("a grid was generated")
-
-        monkeypatch.setattr(harness, "synth_generate", no_grid)
-        monkeypatch.setattr(cli, "generate", no_grid)
-        monkeypatch.chdir(tmp_path)
-        run_doc = {**RUN_DICT, "datasets": [{"id": "d", "synth": synth}], "output_dir": "out"}
-        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(run_doc if command == "run" else synth))
-        assert cli_main([command, "cfg.yaml"] + (["-o", "d.csv"] if command == "synth" else [])) == 1
-        assert capsys.readouterr() == ("", f"error: {message}\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
-
-    @pytest.mark.parametrize("command", ["run", "synth"])
-    def test_synth_length_above_its_bound_is_an_error_line_before_a_grid(self, tmp_path, capsys, monkeypatch, command):
-        # length_days * steps_per_day sizes the generated grid: 1e12 days would ask 175 TiB.
-        synth = {**SYNTH_DICT, "length_days": 10**12}
-        message = f"synth: length_days must be a whole number >= 28 and <= 416666, got {10**12}"
-        self.refused_before_a_grid(tmp_path, capsys, monkeypatch, command, synth, message)
-
-    @pytest.mark.parametrize("command", ["run", "synth"])
-    def test_synth_steps_per_day_above_its_bound_is_an_error_line_before_a_grid(
-        self, tmp_path, capsys, monkeypatch, command
-    ):
-        # A million ticks a day leaves no room for 28 days under the grid bound: the error names
-        # steps_per_day, not a length_days bound that no value can meet.
-        synth = {**SYNTH_DICT, "length_days": 200, "steps_per_day": 10**6}
-        message = "synth: steps_per_day must be a whole number >= 1 and <= 357142, got 1000000"
-        self.refused_before_a_grid(tmp_path, capsys, monkeypatch, command, synth, message)
-
-    def test_run_names_a_csv_too_short_to_split(self, tmp_path, capsys):
-        write_csv(tmp_path / "pair.csv", [[0, 1.0], [1, 2.0]])
-        cfg = {
-            "datasets": [{"id": "pair", "path": "pair.csv", "steps_per_day": 24}],
-            "imputers": [{"id": "linear"}],
-            "output_dir": str(tmp_path / "out"),
-        }
-        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(cfg))
-        assert cli_main(["run", str(tmp_path / "cfg.yaml")]) == 1
-        err = "error: dataset ingestion failed\n  pair: series too short to split: 2 ticks\n"
-        assert capsys.readouterr() == ("", err)
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("", "empty file (header row required)"),
-            ("timestamp,value\n", "no data rows"),
-            ("timestamp,value\n0,1.0\n1,abc\n", "non-numeric cell 'abc' in column 'value'"),
-        ],
-        ids=["empty", "header_only", "non_numeric"],
-    )
-    def test_unreadable_csv_is_an_error_line_naming_the_file(self, tmp_path, capsys, text, message):
-        (truth := tmp_path / "t.csv").write_text(text)
-        pred = write_csv(tmp_path / "p.csv", [[0, 1.0], [1, 2.0]])
-        assert cli_main(["score", str(truth), str(pred)]) == 1
-        assert capsys.readouterr() == ("", f"error: {truth}: {message}\n")
-
-    @pytest.mark.parametrize("column", ["value", "temp"])
-    def test_csv_cell_above_the_magnitude_bound_is_an_error_line_before_any_task(self, tmp_path, capsys, column):
-        # Near 1e300 the square in a std overflows: a run that read these values scored every linear and locf record
-        # 0.0 and exited 0. The bound covers every column read, the covariate included.
-        rows = [[t, 1.0 + t % 24, 1.0 + t % 24] for t in range(400)]
-        for row in rows:
-            row[("value", "temp").index(column) + 1] = 1e300 * (1.0 + 0.1 * np.sin(row[0] / 3))
-        write_csv(tmp_path / "big.csv", rows, header=("timestamp", "value", "temp"))
-        cfg = {
-            "datasets": [{"id": "big", "path": "big.csv", "steps_per_day": 24, "covariate_columns": ["temp"]}],
-            "segment": {"len_days": 3, "stride": [1, 1]},
-            "imputers": [{"id": "linear"}, {"id": "locf"}],
-            "output_dir": str(tmp_path / "out"),
-        }
-        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(cfg))
-        assert cli_main(["run", str(tmp_path / "cfg.yaml")]) == 1
-        message = f"cell 1e+300 in column {column!r} at timestamp 0 is above the bound 1e+100 on a value's magnitude"
-        err = f"error: dataset ingestion failed\n  big: {tmp_path / 'big.csv'}: {message}\n"
-        assert capsys.readouterr() == ("", err)
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("command", ["run", "synth"])
-    @pytest.mark.parametrize(
-        "component, peak",
-        [
-            # A sine of amplitude 1e300 peaks at 1e300 at tick 6; a run of it scored every record 0.0 and exited 0.
-            ({"kind": "sine", "amplitude": 1.0e300, "period_ticks": 24}, "1e+300"),
-            # A slope of 1e306 a tick overflows to inf by tick 180, with no overflow warning on the way.
-            ({"kind": "trend", "amplitude": 1.0e306}, "inf"),
-        ],
-        ids=["sine", "trend"],
-    )
-    def test_synth_values_above_the_magnitude_bound_are_an_error_line(
-        self, tmp_path, capsys, monkeypatch, command, component, peak
-    ):
-        monkeypatch.chdir(tmp_path)
-        synth = {**SYNTH_DICT, "components": [component]}
-        run_doc = {**RUN_DICT, "datasets": [{"id": "d", "synth": synth}], "output_dir": "out"}
-        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(run_doc if command == "run" else synth))
-        assert cli_main([command, "cfg.yaml"] + (["-o", "d.csv"] if command == "synth" else [])) == 1
-        message = f"synth values reach {peak}, above the bound 1e+100 on a value's magnitude"
-        heading = "dataset ingestion failed\n  d: " if command == "run" else ""
-        assert capsys.readouterr() == ("", f"error: {heading}{message}\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
-
-    def test_score_rejects_a_non_finite_score(self, tmp_path, capsys):
-        # Finite cells whose errors overflow: the score must not print
-        # Infinity or NaN, which are not JSON.
-        truth = write_csv(tmp_path / "t.csv", [[0, 1e308], [1, -1e308]])
-        pred = write_csv(tmp_path / "p.csv", [[0, -1e308], [1, 1e308]])
-        assert cli_main(["score", str(truth), str(pred)]) == 1
-        out, err = capsys.readouterr()
-        assert (out, err) == ("", f"error: {pred}: scores against {truth} are not finite\n")
 
     def test_score_pairs_rows_by_parsed_timestamp(self, tmp_path, capsys):
         # Rows pair by the instant they name, whatever their order or UTC
@@ -2365,6 +1781,51 @@ class TestCli:
             ingest_csv(path, HOURLY)
         assert cli_main(["score", str(path), str(path)]) == 1
         assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+    def test_run_synth_and_score_name_the_encoding_of_every_file(self, tmp_path):
+        # The bytes a command reads and writes must not depend on the locale.
+        src = str(Path(harness.__file__).resolve().parents[1])
+        (tmp_path / "spec.yaml").write_text(yaml.safe_dump(SYNTH_DICT))
+        dataset = {"id": "d", "path": "d.csv", "steps_per_day": 24}
+        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump({**RUN_DICT, "datasets": [dataset]}))
+        strict = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "tixbench.cli"]
+        env = {**os.environ, "PYTHONPATH": src}
+        for argv in (["synth", "spec.yaml", "-o", "d.csv"], ["run", "cfg.yaml"], ["score", "d.csv", "d.csv"]):
+            done = subprocess.run(strict + argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+            assert (done.returncode, done.stderr) == (0, ""), argv
+
+
+def refused(guard):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{guard} ran")
+
+    return call
+
+
+def run_case(case, directory, capsys, monkeypatch):
+    """Run a case of ``tests/cli_cases.py`` through ``cli.main`` in ``directory``, with its guards patched to fail."""
+    for guard in case.guards:
+        monkeypatch.setattr(guard, refused(guard))
+    monkeypatch.chdir(directory)
+    status = cli_main(cli_cases.write_inputs(case, str(directory)))
+    out, err = capsys.readouterr()
+    assert not cli_cases.problems(case, str(directory), status, out, err)
+
+
+def error_line_test(name):
+    """The test ``name`` of ``TestCli``: it runs the cases of ``tests/cli_cases.py`` that it names."""
+    if name in cli_cases.CASES:
+        return lambda self, tmp_path, capsys, monkeypatch: run_case(cli_cases.CASES[name], tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("case", [key[len(name) + 1 : -1] for key in cli_cases.CASES if key.startswith(f"{name}[")])
+    def test(self, tmp_path, capsys, monkeypatch, case):
+        run_case(cli_cases.CASES[f"{name}[{case}]"], tmp_path, capsys, monkeypatch)
+
+    return test
+
+
+for _name in dict.fromkeys(key.partition("[")[0] for key in cli_cases.CASES):
+    setattr(TestCli, _name, error_line_test(_name))
 
 
 def test_demo_matches_committed_results(tmp_path):
