@@ -32,14 +32,14 @@ class FeatureSpec:
 
     ``periods`` applies to the handcrafted basis (empty means daily+weekly
     derived from the frequency metadata). ``n_random``, ``freq_range`` (in
-    cycles per segment) and ``seed`` configure the random basis.
+    cycles per segment) and ``basis_seed`` configure the random basis.
     """
 
     kind: str = HANDCRAFTED_FOURIER
     periods: tuple[float, ...] = ()
     n_random: int = 64
     freq_range: tuple[float, float] = (0.5, 400.0)
-    seed: int = 0
+    basis_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in (HANDCRAFTED_FOURIER, RANDOM_FOURIER):
@@ -52,7 +52,7 @@ class FeatureSpec:
         object.__setattr__(self, "freq_range", (lo, real_number(hi, "freq_range", above=lo)))
         if self.kind == RANDOM_FOURIER:
             object.__setattr__(self, "n_random", whole_number(self.n_random, "n_random", 1, MAX_N_RANDOM))
-            object.__setattr__(self, "seed", whole_number(self.seed, "seed", least=0))
+            object.__setattr__(self, "basis_seed", whole_number(self.basis_seed, "basis_seed", least=0))
 
 
 def _normalized_time(ticks) -> tuple[np.ndarray, np.ndarray]:
@@ -98,7 +98,7 @@ def random_fourier_basis(ticks, spec: FeatureSpec) -> np.ndarray:
     if spec.kind != RANDOM_FOURIER:
         raise ValueError("spec.kind must be random_fourier")
     _, t_norm = _normalized_time(ticks)
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.basis_seed)
     lo, hi = spec.freq_range
     freqs = np.exp(rng.uniform(np.log(lo), np.log(hi), size=spec.n_random))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=spec.n_random)

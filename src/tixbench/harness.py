@@ -18,6 +18,7 @@ import hashlib
 import io
 import json
 import math
+import os
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
@@ -222,10 +223,10 @@ def config_from_dict(raw, base_dir: Path | None = None) -> RunConfig:
 
 
 def _read_text(path) -> str:
-    """The text of a UTF-8 file; a byte that is not UTF-8 is a ``ValueError`` naming the file and its line."""
+    """A UTF-8 file's text, less one leading byte-order mark; a byte not UTF-8 is a ValueError naming file and line."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as err:
         line = data.count(b"\n", 0, err.start) + 1
         raise ValueError(f"{path}: line {line}: byte {data[err.start]:#04x} is not UTF-8") from None
@@ -264,10 +265,10 @@ def read_csv_columns(path, timestamp_column: str, columns: tuple[str, ...], pref
     """The sorted timestamps of a comma-separated file, and one float array per column in their order.
 
     The header must name ``timestamp_column`` and each of ``columns``; header columns that start with ``prefix``,
-    when given, are read too. A column read must be named once. Timestamps are integers within int64 or ISO-8601
-    datetimes, all of one kind (naive and aware datetimes are two), and no two equal. An empty cell, or one past the
-    end of a short row, is missing (NaN); a cell that is not a finite number (``nan`` and ``inf`` included) is an
-    error, and so, after any header fault, is a file that csv cannot parse, named with the line it stopped at.
+    when given, are read too. A column read is named once and read once. Timestamps are integers within int64 or
+    ISO-8601 datetimes, all of one kind (naive and aware datetimes are two), and no two equal. An empty cell, or one
+    past the end of a short row, is missing (NaN); a cell that is not a finite number (``nan`` and ``inf`` included)
+    is an error, and so, after any header fault, is a file that csv cannot parse, named with the line it stopped at.
     """
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     try:
@@ -275,10 +276,12 @@ def read_csv_columns(path, timestamp_column: str, columns: tuple[str, ...], pref
             raise ValueError(f"{path}: empty file (header row required)")
         if prefix is not None:
             columns = (*columns, *(c for c in header if c.startswith(prefix) and c not in columns))
-        for col in (timestamp_column, *columns):
+        for col in (read := (timestamp_column, *columns)):
             if header.count(col) != 1:
                 raise ValueError(f"{path}: {'repeated' if col in header else 'missing'} column {col!r}")
-        at = [header.index(col) for col in (timestamp_column, *columns)]
+            if read.count(col) != 1:
+                raise ValueError(f"{path}: column {col!r} is read twice")
+        at = [header.index(col) for col in read]
         rows = [[row[i].strip() if i < len(row) else "" for i in at] for row in reader if row]
     except csv.Error as err:
         raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
@@ -567,8 +570,8 @@ def run(config: RunConfig, jobs: int = 1) -> BenchReport:
         # Imported here: a serial run, or one of a single batch, never loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        # The pool starts all its workers at the first submit, so it gets no more than there are batches.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
+        # The pool starts all its workers at the first submit, so it gets no more than there are batches or CPUs.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks), os.cpu_count() or 1)) as pool:
             batches = list(pool.map(partial(_score_tasks, config.seed, config.imputers), chunks))
     else:
         batches = [_score_tasks(config.seed, config.imputers, windows)]

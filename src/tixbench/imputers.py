@@ -199,11 +199,11 @@ def _each(impute: Callable[[Segment], Imputation], segments: list[Segment]) -> l
 # tix id does. Each tix id names a feature basis, and appending "_q" gives its
 # quantile variant.
 _LOCAL_IMPUTERS = {"linear": impute_linear, "locf": impute_locf, "seasonal_naive": impute_seasonal_naive}
-# Each tix id's basis kind and the params that configure it, by the
-# FeatureSpec field each sets.
+# Each tix id's basis kind and the params that configure it, each the
+# FeatureSpec field of its name.
 _TIX_BASES = {
-    "tix_fourier": (HANDCRAFTED_FOURIER, {"periods": "periods"}),
-    "tix_random_basis": (RANDOM_FOURIER, {"n_random": "n_random", "freq_range": "freq_range", "basis_seed": "seed"}),
+    "tix_fourier": (HANDCRAFTED_FOURIER, ("periods",)),
+    "tix_random_basis": (RANDOM_FOURIER, ("n_random", "freq_range", "basis_seed")),
 }
 # The params an entry of each id may set: its imputer function's keyword
 # parameters, with a tix id's basis params in place of its fspec, and
@@ -224,10 +224,6 @@ def _quantile_levels(levels) -> tuple[float, ...]:
     return tuple(checked[1:])
 
 
-# Counts that no spec checks under the param's name, by least value; a null season is the series' seasonal period.
-_COUNTS = {"season": 1, "basis_seed": 0}
-
-
 def _checked_params(imputer_id: str, params: dict) -> dict:
     """``params`` of an entry of ``imputer_id``, each replaced by what its rule returns, a basis param by what
     ``FeatureSpec`` stores; no default is added. An unknown id or param or a bad value is a ValueError."""
@@ -236,9 +232,8 @@ def _checked_params(imputer_id: str, params: dict) -> dict:
     unknown = sorted(params.keys() - _PARAMS[imputer_id])
     if unknown:
         raise ValueError(f"unknown param {', '.join(map(repr, unknown))}")
-    for key in params.keys() & _COUNTS:
-        if params[key] is not None or key != "season":
-            params[key] = whole_number(params[key], key, least=_COUNTS[key])
+    if params.get("season") is not None:  # a null season is the series' seasonal period
+        params["season"] = whole_number(params["season"], "season", least=1)
     if "lam" in params:
         params["lam"] = real_number(params["lam"], "lam", least=0)
     if "quantile_levels" in params:
@@ -247,8 +242,8 @@ def _checked_params(imputer_id: str, params: dict) -> dict:
         raise ValueError(f"use_covariates must be true or false, got {params['use_covariates']!r}")
     if imputer_id.startswith("tix_"):
         kind, basis_keys = _TIX_BASES[imputer_id.removesuffix("_q")]
-        fspec = FeatureSpec(kind, **{field: params[key] for key, field in basis_keys.items() if key in params})
-        params.update({key: getattr(fspec, field) for key, field in basis_keys.items() if key in params})
+        fspec = FeatureSpec(kind, **{key: params[key] for key in basis_keys if key in params})
+        params.update({key: getattr(fspec, key) for key in basis_keys if key in params})
     return params
 
 
@@ -261,7 +256,7 @@ def make_imputer(imputer_id: str, **params) -> Callable[[list[Segment]], list[Im
     if imputer_id in _LOCAL_IMPUTERS:
         return functools.partial(_each, functools.partial(_LOCAL_IMPUTERS[imputer_id], **params))
     kind, basis_keys = _TIX_BASES[imputer_id.removesuffix("_q")]
-    fspec = FeatureSpec(kind, **{field: params.pop(key) for key, field in basis_keys.items() if key in params})
+    fspec = FeatureSpec(kind, **{key: params.pop(key) for key in basis_keys if key in params})
     if imputer_id.endswith("_q"):
         params.setdefault("quantile_levels", DEFAULT_QUANTILE_LEVELS)
     return functools.partial(impute_time_indexed, fspec=fspec, **params)

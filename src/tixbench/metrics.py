@@ -67,14 +67,16 @@ def wql(quantile_preds: Mapping[float, np.ndarray], truth, alphas: Sequence[floa
     Per level: 2 * sum(QL_alpha) / sum(|truth|), sums taken over every scored
     point; the result is the unweighted mean across levels. The levels are
     ``alphas`` when given, each of which ``quantile_preds`` must hold, and
-    otherwise every level it holds, in ascending order.
+    otherwise every level it holds, in ascending order; no level is an error.
     """
     t = np.asarray(truth, dtype=float)
     scale = float(np.sum(np.abs(t)))
     if scale == 0.0:
         raise ValueError("undefined scale")
+    if not (levels := sorted(quantile_preds) if alphas is None else list(alphas)):
+        raise ValueError("need at least one quantile level")
     per_level = []
-    for alpha in sorted(quantile_preds) if alphas is None else alphas:
+    for alpha in levels:
         if alpha not in quantile_preds:
             raise ValueError(f"missing quantile level {alpha}")
         q = np.asarray(quantile_preds[alpha], dtype=float)

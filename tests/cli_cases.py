@@ -125,6 +125,7 @@ def filtered(min_std_filter) -> dict:
 
 PAIR = rows_csv([[0, 1.0], [1, 2.0]])
 NOT_UTF8 = b"timestamp,value\n0,1.0\n1,2.0 \xff\n2,3.0\n"
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark, which Excel's "CSV UTF-8" writes first
 LIMIT = 131072  # csv's default field size limit
 
 CASES: dict[str, Case] = {
@@ -417,6 +418,12 @@ CASES: dict[str, Case] = {
         kind="trend-",
     ),
     # Finite cells whose errors overflow: the score must not print Infinity or NaN, which are not JSON.
+    # Scoring the timestamp column as the value printed mae 0.0.
+    "test_score_refuses_a_column_read_twice": Case(
+        ("score", "{dir}/t.csv", "{dir}/p.csv", "--value-column", "timestamp"),
+        "error: {dir}/t.csv: column 'timestamp' is read twice\n",
+        {"t.csv": PAIR, "p.csv": PAIR},
+    ),
     "test_score_rejects_a_non_finite_score": score(
         rows_csv([[0, 1e308], [1, -1e308]]),
         rows_csv([[0, -1e308], [1, 1e308]]),
@@ -443,6 +450,9 @@ CASES: dict[str, Case] = {
         guards=BEFORE_ANY_LOAD,
     ),
     "test_cli_error_line[utf8_truth]": score(NOT_UTF8, PAIR, "{dir}/t.csv: line 3: byte 0xff is not UTF-8"),
+    # A leading byte-order mark is dropped, and the bad byte is named as in the file without it.
+    "test_cli_error_line[utf8_bom_csv]": on_csv(BOM + NOT_UTF8, "{dir}/d.csv: line 3: byte 0xff is not UTF-8"),
+    "test_cli_error_line[utf8_bom_truth]": score(BOM + NOT_UTF8, PAIR, "{dir}/t.csv: line 3: byte 0xff is not UTF-8"),
     "test_cli_error_line[utf8_pred]": score(PAIR, NOT_UTF8, "{dir}/p.csv: line 3: byte 0xff is not UTF-8"),
     "test_cli_error_line[utf8_spec]": synth(
         b"length_days: 28\nsteps_per_day: 24 # \xe9\n", "{dir}/spec.yaml: line 2: byte 0xe9 is not UTF-8"

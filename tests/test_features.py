@@ -60,7 +60,7 @@ class TestHandcrafted:
 
 class TestRandomFourier:
     def test_dim_is_one_plus_two_k(self):
-        spec = FeatureSpec(kind="random_fourier", n_random=1, seed=0)
+        spec = FeatureSpec(kind="random_fourier", n_random=1, basis_seed=0)
         fm = random_fourier_basis(np.arange(100), spec)
         assert fm.shape[1] == 3
 
@@ -74,14 +74,14 @@ class TestRandomFourier:
             FeatureSpec(kind="random_fourier", n_random=MAX_N_RANDOM + 1)
 
     def test_deterministic_per_spec(self):
-        spec = FeatureSpec(kind="random_fourier", n_random=8, seed=13)
+        spec = FeatureSpec(kind="random_fourier", n_random=8, basis_seed=13)
         a = random_fourier_basis(np.arange(300), spec)
         b = random_fourier_basis(np.arange(300), spec)
         assert np.array_equal(a, b)
 
     def test_same_basis_functions_across_segments(self):
         # Same spec on two segment lengths: identical functions of t_norm.
-        spec = FeatureSpec(kind="random_fourier", n_random=4, seed=5)
+        spec = FeatureSpec(kind="random_fourier", n_random=4, basis_seed=5)
         short = random_fourier_basis(np.arange(101), spec)
         long = random_fourier_basis(np.arange(201), spec)
         np.testing.assert_allclose(short[50], long[100], atol=1e-12)
@@ -92,7 +92,7 @@ class TestRandomFourier:
         # At high in-band frequencies 64 random components are too sparse for
         # this (near-orthogonality of distant sinusoids), so the guarantee is
         # pinned where it holds.
-        spec = FeatureSpec(kind="random_fourier", n_random=64, freq_range=(0.5, 400.0), seed=1)
+        spec = FeatureSpec(kind="random_fourier", n_random=64, freq_range=(0.5, 400.0), basis_seed=1)
         t = np.arange(672)
         fm = random_fourier_basis(t, spec)
         y = np.sin(2 * np.pi * target_freq * fm[:, 0])
@@ -101,7 +101,7 @@ class TestRandomFourier:
         assert np.mean(np.abs(resid)) < 1e-3
 
     def test_in_span_target_fit(self):
-        spec = FeatureSpec(kind="random_fourier", n_random=64, freq_range=(0.5, 400.0), seed=3)
+        spec = FeatureSpec(kind="random_fourier", n_random=64, freq_range=(0.5, 400.0), basis_seed=3)
         t = np.arange(672)
         fm = random_fourier_basis(t, spec)
         y = 0.5 * fm[:, 21] - 1.25 * fm[:, 22] + 0.1
@@ -122,7 +122,7 @@ class TestBasisColumns:
         np.testing.assert_array_equal(handcrafted_features(ticks, HOURLY, periods), np.column_stack(expected))
 
     def test_random_fourier(self):
-        spec = FeatureSpec(kind="random_fourier", n_random=6, freq_range=(0.5, 60.0), seed=11)
+        spec = FeatureSpec(kind="random_fourier", n_random=6, freq_range=(0.5, 60.0), basis_seed=11)
         t_norm = np.arange(400) / 399
         rng = np.random.default_rng(11)
         freqs = np.exp(rng.uniform(np.log(0.5), np.log(60.0), size=6))

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cli_cases
-from cli_cases import RUN_DICT, SINE, SYNTH_DICT
+from cli_cases import BOM, RUN_DICT, SINE, SYNTH_DICT
 from conftest import make_segment
 from tixbench import (
     DEFAULT_SCENARIOS,
@@ -292,6 +292,15 @@ class TestIngest:
         series = ingest_csv(write_csv(tmp_path / "a.csv", rows), HOURLY)
         assert len(series) == 4
         np.testing.assert_array_equal(series.obs_mask, [True, True, False, True])
+
+    def test_a_byte_order_mark_is_read_as_no_part_of_the_header(self, tmp_path):
+        plain = write_csv(tmp_path / "a.csv", [[0, 1.0, 5.0], [1, "", 6.0], [2, 3.0, 7.0]], ("timestamp", "value", "temp"))
+        marked = tmp_path / "b.csv"
+        marked.write_bytes(BOM + plain.read_bytes())
+        a, b = (ingest_csv(path, HOURLY, covariate_columns=("temp",), series_id="s") for path in (plain, marked))
+        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a.obs_mask, b.obs_mask)
+        np.testing.assert_array_equal(a.covariates["temp"], b.covariates["temp"])
 
     def test_duplicate_timestamps(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", [[0, 1.0], [0, 2.0]])
@@ -822,7 +831,7 @@ class TestRun:
     def test_pool_opens_no_more_workers_than_batches(self, monkeypatch):
         # The pool forks all its workers at the first submit. A fake records
         # the worker count and maps in this process; were the fake bypassed,
-        # jobs=16 would fork no more than 16 processes.
+        # jobs=16 would fork no more processes than there are CPUs.
         opened = []
 
         class InProcessPool:
@@ -847,9 +856,15 @@ class TestRun:
         )
         serial = run(config, jobs=1)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert run(config, jobs=16).records == serial.records
         assert sum(r.scenario_label == "pointwise1" for r in serial.records) == 2  # two windows
         assert opened == [2]
+        # Nor more than there are CPUs, one where the count is unknown; the batches stay those of jobs=16.
+        for cpus in (1, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert run(config, jobs=16).records == serial.records
+        assert opened == [2, 1, 1]
         # With every window filtered out there is no batch, and no pool.
         filtered = replace(config, datasets=(replace(config.datasets[0], min_std_filter=100.0),))
         assert run(filtered, jobs=16).records == ()
@@ -857,7 +872,7 @@ class TestRun:
         ds = config.datasets[0]
         one = replace(config, datasets=(replace(ds, synth=replace(ds.synth, length_days=150)),))
         assert sum(r.scenario_label == "pointwise1" for r in run(one, jobs=2).records) == 1
-        assert opened == [2]
+        assert opened == [2, 1, 1]
 
     def test_ingestion_failure_collects_all(self, tmp_path):
         config = config_from_dict(
@@ -1526,8 +1541,8 @@ class TestReport:
         assert paths["json"].read_bytes() == (expected.getvalue() + "\n").encode()
 
     def test_results_json_has_one_value_a_line_and_one_volatile_line(self, tmp_path):
-        # What the CI compares: two runs' results.json without their "generated_at" line, as
-        # grep -v '"generated_at"' leaves them. A changed mae line makes them differ.
+        # What CI compares of two runs of configs/quantile.yaml: results.json without its "generated_at" line, as
+        # grep -v '"generated_at"' leaves it. A changed mae line makes them differ.
         config = demo_config(tmp_path)
         texts = [run_and_report(config, output_dir=tmp_path / name)[1]["json"].read_text() for name in "ab"]
 
@@ -1713,8 +1728,21 @@ class TestCli:
         )
         assert cli_main(["score", str(truth), str(pred)]) == 0
         scored = json.loads(capsys.readouterr().out)
-        assert "wql" in scored
+        assert scored["znorm_mae"] == 0
         assert scored["wql_levels"] == [0.1, 0.9]
+        # Both levels miss both points by 1 on their cheap side, a loss of 0.1 each: 2 * 0.2 / |2 + 4| = 1/15.
+        assert abs(scored["wql"] - 1 / 15) <= 1e-12
+
+    def test_score_reads_files_with_a_byte_order_mark_as_without(self, tmp_path, capsys):
+        truth = write_csv(tmp_path / "t.csv", [[0, 2.0], [1, 4.0], [2, 3.0]])
+        pred = write_csv(tmp_path / "p.csv", [[0, 2.5, 1.0], [1, 3.0, 2.0], [2, 3.5, 3.0]], ("timestamp", "value", "q0.1"))
+        assert cli_main(["score", str(truth), str(pred)]) == 0
+        plain = capsys.readouterr()
+        for path in (truth, pred):
+            path.write_bytes(BOM + path.read_bytes())
+        assert cli_main(["score", str(truth), str(pred)]) == 0
+        assert capsys.readouterr() == plain
+        assert "wql" in json.loads(plain.out)
 
     def test_score_of_an_all_zero_truth_leaves_out_wql(self, tmp_path, capsys):
         # The weighted quantile loss divides by the truth's absolute sum.
@@ -1829,10 +1857,11 @@ for _name in dict.fromkeys(key.partition("[")[0] for key in cli_cases.CASES):
 
 
 def test_demo_matches_committed_results(tmp_path):
-    """``out/demo/`` is the golden output of ``configs/demo.yaml``."""
+    """``out/demo/`` is the golden output of ``configs/demo.yaml``; its ``report.md`` is matched byte for byte."""
     root = Path(__file__).resolve().parents[1]
     golden = json.loads((root / "out" / "demo" / "results.json").read_text())
     _, paths = run_and_report(load_config(root / "configs" / "demo.yaml"), output_dir=tmp_path)
+    assert paths["markdown"].read_bytes() == (root / "out" / "demo" / "report.md").read_bytes()
     fresh = json.loads(paths["json"].read_text())
     assert fresh["meta"]["config_digest"] == golden["meta"]["config_digest"]
     assert len(fresh["records"]) == len(golden["records"])
@@ -1842,3 +1871,10 @@ def test_demo_matches_committed_results(tmp_path):
         assert [new[k] for k in identity] == [old[k] for k in identity]
         assert new["mae"] == pytest.approx(old["mae"], rel=1e-12, abs=0)
         assert new["wql"] == old["wql"]
+
+
+def test_quantile_config_keeps_its_digest():
+    """``configs/quantile.yaml``, whose runs at --jobs 1 and 2 and without scipy CI compares, keeps its digest."""
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "quantile.yaml")
+    assert config_digest(config) == "860ba00d4ddd8828"
+    assert [im.name for im in config.imputers] == ["tix_fourier_q", "tix_random_basis_q", "covar_ridge", "tix_fourier"]

@@ -198,7 +198,7 @@ class TestTimeIndexed:
         t = np.arange(672)
         seg = make_segment(np.sin(2 * np.pi * 3 * t / 671), np.ones(672, dtype=bool))
         masked = apply_scenario(seg, Scenario("pointwise", 0.5, "p1"), seed=7)
-        spec = FeatureSpec(kind="random_fourier", n_random=64, seed=0)
+        spec = FeatureSpec(kind="random_fourier", n_random=64, basis_seed=0)
         out = impute_time_indexed([masked], fspec=spec, lam=1e-8)[0]
         truth = masked.values[masked.eval_mask]
         assert znorm_mae(truth, out.point, floored_std(masked.values[masked.obs_mask])) < 1e-3
@@ -206,7 +206,7 @@ class TestTimeIndexed:
 
 class TestTimeBasisCache:
     HOURLY = FrequencySpec(24)
-    RANDOM = FeatureSpec(kind="random_fourier", n_random=8, seed=3)
+    RANDOM = FeatureSpec(kind="random_fourier", n_random=8, basis_seed=3)
 
     def test_rows_equal_a_fresh_build(self):
         ticks = np.arange(672)

@@ -139,6 +139,12 @@ class TestWql:
         with pytest.raises(ValueError, match="missing quantile level"):
             wql({0.5: np.array([1.0])}, np.array([1.0]), (0.5, 0.9))
 
+    @pytest.mark.parametrize("alphas", [None, ()], ids=["held", "given"])
+    def test_no_level(self, alphas):
+        # An Imputation may carry an empty quantile dict; its mean over no level would be NaN.
+        with pytest.raises(ValueError, match="^need at least one quantile level$"):
+            wql({}, np.array([1.0]), alphas)
+
     @given(st.permutations(list(range(6))))
     @settings(max_examples=30)
     def test_permutation_invariance(self, perm):

@@ -12,6 +12,7 @@ fault in any of them moves some record.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,6 @@ from tixbench.regress import DEFAULT_LAMBDA
 DEMO = Path(__file__).resolve().parents[1] / "configs" / "demo.yaml"
 REL_TOL = 1e-10
 STD_FLOOR = 1e-8
-# The random-basis params of an imputer entry, by the FeatureSpec field each sets.
-BASIS_FIELDS = {"n_random": "n_random", "freq_range": "freq_range", "basis_seed": "seed"}
 
 # The three quantile imputer entries of the benchmark's quantile workload, on
 # the covariate_driven series of configs/demo.yaml shortened to 150 days.
@@ -83,7 +82,8 @@ def feature_rows(spec, segment):
     if spec.id.startswith("tix_fourier"):
         X = handcrafted_features(ticks, segment.freq, FeatureSpec(periods=params.get("periods", ())).periods)
     elif spec.id.startswith("tix_random_basis"):
-        basis = {field: params[key] for key, field in BASIS_FIELDS.items() if key in params}
+        # An entry's basis params are the FeatureSpec fields of their names.
+        basis = {f.name: params[f.name] for f in fields(FeatureSpec) if f.name in params}
         X = random_fourier_basis(ticks, FeatureSpec(RANDOM_FOURIER, **basis))
     else:
         return None

@@ -169,7 +169,7 @@ def segment_basis(d, rng):
     and a segment whose values follow a daily cycle with heavy-tailed noise."""
     ticks = np.arange(28 * 24)
     if d == 129:
-        X = random_fourier_basis(ticks, FeatureSpec(kind="random_fourier", n_random=64, freq_range=(0.5, 60.0), seed=0))
+        X = random_fourier_basis(ticks, FeatureSpec(kind="random_fourier", n_random=64, freq_range=(0.5, 60.0), basis_seed=0))
     else:
         X = handcrafted_features(ticks, HOURLY)
         if d == 6:
@@ -398,7 +398,7 @@ def random_basis_rows(rng, size):
     """Random Fourier features (d=129) and target at ``size`` visible rows of a
     28-day hourly segment."""
     ticks = np.arange(28 * 24)
-    spec = FeatureSpec(kind="random_fourier", n_random=64, freq_range=(0.5, 60.0), seed=0)
+    spec = FeatureSpec(kind="random_fourier", n_random=64, freq_range=(0.5, 60.0), basis_seed=0)
     vis = np.sort(rng.choice(len(ticks), size=size, replace=False))
     X = random_fourier_basis(ticks, spec)[vis]
     return X, np.sin(2 * np.pi * vis / 24) + 0.3 * rng.normal(size=len(vis))
