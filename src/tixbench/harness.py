@@ -500,6 +500,7 @@ def _score_tasks(run_seed: int, specs: tuple[ImputerSpec, ...], windows: list[tu
         first = {}
         for spec, imputer in zip(specs, built):
             key = (spec.id, *sorted(p for p in spec.params.items() if p[0] != "use_covariates" or covariates and p[1]))
+            # One partial per key: make_imputer may return one callable for two entries _score_window must not merge.
             imputers.setdefault(covariates, []).append((spec.name, first.setdefault(key, partial(imputer))))
     # The imputers call no BLAS but numpy's, so the pin covers only numpy's copy, also where the caller imported scipy.
     with _one_blas_thread():

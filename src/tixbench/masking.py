@@ -9,7 +9,7 @@ sees the remaining context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,8 +76,9 @@ def apply_scenario(segment: Segment, scenario: Scenario, seed: int) -> Segment:
     uniformly among the day slots that are fully visible. This is the one
     place that decides whether a task can be scored: it raises
     ``InfeasibleScenario`` for a block scenario without k fully visible days,
-    and for a draw that hides no position or every visible one. Any segment
-    it returns has both a visible context and a position to score.
+    and for a draw that hides no position or every visible one. It returns
+    a new ``Segment``, checked by its constructor, with both a visible context
+    and a position to score; the input's masks are left as they were.
     Deterministic for fixed (segment, scenario, seed).
     """
     rng = np.random.default_rng(seed)
@@ -100,8 +101,4 @@ def apply_scenario(segment: Segment, scenario: Scenario, seed: int) -> Segment:
 
     obs[chosen] = False
     evl[chosen] = True
-    # The copy skips the validation that ``segment`` passed, since its checks hold by construction: the chosen
-    # positions are distinct and visible, so the masks stay disjoint, some position stays visible and no length moves.
-    masked = object.__new__(type(segment))
-    vars(masked).update(vars(segment), obs_mask=obs, eval_mask=evl)
-    return masked
+    return replace(segment, obs_mask=obs, eval_mask=evl)

@@ -214,9 +214,9 @@ def test_pointwise_draw_that_would_hide_every_visible_point_is_infeasible():
 
 
 @pytest.mark.parametrize("scenario", DEFAULT_SCENARIOS, ids=lambda s: s.label)
-def test_masked_copy_is_built_without_a_second_validation(scenario, monkeypatch):
-    # The masked copy's invariants hold by construction, so building it runs
-    # no Segment validation; it shares the arrays it does not change.
+def test_masked_copy_is_a_checked_segment(scenario, monkeypatch):
+    # The masked copy is built through Segment's constructor, so its checks
+    # run once; it shares the arrays it does not change.
     rng = np.random.default_rng(6)
     obs = rng.random(672) > 0.05
     obs[24:48] = False
@@ -228,11 +228,11 @@ def test_masked_copy_is_built_without_a_second_validation(scenario, monkeypatch)
     check = Segment.__post_init__
     monkeypatch.setattr(Segment, "__post_init__", lambda self: validated.append(self) or check(self))
     masked = apply_scenario(seg, scenario, seed=3)
-    assert validated == []
+    assert len(validated) == 1 and validated[0] is masked
     assert type(masked) is Segment
-    # The spy sees a Segment built the checked way, and the copy passes the checks it skipped.
-    assert Segment(**vars(masked)) == masked and len(validated) == 1
-    assert masked.values is seg.values and masked.covariates is seg.covariates
+    assert Segment(**vars(masked)) == masked
+    assert masked.values is seg.values and masked.covariates.keys() == seg.covariates.keys()
+    assert masked.covariates["c"] is seg.covariates["c"]
     assert (masked.id, masked.freq, masked.start) == (seg.id, seg.freq, seg.start)
     assert len(masked.obs_mask) == len(masked.eval_mask) == len(seg)
     assert not np.any(masked.obs_mask & masked.eval_mask) and np.any(masked.obs_mask)
