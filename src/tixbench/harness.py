@@ -119,7 +119,8 @@ class RunConfig:
         days, *stride = _check_window(self.segment_len_days, self.stride_days)
         object.__setattr__(self, "segment_len_days", days)
         object.__setattr__(self, "stride_days", tuple(stride))
-        # Each list holds at least one entry, and each entry's name tells it from its siblings.
+        # Each list holds at least one entry, and each entry's name tells it from its siblings and fits in one cell
+        # of a report.md table row.
         for key, name in (("datasets", "id"), ("imputers", "name"), ("scenarios", "label")):
             object.__setattr__(self, key, tuple(getattr(self, key)))
             names = [getattr(entry, name) for entry in getattr(self, key)]
@@ -127,6 +128,8 @@ class RunConfig:
                 raise ValueError(f"{key} must not be empty")
             if len(set(names)) != len(names):
                 raise ValueError(f"{key[:-1]} {name}s must be unique")
+            for split in (n for n in names if {"|", "\n", "\r"} & set(n)):
+                raise ValueError(f"{key}: {name} {split!r} holds '|' or a line break, which would split a report row")
         if self.rank_metric not in ("mae", "wql"):
             raise ValueError("rank_metric must be 'mae' or 'wql'")
 
@@ -232,10 +235,26 @@ def _read_text(path) -> str:
         raise ValueError(f"{path}: line {line}: byte {data[err.start]:#04x} is not UTF-8") from None
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A SafeLoader that refuses a key given twice in one mapping. It checks each mapping as it is composed, before
+    pyyaml puts what a ``<<`` key merges in front of its own pairs, so a key may override a merged one; a key that is
+    not a scalar is left to SafeLoader, which refuses it as unhashable."""
+
+    def compose_mapping_node(self, anchor):
+        node = super().compose_mapping_node(anchor)
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                if (key := self.construct_object(key_node)) in seen:
+                    raise yaml.constructor.ConstructorError(None, None, f"duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return node
+
+
 def read_yaml(path):
-    """The document of a UTF-8 YAML file; malformed YAML is a ``ValueError`` naming the file."""
+    """The document of a UTF-8 YAML file; malformed YAML, a repeated key too, is a ``ValueError`` naming the file."""
     try:
-        return yaml.safe_load(_read_text(path))
+        return yaml.load(_read_text(path), Loader=_UniqueKeyLoader)
     except yaml.YAMLError as err:
         mark = getattr(err, "problem_mark", None)
         at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -395,12 +414,12 @@ def _score_task(args) -> list[ScoreRecord]:
     return records
 
 
-def _score_window(window, run_seed: int, imputers: list[tuple]) -> list[ScoreRecord]:
+def _score_window(window, run_seed: int, entries: list[tuple], imputers: dict) -> list[ScoreRecord]:
     """Mask a (dataset id, segment, scenarios, test start) window under each scenario, impute its masked copies with
-    one call per distinct built imputer of the (name, built imputer) pairs of ``imputers``, and score each task. Test
-    start is the grid tick of the test slice's first row: an error names the window by its grid ticks, while the mask
-    seed hashes segment.start. A ``ValueError`` from imputing or scoring re-runs the window one task and imputer at a
-    time, so that the error names the first to fail."""
+    one call per distinct key of the (name, key) pairs of ``entries``, through the built imputer ``imputers`` holds for
+    that key, and score each task. Test start is the grid tick of the test slice's first row: an error names the
+    window by its grid ticks, while the mask seed hashes segment.start. A ``ValueError`` from imputing or scoring
+    re-runs the window one task and imputer at a time, so that the error names the first to fail."""
     ds_id, segment, scenarios, test_start = window
     tasks = []
     for scenario in scenarios:
@@ -411,18 +430,18 @@ def _score_window(window, run_seed: int, imputers: list[tuple]) -> list[ScoreRec
         return []
     copies = [masked for _, masked in tasks]
     try:
-        columns = {imputer: imputer(copies) for imputer in dict.fromkeys(imputer for _, imputer in imputers)}
+        columns = {key: imputers[key](copies) for key in dict.fromkeys(key for _, key in entries)}
         return [
             r
             for t, (scenario, masked) in enumerate(tasks)
-            for r in _score_task((ds_id, masked, scenario, [(name, columns[imputer][t]) for name, imputer in imputers]))
+            for r in _score_task((ds_id, masked, scenario, [(name, columns[key][t]) for name, key in entries]))
         ]
     except ValueError:
         first = test_start + segment.start
         for scenario, masked in tasks:
-            for name, imputer in imputers:
+            for name, key in entries:
                 try:
-                    _score_task((ds_id, masked, scenario, [(name, imputer([masked])[0])]))
+                    _score_task((ds_id, masked, scenario, [(name, imputers[key]([masked])[0])]))
                 except ValueError as err:
                     task = f"ticks {first}-{first + len(segment) - 1}, scenario {scenario.label!r}, imputer {name!r}"
                     raise ValueError(f"dataset {ds_id!r}, {task}: {err}") from err
@@ -492,19 +511,18 @@ def _one_blas_thread():
 def _score_tasks(run_seed: int, specs: tuple[ImputerSpec, ...], windows: list[tuple]) -> list[ScoreRecord]:
     """Score the tasks of (dataset id, segment, scenarios, test start) windows with ``specs``' imputers, built once.
 
-    On a window, entries whose ids and params are equal once ``use_covariates`` is dropped where it is false or the
-    window has no covariate channel share one partial of the first one's imputer, which ``_score_window`` runs once."""
-    built = [make_imputer(spec.id, **spec.params) for spec in specs]
-    imputers = {}
-    for covariates in (False, True):
-        first = {}
-        for spec, imputer in zip(specs, built):
-            key = (spec.id, *sorted(p for p in spec.params.items() if p[0] != "use_covariates" or covariates and p[1]))
-            # One partial per key: make_imputer may return one callable for two entries _score_window must not merge.
-            imputers.setdefault(covariates, []).append((spec.name, first.setdefault(key, partial(imputer))))
+    An entry's key on a window is the window's covariate flag, its id and its params less ``use_covariates`` where
+    that is false or the window has no covariate channel. Entries of one key share the first one's imputer, run once."""
+    imputers, entries = {}, {False: [], True: []}
+    for spec in specs:
+        imputer = make_imputer(spec.id, **spec.params)
+        for flag, named in entries.items():
+            key = (flag, spec.id, *sorted(p for p in spec.params.items() if p[0] != "use_covariates" or flag and p[1]))
+            named.append((spec.name, key))
+            imputers.setdefault(key, imputer)
     # The imputers call no BLAS but numpy's, so the pin covers only numpy's copy, also where the caller imported scipy.
     with _one_blas_thread():
-        return [r for w in windows for r in _score_window(w, run_seed, imputers[bool(w[1].covariates)])]
+        return [r for w in windows for r in _score_window(w, run_seed, entries[bool(w[1].covariates)], imputers)]
 
 
 def run(config: RunConfig, jobs: int = 1) -> BenchReport:

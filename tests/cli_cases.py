@@ -241,6 +241,50 @@ CASES: dict[str, Case] = {
             ),
         ]
     },
+    # YAML keeps the last of two equal keys: a config with imputers and seed given twice ran the second list at the
+    # second seed and exited 0.
+    **{
+        f"test_a_repeated_yaml_key_is_an_error_line[{name}]": (run if command == "run" else synth)(
+            text, message, guards=BEFORE_ANY_LOAD if command == "run" else BEFORE_A_GRID
+        )
+        for name, command, text, message in [
+            (
+                "top_level",
+                "run",
+                "datasets: [{id: d, synth: {length_days: 280, steps_per_day: 24}}]\n"
+                "imputers: [{id: linear}]\nseed: 1\nimputers: [{id: locf}]\nseed: 5\n",
+                "{dir}/cfg.yaml: malformed YAML at line 4, column 1: duplicate key 'imputers'",
+            ),
+            (
+                "params",
+                "run",
+                "datasets: [{id: d, synth: {length_days: 280, steps_per_day: 24}}]\n"
+                "imputers:\n  - id: tix_fourier\n    params: {lam: 1.0, lam: 2.0}\n",
+                "{dir}/cfg.yaml: malformed YAML at line 4, column 24: duplicate key 'lam'",
+            ),
+            (
+                "synth",
+                "synth",
+                "length_days: 28\nsteps_per_day: 24\nlength_days: 56\n",
+                "{dir}/spec.yaml: malformed YAML at line 3, column 1: duplicate key 'length_days'",
+            ),
+        ]
+    },
+    # report.md writes each name into a table cell as it is: a '|' or a line break split the row, and the run
+    # exited 0.
+    **{
+        f"test_a_name_that_would_split_a_report_row_is_an_error_line_before_any_load[{key}]": run(
+            {**RUN_DICT, **change},
+            f"config: {key}: {name} holds '|' or a line break, which would split a report row",
+            guards=BEFORE_ANY_LOAD,
+        )
+        for key, change, name in [
+            ("datasets", {"datasets": [{"id": "a|b", "synth": SYNTH_DICT}]}, "id 'a|b'"),
+            ("imputers", {"imputers": [{"id": "linear", "name": "lin|ear"}, {"id": "locf", "name": "lo\ncf"}]},
+             "name 'lin|ear'"),
+            ("scenarios", {"scenarios": [{"kind": "pointwise", "param": 0.5, "label": "p\rq"}]}, "label 'p\\rq'"),
+        ]
+    },
     # Each value is refused at load; a run that used it would fail mid-run, end in a traceback or read it as
     # something else.
     **{

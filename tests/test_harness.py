@@ -805,6 +805,28 @@ class TestRunConfig:
         config = load_config(cfg_path)
         assert config.datasets[0].path == str(csv_path)
 
+    def test_a_merge_key_loads_and_a_key_of_the_mapping_overrides_what_it_merges(self, tmp_path):
+        # Only a key given twice among one mapping's own keys is refused (see the repeated-key cases of TestCli).
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(
+            "datasets: [{id: d, synth: {length_days: 280, steps_per_day: 24,"
+            " components: [{kind: noise, noise_std: 1.0}]}}]\n"
+            "imputers:\n"
+            "  - {id: tix_fourier, name: base, params: &base {lam: 1.0, periods: [24]}}\n"
+            "  - {id: tix_fourier, name: wide, params: &wide {<<: *base, periods: [24, 168]}}\n"
+            "  - {id: tix_fourier, name: stiff, params: {<<: [*wide, *base], lam: 10.0}}\n"
+        )
+        params = {spec.name: spec.params for spec in load_config(cfg_path).imputers}
+        assert params == {
+            "base": {"lam": 1.0, "periods": (24.0,)},
+            "wide": {"lam": 1.0, "periods": (24.0, 168.0)},
+            "stiff": {"lam": 10.0, "periods": (24.0, 168.0)},
+        }
+        # A mapping with a merge of its own, merged into a shallower one that is built first, keeps its override.
+        nested = tmp_path / "nested.yaml"
+        nested.write_text("a: {inner: &x {<<: {q: 0}, q: 1}}\nb: {<<: *x, r: 2}\n")
+        assert harness.read_yaml(nested) == {"a": {"inner": {"q": 1}}, "b": {"q": 1, "r": 2}}
+
 
 class TestRun:
     def test_record_count_is_product(self, tmp_path):
@@ -899,8 +921,8 @@ class TestRun:
         masked = apply_scenario(seg, scenario, seed)
         assert np.array_equal(masked.eval_mask, hidden)
         specs = (ImputerSpec("linear"), ImputerSpec("tix_fourier"))
-        imputers = [(spec.name, make_imputer(spec.id)) for spec in specs]
-        records = harness._score_window(("d", seg, (scenario,), 0), 0, imputers)
+        entries, imputers = [(spec.name, spec.id) for spec in specs], {spec.id: make_imputer(spec.id) for spec in specs}
+        records = harness._score_window(("d", seg, (scenario,), 0), 0, entries, imputers)
         visible, truth = masked.values[masked.obs_mask], masked.values[masked.eval_mask]
         assert len(records) == len(specs)
         for spec, record in zip(specs, records):
