@@ -11,8 +11,6 @@ SPEC = importlib.util.spec_from_file_location("compare_records", ROOT / "scripts
 compare_records = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(compare_records)
 
-RTOL = 1e-12
-
 
 @pytest.fixture
 def demo():
@@ -20,11 +18,11 @@ def demo():
     return json.loads((ROOT / "out" / "demo" / "results.json").read_text(encoding="utf-8"))
 
 
-def compare(tmp_path, a, b, *options) -> int:
+def compare(tmp_path, a, b) -> int:
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path, doc in zip(paths, (a, b)):
         path.write_text(json.dumps(doc), encoding="utf-8")
-    return compare_records.main([*map(str, paths), *options])
+    return compare_records.main([str(path) for path in paths])
 
 
 def test_two_copies_of_one_file_compare_equal(tmp_path, demo, capsys):
@@ -35,14 +33,9 @@ def test_two_copies_of_one_file_compare_equal(tmp_path, demo, capsys):
     assert " wql" not in out
 
 
-def test_a_mae_moved_above_rtol_fails_and_below_it_passes(tmp_path, demo, capsys):
+def test_a_mae_moved_by_one_part_in_a_trillion_fails(tmp_path, demo, capsys):
     moved = json.loads(json.dumps(demo))
-    moved["records"][100]["mae"] *= 1 + 10 * RTOL
-    assert compare(tmp_path, demo, moved, "--rtol", str(RTOL)) == 1
-    assert compare(tmp_path, demo, demo, "--rtol", str(RTOL)) == 0
-    # The default rtol of 0 fails any changed bit.
-    moved["records"][100]["mae"] = demo["records"][100]["mae"] * (1 + RTOL / 10)
-    assert compare(tmp_path, demo, moved, "--rtol", str(RTOL)) == 0
+    moved["records"][100]["mae"] *= 1 + 1e-12
     assert compare(tmp_path, demo, moved) == 1
     imputer = demo["records"][100]["imputer_id"]
     assert f"{imputer} mae: 1 of 164 moved" in capsys.readouterr().out
@@ -50,12 +43,12 @@ def test_a_mae_moved_above_rtol_fails_and_below_it_passes(tmp_path, demo, capsys
 
 def test_a_dropped_record_fails(tmp_path, demo, capsys):
     dropped = {**demo, "records": demo["records"][:5] + demo["records"][6:]}
-    assert compare(tmp_path, demo, dropped, "--rtol", "1") == 1
+    assert compare(tmp_path, demo, dropped) == 1
     assert capsys.readouterr().out.startswith("keys differ: 984 against 983 records")
 
 
 def test_a_wql_on_one_side_only_fails(tmp_path, demo):
     scored = json.loads(json.dumps(demo))
     scored["records"][0]["wql"] = 0.25
-    assert compare(tmp_path, demo, scored, "--rtol", "1") == 1
-    assert compare(tmp_path, scored, demo, "--rtol", "1") == 1
+    assert compare(tmp_path, demo, scored) == 1
+    assert compare(tmp_path, scored, demo) == 1
